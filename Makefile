@@ -43,8 +43,8 @@
 #
 # REPRO_WORKERS=N fans every campaign in the suite across N worker
 # processes (0 = one per core); REPRO_NO_SUFFIX=1 disables suffix
-# re-execution; REPRO_NO_SHM_VIEWS=1 disables zero-copy tensor views;
-# results are bit-identical either way (see docs/MEMORY_MODEL.md).
+# re-execution; results are bit-identical either way (see
+# docs/MEMORY_MODEL.md).
 
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest

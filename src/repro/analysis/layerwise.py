@@ -81,7 +81,7 @@ def run_layerwise_analysis(
     campaigns back-to-back serially.  ``progress`` streams per-cell
     :class:`~repro.core.executor.CellResult`\\ s (``campaign_label`` names
     the layer) and ``checkpoint`` enables resume of the whole
-    multi-layer sweep from one JSON file.
+    multi-layer sweep from one journal file.
 
     Each layer's campaign is the suffix engine's best case: faults are
     scoped to one known layer, so every cell re-executes only from that

@@ -168,7 +168,6 @@ class OutcomeCellTask:
         sampler: "FaultSampler | None" = None,
         label: str = "",
         suffix: bool = True,
-        batch_k: int = 0,
     ):
         self.model = model
         self.memory = memory
@@ -178,8 +177,6 @@ class OutcomeCellTask:
         self.sampler = sampler if sampler is not None else random_bitflip_sampler()
         self.label = label
         self.suffix = bool(suffix)
-        # Variant-batching width (repro.core.batched); 0/1 = per-cell.
-        self.batch_k = int(batch_k)
         self.clean_predictions = predict_labels(
             model, self.images, self.config.batch_size
         )

@@ -90,7 +90,6 @@ class PerClassCellTask:
         num_classes: "int | None" = None,
         label: str = "",
         suffix: bool = True,
-        batch_k: int = 0,
     ):
         self.model = model
         self.memory = memory
@@ -104,8 +103,6 @@ class PerClassCellTask:
         self.cell_width = 2 * self.num_classes
         self.label = label
         self.suffix = bool(suffix)
-        # Variant-batching width (repro.core.batched); 0/1 = per-cell.
-        self.batch_k = int(batch_k)
 
     def __getstate__(self) -> dict:
         return payload_state(self)

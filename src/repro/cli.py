@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument(
         "--checkpoint",
         default=None,
-        help="JSON file recording completed cells; re-running with the same "
-        "configuration resumes the sweep",
+        help="append-only JSONL journal recording completed cells; "
+        "re-running with the same configuration resumes the sweep",
     )
     p_campaign.add_argument(
         "--progress", action="store_true", help="print one line per completed cell"
@@ -146,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-k",
         type=int,
         default=0,
-        help="fault variants evaluated per dispatch through the "
-        "bitwise-verified batched kernel (0/1 = per-cell; adaptive mode "
-        "treats 0 as its default chunk of 8)",
+        help="adaptive mode: trials per chunk between stopping checks, "
+        "evaluated together through the bitwise-verified batched kernel "
+        "(0 = the default chunk of 8); exact mode ignores it",
     )
     add_supervision_args(p_campaign)
 
@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenarios.add_argument(
         "--checkpoint",
         default=None,
-        help="one JSON file recording completed cells across ALL scenarios; "
-        "re-running with the same spec resumes the whole matrix",
+        help="one append-only JSONL journal recording completed cells "
+        "across ALL scenarios; re-running with the same spec resumes the "
+        "whole matrix",
     )
     p_scenarios.add_argument(
         "--progress", action="store_true", help="print one line per completed cell"

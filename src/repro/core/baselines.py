@@ -130,7 +130,7 @@ def run_mitigation_sweep(
     campaigns back-to-back; each returned
     :class:`~repro.core.metrics.ResilienceCurve` is bit-identical to its
     standalone serial run either way.  ``checkpoint`` resumes the whole
-    comparison from one JSON file.
+    comparison from one journal file.
     """
     from repro.core.executor import CampaignExecutor, WeightFaultCellTask
 

@@ -17,10 +17,12 @@ blocking is a function of operand shape — so the first time a
 ``(tail start, frontier shape, K)`` signature appears, the kernel
 computes both the per-variant tails and the wide tail, compares them
 bit for bit, and permanently falls back to per-variant tails for that
-signature on any mismatch.  Exact mode is therefore bit-identical to
-the per-cell path *unconditionally*, not just on BLAS builds that
-happen to be row-stable.  ``REPRO_NO_BATCHED=1`` disables the kernel
-everywhere (results unchanged, by the same argument).
+signature on any mismatch.  Batched chunks are therefore bit-identical
+to the per-cell path *unconditionally*, not just on BLAS builds that
+happen to be row-stable.  The kernel runs inside adaptive families
+(below); exact sweeps dispatch one cell at a time.
+``REPRO_NO_BATCHED=1`` disables the kernel everywhere (results
+unchanged, by the same argument).
 
 **Adaptive early stopping** (:class:`AdaptiveCampaignTask`).  Wraps any
 scalar-accuracy cell task and turns each rate's trial column into a

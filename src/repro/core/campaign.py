@@ -173,7 +173,6 @@ class FaultInjectionCampaign:
         progress: "Callable | None" = None,
         checkpoint: "str | None" = None,
         suffix: bool = True,
-        batch_k: int = 0,
     ) -> ResilienceCurve:
         """Execute the full (rates x trials) sweep.
 
@@ -185,7 +184,7 @@ class FaultInjectionCampaign:
         ``workers`` fans the grid across a process pool (``0`` = one per
         CPU core); the result is bit-identical to the serial run.
         ``progress`` receives a :class:`~repro.core.executor.CellResult`
-        per completed cell and ``checkpoint`` names a JSON file enabling
+        per completed cell and ``checkpoint`` names a JSONL journal enabling
         resume of an interrupted sweep — see
         :class:`~repro.core.executor.CampaignExecutor`.  ``suffix``
         controls the suffix re-execution engine
@@ -194,20 +193,14 @@ class FaultInjectionCampaign:
         path only; worker processes always run with the engine on (it
         is excluded from task payloads so checkpoints interoperate
         across engine settings) — set ``REPRO_NO_SUFFIX=1`` to disable
-        it everywhere, workers included.  ``batch_k > 1`` lets the
-        runner evaluate that many cells per dispatch through the
-        bitwise-verified batched kernel (:mod:`repro.core.batched`) —
-        also bit-identical, with ``REPRO_NO_BATCHED=1`` as the
-        everywhere-off switch.
+        it everywhere, workers included.
         """
         from repro.core.executor import CampaignExecutor
 
         executor = CampaignExecutor(
             workers=workers, progress=progress, checkpoint=checkpoint
         )
-        return executor.run(
-            self, sampler=sampler, label=label, suffix=suffix, batch_k=batch_k
-        )
+        return executor.run(self, sampler=sampler, label=label, suffix=suffix)
 
 
 def run_campaign(
@@ -222,7 +215,6 @@ def run_campaign(
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
     suffix: bool = True,
-    batch_k: int = 0,
 ) -> ResilienceCurve:
     """Functional one-shot wrapper around :class:`FaultInjectionCampaign`."""
     campaign = FaultInjectionCampaign(model, memory, images, labels, config)
@@ -233,5 +225,4 @@ def run_campaign(
         progress=progress,
         checkpoint=checkpoint,
         suffix=suffix,
-        batch_k=batch_k,
     )

@@ -22,50 +22,29 @@ Design
 **Cell protocol.**  A task is a picklable description of one campaign:
 ``task.make_runner()`` builds the mutable per-process machinery (fault
 injector, quantized deployment, activation hooks), and
-``runner.run_cell(rate_index, trial)`` evaluates one cell.  The serial
-path builds the runner over the caller's live objects; a worker builds it
-over its own deserialized copy — the *same code* runs in both, so
-determinism holds by construction rather than by keeping loops in sync.
+``runner.run_cell(rate_index, trial)`` evaluates one cell.  The
+in-process lane builds the runner over the caller's live objects; a
+worker builds it over its own mapped copy — the *same code* runs in
+both, so determinism holds by construction rather than by keeping loops
+in sync.
 
-**Zero-copy weight shipping.**  Each task packs once into a
-:class:`~repro.utils.shm.PackedUnit` — an in-band pickle stream plus
-out-of-band tensor buffers (pickle protocol 5) — whose combined bytes
-feed the checkpoint fingerprint's CRC; callers that already hold a
-task's packed form pass it through ``run_tasks(payloads=...)`` so no
-model snapshot is serialized twice.  All units are laid out in one
-shared-memory **tensor plane** per sweep generation (a region table over
-one :mod:`multiprocessing.shared_memory` segment, see
-:mod:`repro.utils.shm`): workers attach once per generation and map
-every model tensor as a *read-only numpy view* instead of deserializing
-a private weight copy.  Mutation is copy-on-write — injection privatizes
-only the regions its fault set touches
-(:meth:`repro.hw.memory.WeightMemory.materialize`).  The plane degrades
-to inline bytes when shared memory is unavailable, and
-``REPRO_NO_SHM_VIEWS=1`` restores the historical private-copy
-deserialization; either way results are bit-identical.  Workers load
-tasks lazily, keeping one live runner at a time.
+**Zero-copy shipping.**  Each task packs once into a
+:class:`~repro.utils.shm.PackedUnit` (pickle protocol 5, tensors
+out-of-band) whose bytes also feed the checkpoint CRC.  All units —
+plus each task's suffix-engine clean pass, run once in the parent
+(region ``suffix/<task>``) — are laid out in one shared-memory *tensor
+plane* per sweep generation, which workers attach once and map as
+read-only numpy views; injection privatizes only the regions its fault
+set touches (copy-on-write).  Without shared memory the plane travels
+inline, with bit-identical results.  ``persistent=True`` keeps a warm
+pool across :meth:`CampaignExecutor.run_tasks` calls, since payloads
+travel per generation rather than through the pool initializer.  See
+``docs/MEMORY_MODEL.md``.
 
-**Cross-worker suffix cache.**  Before fan-out the parent runs each
-pending task's clean pass once (by building and closing a throwaway
-runner) and publishes the suffix engine's activation cache into the same
-plane (region ``suffix/<task>``); every worker's engine then attaches
-those read-only views via :func:`repro.core.suffix.shared_cache` instead
-of re-running the clean pass per worker — one clean pass per host per
-task, bit-identical by construction.
-
-**Warm pools.**  ``persistent=True`` keeps the worker pool alive across
-:meth:`CampaignExecutor.run_tasks` calls; because payloads travel per
-generation rather than through the pool initializer, iterative drivers —
-Algorithm 1's per-iteration boundary batches — reuse one pool instead of
-constructing one per iteration.
-
-**Suffix re-execution.**  :class:`InjectionCellRunner` (and its
-quantized/activation siblings) owns a
+**Suffix re-execution.**  Every runner owns a
 :class:`~repro.core.suffix.SuffixForwardEngine`: one clean forward pass
 caches the tensor entering every faultable layer, and each cell
-re-executes only from the first layer its fault set touches — the
-injector's cut-point report (`FaultInjector.affected_layers`) scopes the
-cut, and the skipped prefix is bit-identical by construction.
+re-executes only from the first layer its fault set touches.
 
 **Determinism.**  The per-cell seed depends only on
 ``(campaign seed, rate index, trial index)`` via
@@ -78,17 +57,23 @@ campaign's serial loop back-to-back — the common-random-numbers contract
 of ``campaign.py`` survives any scheduling.
 
 **Dispatch.**  Cells are enumerated task-major, rate-major (the serial
-order), split into contiguous single-task chunks of ``chunk_size``
-(default: about four chunks per worker across all tasks) and submitted
-eagerly; results are written back into each task's
-``(n_rates, n_trials)`` value grid by index, so completion order is
-irrelevant.
+order) and fed to one supervised loop — retry, backoff, quarantine,
+timeouts and pool rebuilds exist once — through one of two *lanes*.
+The pool lane splits the cells into contiguous single-task chunks of
+``chunk_size`` (default: about four chunks per worker across all tasks)
+and keeps up to two chunks per worker in flight.  The in-process lane
+(``workers=1``, and the fallback after repeated pool losses) evaluates
+one cell per dispatch on the caller's live tasks, so its futures are
+already finished when the loop waits on them.  Results are written back
+into each task's ``(n_rates, n_trials)`` value grid by index, so
+completion order is irrelevant.
 
 **Streaming and resume.**  An optional per-cell ``progress`` callback
 receives a :class:`CellResult` as each value lands, and an optional
-``checkpoint`` JSON file records completed cells so an interrupted sweep
+``checkpoint`` file — an append-only JSONL journal — records each
+completed cell before its callback fires, so an interrupted sweep
 restarted with the same configuration re-runs only the missing cells.
-The checkpoint fingerprint covers each task's kind (a quantized
+The journal's header fingerprints each task's kind (a quantized
 checkpoint can never resume a weight-fault sweep), config grid and a CRC
 of its pickled content.
 """
@@ -103,12 +88,14 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -116,6 +103,7 @@ from repro.core.chaos import ChaosPolicy
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
 from repro.utils.rng import SeedTree
 from repro.utils.shm import PackedUnit, ShippedPlane, pack_object, ship_units
+from repro.utils.validation import env_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.campaign import CampaignConfig, FaultInjectionCampaign, FaultSampler
@@ -139,17 +127,17 @@ __all__ = [
     "cell_seed_path",
 ]
 
-# v3: the campaign CRC fingerprint became PackedUnit.crc32() (in-band
-# stream + out-of-band tensor buffers) when the tensor plane landed; v2
-# checkpoints carry a CRC of the old in-band pickle and cannot resume.
-_CHECKPOINT_VERSION = 3
+# v4: the checkpoint became an append-only JSONL journal (header line +
+# one line per cell); v3 and earlier were whole-file JSON documents
+# and cannot resume.
+_CHECKPOINT_VERSION = 4
 
 
 def cell_seed_path(rate_index: int, trial: int) -> str:
     """The :class:`SeedTree` path of one campaign cell.
 
-    This string is the determinism contract between the serial loop and
-    the worker pool: both derive the cell's generator from it.
+    This string is the determinism contract between the in-process
+    lane and the worker pool: both derive the cell's generator from it.
     """
     return f"rate/{rate_index}/trial/{trial}"
 
@@ -212,7 +200,7 @@ class SupervisionPolicy:
     contract.  ``retry_backoff`` seeds the deterministic exponential
     backoff (no jitter — determinism extends to scheduling decisions),
     and ``max_pool_rebuilds`` caps pool reconstructions before the
-    executor degrades to serial in-process execution.
+    executor swaps in the in-process lane.
     """
 
     max_retries: int = 2
@@ -263,11 +251,13 @@ class SupervisionPolicy:
         examples, hardening sub-campaigns.
         """
         if max_retries is None:
-            raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-            max_retries = int(raw) if raw else cls.max_retries
+            max_retries = env_number(
+                "REPRO_MAX_RETRIES", int, "an integer", cls.max_retries
+            )
         if cell_timeout is None:
-            raw = os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
-            cell_timeout = float(raw) if raw else None
+            cell_timeout = env_number(
+                "REPRO_CELL_TIMEOUT", float, "a number of seconds"
+            )
         if on_cell_error is None:
             raw = os.environ.get("REPRO_ON_CELL_ERROR", "").strip()
             on_cell_error = raw if raw else cls.on_cell_error
@@ -447,11 +437,6 @@ class InjectionCellRunner:
             batch_k=getattr(task, "batch_k", 0),
         )
 
-    @property
-    def cells_per_call(self) -> int:
-        """Preferred dispatch group width (1 = plain per-cell calls)."""
-        return self.kernel.batch_k if self.kernel.enabled else 1
-
     def _fault_set(self, rate_index: int, trial: int):
         """The cell's fault draw on its deterministic seed path."""
         task = self.task
@@ -470,7 +455,7 @@ class InjectionCellRunner:
     def run_cells(
         self, cells: Sequence[tuple[int, int]]
     ) -> "list[float | Sequence[float]]":
-        """Evaluate a group of cells through the batched kernel.
+        """Evaluate one adaptive chunk of cells through the batched kernel.
 
         Bit-identical to calling :meth:`run_cell` per cell in order:
         fault sets are drawn from the same per-cell seed paths, and the
@@ -542,12 +527,10 @@ class WeightFaultCellTask:
         self.label = label
         self._clean = None if clean_accuracy is None else float(clean_accuracy)
         self.suffix = bool(suffix)
-        # Variant-batching width for the runner's BatchedSuffixKernel
-        # (repro.core.batched): 0/1 keeps the historical per-cell loop,
-        # K > 1 shares bitwise-verified wide tails across K cells.
-        # Results are bit-identical either way; the value travels in the
-        # pickled payload because adaptive wrappers reuse it as their
-        # (scientific) stopping-chunk width.
+        # Kernel width of the runner's BatchedSuffixKernel
+        # (repro.core.batched) inside adaptive families, whose chunks of
+        # K trials share bitwise-verified wide tails; exact sweeps
+        # dispatch per cell and ignore it.
         self.batch_k = int(batch_k)
 
     def __getstate__(self) -> dict:
@@ -564,12 +547,9 @@ class WeightFaultCellTask:
     def absorb_clean_logits(self, logits_batches) -> None:
         """Seed the lazy clean accuracy from an engine's clean pass.
 
-        ``logits_batches`` are a suffix engine's cached clean logits
-        over this task's evaluation set — their argmax agreement with
-        the labels is exactly what :meth:`clean_accuracy` would
-        recompute with another full forward (bit-identical logits), so
-        the executor feeds the parent-side export back instead of
-        paying that forward twice.
+        The cached clean logits' argmax agreement with the labels is
+        exactly what :meth:`clean_accuracy` would recompute with another
+        full forward, so the executor feeds the export back instead.
         """
         self._clean = _accuracy_from_logits(
             self._clean, logits_batches, self.labels
@@ -601,13 +581,10 @@ class WeightFaultCellTask:
 # Per-process sweep state, set once by _init_worker.  Plain module
 # globals: ProcessPoolExecutor workers are single-threaded and each
 # process serves exactly one sweep *generation* at a time.  A warm pool
-# outlives individual sweeps (Algorithm-1 iterations reuse one pool), so
-# the payload travels with each chunk call — a tiny tensor-plane address
-# (segment name + region table), attached once per worker per generation
-# — instead of the pool initializer.  Tasks load lazily (zero-copy views
-# by default) and only one runner stays live per worker; under
-# copy-on-write that runner privatizes only the weight regions its
-# fault sets actually write.
+# outlives individual sweeps, so the payload travels with each chunk
+# call — a tiny tensor-plane address, attached once per worker per
+# generation — instead of the pool initializer.  Tasks load lazily and
+# only one runner stays live per worker.
 _WORKER_STATE: "dict | None" = None
 
 # Parent-side generation ids: one per run_tasks scheduling pass, so a
@@ -652,9 +629,8 @@ def _worker_state(plane: ShippedPlane, generation: "tuple[int, int]") -> dict:
 def _task_runner(state: dict, task_index: int):
     """The worker's runner for ``task_index``, (re)built on task switch.
 
-    Loading ``task/<i>`` maps the task's tensors as read-only views
-    (private copies under ``REPRO_NO_SHM_VIEWS=1``); if the parent
-    published the task's clean pass (region ``suffix/<i>``), the
+    Loading ``task/<i>`` maps the task's tensors as read-only views; if
+    the parent published the task's clean pass (region ``suffix/<i>``), the
     runner's engine attaches it through the shared-cache offer instead
     of re-running the clean forward in this worker.
     """
@@ -675,79 +651,102 @@ def _task_runner(state: dict, task_index: int):
     return state["runner"]
 
 
-def _runner_groups(
-    runner, cells: Sequence[tuple[int, int]]
-) -> "Iterator[tuple[list[tuple[int, int]], list]]":
-    """Yield ``(cell group, values)`` pairs in serial cell order.
-
-    Runners advertising ``cells_per_call > 1`` (the batched kernel) get
-    their pending cells in groups via :meth:`run_cells`; everything else
-    runs the historical one-call-per-cell loop.  Grouping is pure
-    dispatch: values are bit-identical either way, and callers still
-    record/emit/checkpoint cell by cell.
-    """
-    group = max(1, int(getattr(runner, "cells_per_call", 1)))
-    for start in range(0, len(cells), group):
-        chunk = list(cells[start : start + group])
-        if group > 1 and len(chunk) > 1:
-            yield chunk, list(runner.run_cells(chunk))
-        else:
-            yield chunk, [
-                runner.run_cell(rate_index, trial)
-                for rate_index, trial in chunk
-            ]
-
-
 def _run_task_cells(
     plane: ShippedPlane,
     generation: "tuple[int, int]",
     task_index: int,
-    cells: Sequence[Sequence[int]],
+    cells: "Sequence[tuple[int, int, int]]",
 ) -> "list[tuple[int, int, int, float | Sequence[float]]]":
     """Evaluate a chunk of one task's cells in this worker.
 
-    Each cell is ``(rate_index, trial)`` or — from the supervised
-    dispatch loop — ``(rate_index, trial, attempt)``, where ``attempt``
+    Each cell is ``(rate_index, trial, attempt)``, where ``attempt``
     counts earlier dispatches of the same cell and keys the chaos
     harness (:mod:`repro.core.chaos`): with the default
     ``attempts=1`` gate a re-dispatched cell is never disturbed twice,
     so recovery converges.  Chaos fires *before* the runner is touched,
     leaving retried dispatches clean state to evaluate from.
     """
-    normalized = [(int(cell[0]), int(cell[1])) for cell in cells]
-    policy = ChaosPolicy.from_env()
-    if policy is not None:
-        attempts = [
-            int(cell[2]) if len(cell) > 2 else 0 for cell in cells
-        ]
-        policy.disturb(task_index, normalized, attempts)
+    chaos = ChaosPolicy.from_env()
+    if chaos is not None:
+        chaos.disturb(
+            task_index, [cell[:2] for cell in cells], [cell[2] for cell in cells]
+        )
     runner = _task_runner(_worker_state(plane, generation), task_index)
     return [
-        (task_index, rate_index, trial, value)
-        for chunk, values in _runner_groups(runner, normalized)
-        for (rate_index, trial), value in zip(chunk, values)
+        (task_index, rate_index, trial, runner.run_cell(rate_index, trial))
+        for rate_index, trial, _ in cells
     ]
 
 
+class _InProcessLane:
+    """The pool stand-in the dispatch loop uses for in-process execution.
+
+    :meth:`submit` evaluates the call at once and returns an already
+    finished :class:`~concurrent.futures.Future`, so serial runs (and
+    the fallback after repeated pool losses) share the pool's retry and
+    quarantine code.  Exceptions land in the future like a worker's;
+    ``KeyboardInterrupt`` and ``SystemExit`` propagate at once.
+    :meth:`run_cells`, the counterpart of :func:`_run_task_cells`,
+    evaluates on the caller's live tasks with one runner live — built on
+    a task's first cell, closed on task switch and by :meth:`shutdown` —
+    and runs chaos ``in_process`` (a ``kill`` would end the campaign).
+    """
+
+    def __init__(
+        self, tasks: Sequence[CampaignCellTask], chaos: "ChaosPolicy | None"
+    ):
+        self.tasks = tasks
+        self.chaos = chaos
+        self.task_index: "int | None" = None
+        self.runner: "CellRunner | None" = None
+
+    def submit(self, call: Callable, *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(call(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+    def run_cells(
+        self, task_index: int, cells: "Sequence[tuple[int, int, int]]"
+    ) -> "list[tuple[int, int, int, float | Sequence[float]]]":
+        if self.chaos is not None:
+            self.chaos.disturb(
+                task_index,
+                [cell[:2] for cell in cells],
+                [cell[2] for cell in cells],
+                in_process=True,
+            )
+        if self.task_index != task_index:
+            self.shutdown()
+            self.runner = self.tasks[task_index].make_runner()
+            self.task_index = task_index
+        return [
+            (task_index, rate_index, trial, self.runner.run_cell(rate_index, trial))
+            for rate_index, trial, _ in cells
+        ]
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        """Close the live runner (restores the caller's model)."""
+        if self.runner is not None:
+            runner, self.runner, self.task_index = self.runner, None, None
+            runner.close()
+
+
 # --------------------------------------------------------------------- #
-# checkpoint file
+# parent-side packing and the checkpoint journal
 # --------------------------------------------------------------------- #
 
 
 def _pack_task(
     task: CampaignCellTask,
 ) -> "tuple[PackedUnit | None, Exception | None]":
-    """Serialize one task (model, memory, eval set, sampler) once.
+    """Serialize one task once, for both the checkpoint CRC and the pool.
 
-    Packs with the tensor plane's out-of-band format
-    (:func:`repro.utils.shm.pack_object`): the unit's stream + buffers
-    feed both the checkpoint fingerprint (CRC) and the worker-pool
-    payload, so large models are serialized exactly once per run — and
-    the tensor buffers still reference the live arrays, so nothing is
-    copied until the plane is laid out.  Returns ``(None, error)`` when
-    the task is unpicklable (e.g. a closure sampler): serial runs then
-    fall back to config-level checkpoint validation, and parallel runs
-    raise a clear error.
+    Returns ``(None, error)`` when the task is unpicklable (e.g. a
+    closure sampler): in-process runs then fall back to config-level
+    checkpoint validation, and pool runs raise a clear error.
     """
     try:
         return pack_object(task), None
@@ -761,20 +760,14 @@ def _export_suffix_caches(
 ) -> "dict[int, PackedUnit]":
     """Run each pending task's clean pass once and pack its cache.
 
-    Builds (and immediately closes) a parent-side runner per task purely
-    to populate its :class:`~repro.core.suffix.SuffixForwardEngine`;
-    the exported :class:`~repro.core.suffix.SharedSuffixCache` ships in
-    the same tensor plane as the weights, so every worker attaches the
-    activations read-only instead of recomputing them — one clean pass
-    per host per task.  Tasks whose engine declines to build (suffix
-    disabled, unsupported model, empty scope) simply publish nothing and
-    workers fall back to their own clean pass, which is bit-identical.
-    Runner lifecycle is parent-safe by contract: every runner's
-    ``close()`` restores the live model exactly (undoes int8
-    deployment, removes hooks), and construction failures unwind their
-    own partial side effects before propagating — a task whose runner
-    cannot be built here could not be run serially or in a worker
-    either, so the error surfaces now rather than after the fan-out.
+    Builds (and immediately closes) a parent-side runner per task to
+    populate its :class:`~repro.core.suffix.SuffixForwardEngine`; the
+    exported :class:`~repro.core.suffix.SharedSuffixCache` ships in the
+    tensor plane, so workers attach the activations instead of
+    recomputing them — one clean pass per host per task.  Tasks whose
+    engine declines to build publish nothing, and their workers run
+    their own (bit-identical) clean pass.  A runner's ``close()``
+    restores the live model exactly, so building one here is safe.
     """
     from repro.core.suffix import suffix_globally_disabled
 
@@ -801,16 +794,20 @@ def _export_suffix_caches(
     return caches
 
 
-class _Checkpoint:
-    """A JSON record of completed cells, validated against the sweep.
+class _Journal:
+    """The checkpoint: an append-only JSONL journal of completed cells.
 
-    The file stores a fingerprint per task — its kind, config grid
-    (seed, trials, fault rates) and a CRC of its pickled content — so a
-    checkpoint can never silently resume a *different* sweep (different
-    campaign type, model, mitigation variant, sampler or evaluation
-    set).  Single-task sweeps keep the historical flat layout with cells
-    keyed ``rate/trial``; cross-campaign sweeps nest per-task
-    fingerprints and key cells ``task/rate/trial``.
+    The first line is the sweep's fingerprint header — the format
+    version and, per task, its kind, config grid (seed, trials, batch
+    size, fault rates) and a CRC of its pickled content — so a journal
+    can never silently resume a *different* sweep (different campaign
+    type, model, mitigation variant, sampler or evaluation set).  Every
+    later line is one completed cell, ``[task, rate, trial, value]``,
+    appended and flushed as it is recorded, so a record costs the same
+    at the first cell and the millionth.  Opening an existing journal
+    replays its cells into :attr:`cells`; a torn last line (the writer
+    died mid-append) is dropped and truncated away before appending
+    resumes.  Close the journal when the pass ends.
     """
 
     def __init__(
@@ -821,85 +818,94 @@ class _Checkpoint:
         extra: "dict | None" = None,
     ):
         self.path = Path(path)
-        self._single = len(tasks) == 1
-
-        def task_fingerprint(task: CampaignCellTask, crc: "str | None") -> dict:
-            return {
-                "kind": task.kind,
-                "seed": int(task.config.seed),
-                "trials": int(task.config.trials),
-                "batch_size": int(task.config.batch_size),
-                "fault_rates": [float(r) for r in task.config.fault_rates],
-                "campaign_crc": crc,
-            }
-
-        if self._single:
-            self._fingerprint = {
-                "version": _CHECKPOINT_VERSION,
-                **task_fingerprint(tasks[0], crcs[0]),
-            }
-        else:
-            self._fingerprint = {
-                "version": _CHECKPOINT_VERSION,
-                "campaigns": [
-                    task_fingerprint(task, crc) for task, crc in zip(tasks, crcs)
-                ],
-            }
+        header: dict = {
+            "version": _CHECKPOINT_VERSION,
+            "campaigns": [
+                {
+                    "kind": task.kind,
+                    "seed": int(task.config.seed),
+                    "trials": int(task.config.trials),
+                    "batch_size": int(task.config.batch_size),
+                    "fault_rates": [float(r) for r in task.config.fault_rates],
+                    "campaign_crc": crc,
+                }
+                for task, crc in zip(tasks, crcs)
+            ],
+        }
         if extra:
             # Caller-supplied identity (e.g. a shard's index/count and the
             # suite hash) joins the fingerprint: a checkpoint written as
             # shard i/N can never resume as j/N or i/M.
-            collisions = set(extra) & set(self._fingerprint)
+            collisions = set(extra) & set(header)
             if collisions:
                 raise ValueError(
                     f"checkpoint extra keys collide with the fingerprint: "
                     f"{sorted(collisions)}"
                 )
-            self._fingerprint.update(json.loads(json.dumps(extra)))
+            header.update(json.loads(json.dumps(extra)))
         self.cells: "dict[tuple[int, int, int], float | list[float]]" = {}
-        if self.path.exists():
-            self._load()
+        intact = self._replay(header) if self.path.exists() else 0
+        if intact:
+            os.truncate(self.path, intact)  # drop a torn last line
+            self._file = open(self.path, "ab")
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(self.path, "wb")
+            self._append(header)
 
-    def _load(self) -> None:
-        payload = json.loads(self.path.read_text())
-        stored = {key: payload.get(key) for key in self._fingerprint}
-        if stored != self._fingerprint:
+    def _replay(self, header: dict) -> int:
+        """Load the recorded cells; return the intact prefix's length."""
+        data = self.path.read_bytes()
+        intact = data.rfind(b"\n") + 1
+        first, *lines = data[:intact].splitlines() or [b""]
+        stored = _json_or_none(first)
+        if not isinstance(stored, dict):
+            # Not a journal header: an older whole-file JSON checkpoint,
+            # or an empty file / torn header (nothing intact to keep).
+            stored = _json_or_none(data)
+            if stored is None and not intact:
+                return 0
+        version = stored.get("version") if isinstance(stored, dict) else None
+        if version != _CHECKPOINT_VERSION:
+            raise ValueError(
+                f"checkpoint {self.path} has format version {version}, but "
+                f"only version {_CHECKPOINT_VERSION} append-only JSONL "
+                "journals resume; delete it or use a fresh path"
+            )
+        if stored != header:
             raise ValueError(
                 f"checkpoint {self.path} was written by a different campaign "
                 f"type or configuration; delete it or use a fresh path "
-                f"(stored {stored}, expected {self._fingerprint})"
+                f"(stored {stored}, expected {header})"
             )
-        for key, value in payload.get("cells", {}).items():
-            parts = [int(part) for part in key.split("/")]
-            if len(parts) == 2:  # single-task layout: rate/trial
-                parts = [0, *parts]
-            task_index, rate_index, trial = parts
+        for line in lines:
+            task_index, rate_index, trial, value = json.loads(line)
             self.cells[(task_index, rate_index, trial)] = value
+        return intact
+
+    def _append(self, entry: Any) -> None:
+        self._file.write(json.dumps(entry).encode("ascii") + b"\n")
+        self._file.flush()
 
     def record(
         self, task_index: int, rate_index: int, trial: int, value
     ) -> None:
+        """Append one completed cell and flush it to the file."""
         if np.ndim(value) == 0:
             stored: "float | list[float]" = float(value)
         else:
             stored = [float(v) for v in np.asarray(value).reshape(-1)]
-        self.cells[(task_index, rate_index, trial)] = stored
+        self._append([int(task_index), int(rate_index), int(trial), stored])
 
-    def flush(self) -> None:
-        """Atomically rewrite the checkpoint file."""
-        payload = dict(self._fingerprint)
-        payload["cells"] = {
-            (
-                f"{rate_index}/{trial}"
-                if self._single
-                else f"{task_index}/{rate_index}/{trial}"
-            ): value
-            for (task_index, rate_index, trial), value in sorted(self.cells.items())
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1))
-        os.replace(tmp, self.path)
+    def close(self) -> None:
+        self._file.close()
+
+
+def _json_or_none(raw: bytes) -> Any:
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return None
 
 
 # --------------------------------------------------------------------- #
@@ -913,9 +919,9 @@ class CampaignExecutor:
     Parameters
     ----------
     workers:
-        ``1`` (default) runs in-process over the caller's live objects —
-        the historical serial path.  ``N > 1`` fans cells across ``N``
-        worker processes.  ``0`` means one worker per CPU core.
+        ``1`` (default) runs every cell in-process over the caller's
+        live objects.  ``N > 1`` fans cells across ``N`` worker
+        processes.  ``0`` means one worker per CPU core.
     chunk_size:
         Cells per dispatched task; ``0`` picks roughly four chunks per
         worker.  Larger chunks amortize dispatch overhead, smaller chunks
@@ -925,8 +931,9 @@ class CampaignExecutor:
         cell (checkpointed cells are replayed with
         ``from_checkpoint=True`` at the start of a resumed run).
     checkpoint:
-        Optional JSON file path.  Completed cells are appended as they
-        finish; re-running with the same configuration skips them.
+        Optional path of an append-only JSONL journal.  Each completed
+        cell is appended and flushed before its progress callback
+        fires; re-running with the same configuration skips them.
     checkpoint_extra:
         Optional JSON-serializable mapping merged into the checkpoint
         fingerprint.  Callers that scope a checkpoint to an execution
@@ -940,15 +947,12 @@ class CampaignExecutor:
         ``"spawn"``, ``"forkserver"``); default lets the platform choose.
     persistent:
         Keep the worker pool alive between :meth:`run_tasks` calls (a
-        *warm pool*).  Repeated sweeps — Algorithm 1's per-iteration
-        boundary batches — then skip pool construction and worker
-        start-up entirely; each sweep ships its payload through a fresh
-        shared-memory generation.  Call :meth:`close` (or use the
-        executor as a context manager) when done.  Trade-off: a worker
-        releases its previous runner (model copy plus any suffix
-        activation cache) when it first touches a *newer* generation,
-        so workers idle between sweeps retain the last sweep's state
-        until the next sweep or :meth:`close` — size
+        *warm pool*), so repeated sweeps — Algorithm 1's per-iteration
+        boundary batches — skip pool start-up; each sweep ships its
+        payload through a fresh shared-memory generation.  Call
+        :meth:`close` (or use the executor as a context manager) when
+        done.  Idle workers keep the last sweep's runner (model copy
+        plus suffix cache) until the next sweep or :meth:`close` — size
         ``REPRO_SUFFIX_BUDGET_MB`` accordingly on wide warm pools.
     max_retries / cell_timeout / on_cell_error:
         Shorthand for the matching :class:`SupervisionPolicy` fields;
@@ -1063,7 +1067,6 @@ class CampaignExecutor:
         sampler: "FaultSampler | None" = None,
         label: str = "",
         suffix: bool = True,
-        batch_k: int = 0,
     ) -> ResilienceCurve:
         """Execute one weight-fault campaign's sweep and build its curve."""
         task = WeightFaultCellTask(
@@ -1076,14 +1079,13 @@ class CampaignExecutor:
             label=label,
             clean_accuracy=campaign.clean_accuracy,
             suffix=suffix,
-            batch_k=batch_k,
         )
         return self.run_tasks([task])[0]
 
     def run_tasks(
         self,
         tasks: Sequence[CampaignCellTask],
-        payloads: "Sequence[PackedUnit | bytes | None] | None" = None,
+        payloads: "Sequence[PackedUnit | None] | None" = None,
     ) -> list[Any]:
         """Execute several campaigns' cells through one scheduling pass.
 
@@ -1093,14 +1095,14 @@ class CampaignExecutor:
         historical sequential loops.  Either way each task's result is
         bit-identical, and the returned list is parallel to ``tasks``.
 
-        ``payloads`` optionally supplies a pre-serialized form per task
-        (parallel to ``tasks``; ``None`` entries are packed here).  A
-        caller that already serialized a task to snapshot it — e.g.
+        ``payloads`` optionally supplies a pre-packed
+        :class:`~repro.utils.shm.PackedUnit` per task (parallel to
+        ``tasks``; ``None`` entries are packed here).  A caller that
+        already packed a task to snapshot it — e.g.
         :meth:`~repro.core.finetune.LayerAUCEvaluator.evaluate_many` —
-        passes the same :class:`~repro.utils.shm.PackedUnit` (preferred:
-        its tensors ship zero-copy) or legacy ``pickle.dumps`` bytes
-        instead of paying a second serialization of the model; the entry
-        must describe an object equivalent to the corresponding task.
+        passes the same unit instead of paying a second serialization of
+        the model; the unit must describe an object equivalent to the
+        corresponding task.
         """
         tasks = list(tasks)
         if not tasks:
@@ -1114,7 +1116,7 @@ class CampaignExecutor:
     def run_grids(
         self,
         tasks: Sequence[CampaignCellTask],
-        payloads: "Sequence[PackedUnit | bytes | None] | None" = None,
+        payloads: "Sequence[PackedUnit | None] | None" = None,
         cells: "Sequence[Sequence[tuple[int, int]]] | None" = None,
     ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
         """Execute (a subset of) each task's cells; return raw value grids.
@@ -1154,31 +1156,27 @@ class CampaignExecutor:
             rates_list.append(rates)
             grids.append(np.full(shape, np.nan, dtype=np.float64))
         subset = self._resolve_cells(tasks, grids, cells)
-        total = (
-            sum(len(chosen) for chosen in subset)
-            if subset is not None
-            else sum(grid.shape[0] * grid.shape[1] for grid in grids)
-        )
+        total = sum(len(chosen) for chosen in subset)
 
         # One serialization per task serves both the checkpoint
         # fingerprint and the worker payload; pre-packed payloads are
         # reused verbatim, so those tasks are never serialized here.
-        # Legacy raw-bytes payloads become buffer-less units (correct,
-        # just not zero-copy).
-        units: "list[PackedUnit | None]" = [None] * len(tasks)
-        if payloads is not None:
-            for index, payload in enumerate(payloads):
-                if isinstance(payload, PackedUnit):
-                    units[index] = payload
-                elif payload is not None:
-                    units[index] = PackedUnit(payload, ())
+        units: "list[PackedUnit | None]" = (
+            list(payloads) if payloads is not None else [None] * len(tasks)
+        )
+        for unit in units:
+            if unit is not None and not isinstance(unit, PackedUnit):
+                raise TypeError(
+                    "payloads entries must be PackedUnit or None, got "
+                    f"{type(unit).__name__}"
+                )
         errors: "list[Exception | None]" = [None] * len(tasks)
         if self.checkpoint_path is not None or self.workers > 1:
             for index, task in enumerate(tasks):
                 if units[index] is None:
                     units[index], errors[index] = _pack_task(task)
 
-        checkpoint = None
+        journal = None
         if self.checkpoint_path is not None:
             if any(unit is None for unit in units):
                 first_error = next(e for e in errors if e is not None)
@@ -1194,27 +1192,18 @@ class CampaignExecutor:
                 f"{unit.crc32():08x}" if unit is not None else None
                 for unit in units
             ]
-            checkpoint = _Checkpoint(
+            journal = _Journal(
                 self.checkpoint_path, tasks, crcs, extra=self.checkpoint_extra
             )
-
-        subset_sets = (
-            None if subset is None else [set(chosen) for chosen in subset]
-        )
-        completed = 0
-        if checkpoint is not None:
-            for (task_index, rate_index, trial), value in sorted(
-                checkpoint.cells.items()
-            ):
-                if (
-                    task_index < len(tasks)
-                    and rate_index < grids[task_index].shape[0]
-                    and trial < grids[task_index].shape[1]
-                    and (
-                        subset_sets is None
-                        or (rate_index, trial) in subset_sets[task_index]
-                    )
+        try:
+            completed = 0
+            if journal is not None:
+                wanted = [set(chosen) for chosen in subset]
+                for (task_index, rate_index, trial), value in sorted(
+                    journal.cells.items()
                 ):
+                    if (rate_index, trial) not in wanted[task_index]:
+                        continue
                     grids[task_index][rate_index, trial] = value
                     completed += 1
                     self._emit(
@@ -1222,42 +1211,18 @@ class CampaignExecutor:
                         rates_list[task_index], grids[task_index][rate_index, trial],
                         completed, total, from_checkpoint=True,
                     )
-
-        if subset is None:
             pending = [
-                [
-                    (rate_index, trial)
-                    for rate_index in range(grid.shape[0])
-                    for trial in range(grid.shape[1])
-                    if not np.all(np.isfinite(grid[rate_index, trial]))
-                ]
-                for grid in grids
+                [cell for cell in chosen if not np.all(np.isfinite(grid[cell]))]
+                for grid, chosen in zip(grids, subset)
             ]
-        else:
-            pending = [
-                [
-                    (rate_index, trial)
-                    for rate_index, trial in chosen
-                    if not np.all(np.isfinite(grids[index][rate_index, trial]))
-                ]
-                for index, chosen in enumerate(subset)
-            ]
-
-        if any(pending):
-            try:
+            if any(pending):
                 self._run_pending(
                     tasks, units, errors, pending, rates_list, grids,
-                    completed, total, checkpoint,
+                    completed, total, journal,
                 )
-            except BaseException:
-                # A KeyboardInterrupt (or any other abort) mid-sweep
-                # must not lose cells already recorded but not yet
-                # flushed: persist the checkpoint before re-raising, so
-                # Ctrl-C loses at most the in-flight window.
-                if checkpoint is not None:
-                    checkpoint.flush()
-                raise
-
+        finally:
+            if journal is not None:
+                journal.close()
         return rates_list, grids
 
     def _run_pending(
@@ -1270,12 +1235,12 @@ class CampaignExecutor:
         grids: list[np.ndarray],
         completed: int,
         total: int,
-        checkpoint: "_Checkpoint | None",
+        journal: "_Journal | None",
     ) -> None:
-        """Dispatch the pending cells serially or across the pool."""
+        """Dispatch the pending cells in process or across the pool."""
         if self.workers == 1:
-            self._run_serial(
-                tasks, pending, rates_list, grids, completed, total, checkpoint
+            self._dispatch(
+                tasks, None, pending, rates_list, grids, completed, total, journal
             )
             return
         for task, unit, error in zip(tasks, units, errors):
@@ -1324,9 +1289,9 @@ class CampaignExecutor:
         del task_units, cache_units, suffix_units
         units.clear()
         try:
-            self._run_parallel(
+            self._dispatch(
                 tasks, shipment.ref, pending, rates_list,
-                grids, completed, total, checkpoint,
+                grids, completed, total, journal,
             )
         finally:
             shipment.release()
@@ -1338,16 +1303,20 @@ class CampaignExecutor:
         tasks: Sequence[CampaignCellTask],
         grids: list[np.ndarray],
         cells: "Sequence[Sequence[tuple[int, int]]] | None",
-    ) -> "list[list[tuple[int, int]]] | None":
+    ) -> "list[list[tuple[int, int]]]":
         """Validate and canonicalize a per-task cell subset.
 
-        Each task's subset is deduplicated-checked, bounds-checked
-        against its grid, and sorted into the serial enumeration order
-        (rate-major), so a subset run visits its cells in the same
-        relative order as the full run.
+        ``None`` selects every cell.  Each task's subset is
+        duplicate-checked, bounds-checked against its grid, and sorted
+        into the serial enumeration order (rate-major), so a subset run
+        visits its cells in the same relative order as the full run.
         """
         if cells is None:
-            return None
+            return [
+                [(rate_index, trial) for rate_index in range(grid.shape[0])
+                 for trial in range(grid.shape[1])]
+                for grid in grids
+            ]
         cells = list(cells)
         if len(cells) != len(tasks):
             raise ValueError(
@@ -1446,171 +1415,79 @@ class CampaignExecutor:
             float("nan"), completed, total, failed=True,
         )
 
-    def _run_serial(
+    def _dispatch(
         self,
         tasks: Sequence[CampaignCellTask],
+        plane: "ShippedPlane | None",
         pending: "list[list[tuple[int, int]]]",
         rates_list: list[np.ndarray],
         grids: list[np.ndarray],
         completed: int,
         total: int,
-        checkpoint: "_Checkpoint | None",
+        journal: "_Journal | None",
     ) -> None:
-        """The in-process loops: task-major, rate-major, supervised."""
-        chaos = ChaosPolicy.from_env()
-        for task_index, task in enumerate(tasks):
-            if not pending[task_index]:
-                continue
-            runner = task.make_runner()
-            try:
-                completed = self._run_serial_task(
-                    runner, task, task_index, pending[task_index],
-                    rates_list, grids, completed, total, checkpoint, chaos,
-                )
-            finally:
-                runner.close()
+        """The one supervised dispatch loop, over the pool or in process.
 
-    def _run_serial_task(
-        self,
-        runner: CellRunner,
-        task: CampaignCellTask,
-        task_index: int,
-        cells: "Sequence[tuple[int, int]]",
-        rates_list: list[np.ndarray],
-        grids: list[np.ndarray],
-        completed: int,
-        total: int,
-        checkpoint: "_Checkpoint | None",
-        chaos: "ChaosPolicy | None",
-    ) -> int:
-        """Evaluate one task's cells in-process under supervision.
+        ``plane`` selects the lane: a shipped plane fans chunks over the
+        worker pool (the warm pool of a persistent executor, else a
+        right-sized one-shot pool), ``None`` runs every cell through an
+        :class:`_InProcessLane` on the caller's live tasks.  Supervision
+        (``docs/FAULT_TOLERANCE.md``) is written once for both lanes:
 
-        Cell exceptions follow ``self.supervision.on_cell_error``:
-        ``abort`` re-raises (the historical behaviour), ``retry``
-        re-evaluates up to ``max_retries`` times with deterministic
-        backoff before quarantining, ``quarantine`` gives up on the
-        first failure.  Worker death cannot happen here (the "worker"
-        is this process), so chaos ``kill`` decisions are skipped by
-        :meth:`ChaosPolicy.disturb` via ``in_process=True``.  Returns
-        the updated completed-cell count.
+        * **Worker death** discards the broken pool, harvests chunks
+          that still finished, rebuilds the pool under a fresh
+          generation id against the *same* shipment, and re-dispatches
+          the in-flight chunks; suspect cells re-enter through a *probe
+          lane* where they run strictly alone, so the next death
+          convicts one cell.
+        * **Timeouts** (pool lane only) give each in-flight chunk a
+          deadline of ``cell_timeout`` per cell; an expired chunk takes
+          the pool down with it.
+        * **Cell exceptions** follow ``on_cell_error``; multi-cell
+          chunks are first split into singletons so the blame lands on
+          one cell, and retries back off deterministically.
+        * Past ``max_pool_rebuilds`` pool losses the loop **degrades**
+          by swapping in the in-process lane, chaos off.
+
+        Each result lands in the grid and the journal before its
+        progress callback fires.  Cells are pure functions of
+        ``(seed, rate, trial)``, so every recovery path yields
+        bit-identical grids.
         """
         policy = self.supervision
-        group = max(1, int(getattr(runner, "cells_per_call", 1)))
-        work: "deque[list[tuple[int, int]]]" = deque(
-            [list(cells[start : start + group])
-             for start in range(0, len(cells), group)]
-        )
-        dispatches: "dict[tuple[int, int], int]" = {}
-        failures: "dict[tuple[int, int], int]" = {}
-        while work:
-            chunk = work.popleft()
-            attempts = [dispatches.get(cell, 0) for cell in chunk]
-            for cell in chunk:
-                dispatches[cell] = dispatches.get(cell, 0) + 1
-            try:
-                if chaos is not None:
-                    chaos.disturb(task_index, chunk, attempts, in_process=True)
-                if len(chunk) > 1 and group > 1:
-                    values = list(runner.run_cells(chunk))
-                else:
-                    values = [
-                        runner.run_cell(rate_index, trial)
-                        for rate_index, trial in chunk
-                    ]
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:
-                if policy.on_cell_error == "abort":
-                    raise
-                if len(chunk) > 1:
-                    # The failure blames the whole group; probe the
-                    # cells one at a time to isolate the culprit.
-                    work.extendleft([cell] for cell in reversed(chunk))
-                    continue
-                cell = chunk[0]
-                failures[cell] = failures.get(cell, 0) + 1
-                if (
-                    policy.on_cell_error == "quarantine"
-                    or failures[cell] > policy.max_retries
-                ):
-                    completed += 1
-                    self._quarantine(
-                        task, task_index, cell[0], cell[1],
-                        rates_list[task_index], completed, total,
-                        "exception", dispatches[cell], error,
-                    )
-                else:
-                    time.sleep(policy.backoff_seconds(failures[cell]))
-                    work.appendleft([cell])
-                continue
-            for (rate_index, trial), value in zip(chunk, values):
-                grids[task_index][rate_index, trial] = value
-                completed += 1
-                if checkpoint is not None:
-                    checkpoint.record(task_index, rate_index, trial, value)
-                self._emit(
-                    task, task_index, rate_index, trial,
-                    rates_list[task_index],
-                    grids[task_index][rate_index, trial], completed, total,
-                )
-                if checkpoint is not None:
-                    checkpoint.flush()
-        return completed
+        lane: "ProcessPoolExecutor | _InProcessLane"
+        call: Callable
 
-    def _run_parallel(
-        self,
-        tasks: Sequence[CampaignCellTask],
-        payload: ShippedPlane,
-        pending: "list[list[tuple[int, int]]]",
-        rates_list: list[np.ndarray],
-        grids: list[np.ndarray],
-        completed: int,
-        total: int,
-        checkpoint: "_Checkpoint | None",
-    ) -> None:
-        """Fan every task's pending cells over one supervised pool.
+        def in_process(chaos: "ChaosPolicy | None") -> None:
+            nonlocal lane, call, capacity, cell_timeout
+            lane = _InProcessLane(tasks, chaos)
+            call, capacity, cell_timeout = lane.run_cells, 1, None
 
-        A persistent executor reuses its warm pool across calls; the
-        plane address then travels with each chunk under a fresh
-        generation id (workers re-attach once per generation).  A
-        one-shot executor builds a right-sized pool and tears it down
-        afterwards.
+        def pool_lane() -> None:
+            # A fresh generation per pool: rebuilt workers re-attach the
+            # SAME shipment (the parent owns the segment) on first chunk.
+            nonlocal lane, call
+            lane = self._acquire_pool(workers)
+            call = partial(
+                _run_task_cells, plane, (os.getpid(), next(_GENERATION))
+            )
 
-        Supervision on top of the historical fan-out:
-
-        * **Worker death** (``BrokenProcessPool``) discards the broken
-          pool, harvests any chunks that still finished, rebuilds a
-          fresh pool, issues a fresh generation id against the *same*
-          shipment (the parent owns the segment, so re-shipping is an
-          id bump — workers re-attach on first touch), and re-dispatches
-          only the chunks that were in flight.  Suspect cells re-enter
-          through a *probe lane* where they run strictly alone, so the
-          next death is attributable to one cell.
-        * **Per-cell timeouts** (``policy.cell_timeout``) give each
-          in-flight chunk a wall-clock deadline; an expired chunk's
-          workers are killed with the pool (a running cell cannot be
-          cancelled remotely) and its cells are retried or quarantined.
-        * **Cell exceptions** follow ``policy.on_cell_error`` exactly as
-          in the serial loop; multi-cell chunks are first split into
-          singletons so the blame lands on one cell.
-        * After ``policy.max_pool_rebuilds`` consecutive pool losses the
-          executor **degrades to serial in-process execution** for the
-          remaining cells instead of thrashing.
-
-        Because cells are pure functions of ``(seed, rate, trial)``,
-        every recovery path yields bit-identical grids.
-        """
-        policy = self.supervision
         n_pending = sum(len(cells) for cells in pending)
-        workers = (
-            self.workers if self.persistent else min(self.workers, n_pending)
-        )
-        chunk_size = self.chunk_size or max(1, n_pending // (workers * 4))
-        if not payload.via_shared_memory:
-            # Inline transport re-pickles the whole payload into every
-            # chunk's call item; coarsen to about one chunk per worker so
-            # the copy count matches the old initializer-based shipping.
-            chunk_size = max(chunk_size, -(-n_pending // workers))
+        if plane is None:
+            chunk_size = 1
+            in_process(ChaosPolicy.from_env())
+        else:
+            workers = (
+                self.workers if self.persistent else min(self.workers, n_pending)
+            )
+            chunk_size = self.chunk_size or max(1, n_pending // (workers * 4))
+            if not plane.via_shared_memory:
+                # Inline transport re-pickles the whole payload into
+                # every chunk's call item; coarsen to about one chunk per
+                # worker so the copy count matches initializer shipping.
+                chunk_size = max(chunk_size, -(-n_pending // workers))
+            capacity, cell_timeout = 2 * workers, policy.cell_timeout
+            pool_lane()
         normal: "deque[tuple[int, list[tuple[int, int]]]]" = deque()
         for task_index, cells in enumerate(pending):
             for start in range(0, len(cells), chunk_size):
@@ -1621,10 +1498,6 @@ class CampaignExecutor:
         in_flight: "dict[Any, tuple[int, list[tuple[int, int]], float | None, bool]]" = {}
         rebuilds = 0
         backoff = 0.0
-        degrade = False
-
-        generation = (os.getpid(), next(_GENERATION))
-        pool = self._acquire_pool(workers)
 
         def submit_chunk(
             task_index: int, cells: "list[tuple[int, int]]", probed: bool
@@ -1634,17 +1507,13 @@ class CampaignExecutor:
                  dispatches.get((task_index, rate_index, trial), 0))
                 for rate_index, trial in cells
             ]
-            future = pool.submit(
-                _run_task_cells, payload, generation, task_index, shipped
-            )
+            future = lane.submit(call, task_index, shipped)
             for rate_index, trial in cells:
                 key = (task_index, rate_index, trial)
                 dispatches[key] = dispatches.get(key, 0) + 1
-            deadline = (
-                time.monotonic() + policy.cell_timeout * len(cells)
-                if policy.cell_timeout is not None
-                else None
-            )
+            deadline = None
+            if cell_timeout is not None:
+                deadline = time.monotonic() + cell_timeout * len(cells)
             in_flight[future] = (task_index, list(cells), deadline, probed)
 
         def harvest(results) -> None:
@@ -1652,16 +1521,14 @@ class CampaignExecutor:
             for task_index, rate_index, trial, value in results:
                 grids[task_index][rate_index, trial] = value
                 completed += 1
-                if checkpoint is not None:
-                    checkpoint.record(task_index, rate_index, trial, value)
+                if journal is not None:
+                    journal.record(task_index, rate_index, trial, value)
                 self._emit(
                     tasks[task_index], task_index, rate_index, trial,
                     rates_list[task_index],
                     grids[task_index][rate_index, trial],
                     completed, total,
                 )
-            if checkpoint is not None:
-                checkpoint.flush()
 
         def give_up(
             task_index: int,
@@ -1692,9 +1559,9 @@ class CampaignExecutor:
                 # singletons.  Death suspects go through the probe lane
                 # (strictly alone in flight, so the next death convicts
                 # exactly one cell); everything else requeues normally.
-                lane = probe if reason == "worker-death" else normal
+                queue = probe if reason == "worker-death" else normal
                 for cell in cells:
-                    lane.append((task_index, [cell]))
+                    queue.append((task_index, [cell]))
                 return
             cell = cells[0]
             key = (task_index, *cell)
@@ -1718,24 +1585,20 @@ class CampaignExecutor:
                 give_up(task_index, cell, reason, error)
                 return
             backoff = max(backoff, policy.backoff_seconds(failures[key]))
-            lane = probe if reason == "worker-death" else normal
-            lane.append((task_index, [cell]))
+            queue = probe if reason == "worker-death" else normal
+            queue.append((task_index, [cell]))
 
         def breakdown(error: BaseException) -> None:
-            nonlocal pool, generation, rebuilds, degrade
+            nonlocal rebuilds
             survivors = list(in_flight.items())
             in_flight.clear()
-            self._discard_pool(pool)
+            self._discard_pool(lane)
             for future, (task_index, cells, _deadline, probed) in survivors:
-                if not future.done() or future.cancelled():
-                    settle_failure(
-                        task_index, cells, "worker-death", error, blamed=probed
-                    )
-                    continue
-                exc = future.exception()
+                finished = future.done() and not future.cancelled()
+                exc = future.exception() if finished else error
                 if exc is None:
                     harvest(future.result())
-                elif isinstance(exc, BrokenExecutor):
+                elif exc is error or isinstance(exc, BrokenExecutor):
                     settle_failure(
                         task_index, cells, "worker-death", error, blamed=probed
                     )
@@ -1745,19 +1608,29 @@ class CampaignExecutor:
                         blamed=len(cells) == 1,
                     )
             rebuilds += 1
-            if rebuilds > policy.max_pool_rebuilds:
-                degrade = True
+            if rebuilds <= policy.max_pool_rebuilds:
+                pool_lane()
                 return
-            # Fresh generation against the SAME shipment: the parent
-            # owns the segment, so "re-shipping" the plane is an id
-            # bump — rebuilt workers re-attach on their first chunk.
-            generation = (os.getpid(), next(_GENERATION))
-            pool = self._acquire_pool(workers)
+            warnings.warn(
+                f"process pool broke {rebuilds} times "
+                f"(max_pool_rebuilds={policy.max_pool_rebuilds}); degrading "
+                "to serial in-process execution for the remaining cells",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            # The fallback exists to finish the campaign, so it runs
+            # chaos-free: injected disturbances had their shot at the
+            # pool that just collapsed.
+            queued = [*probe, *normal]
+            probe.clear()
+            normal.clear()
+            normal.extend(
+                (task_index, [cell]) for task_index, cells in queued for cell in cells
+            )
+            in_process(None)
 
         try:
             while normal or probe or in_flight:
-                if degrade:
-                    break
                 try:
                     if probe:
                         if not in_flight:
@@ -1765,7 +1638,7 @@ class CampaignExecutor:
                             submit_chunk(task_index, cells, probed=True)
                             probe.popleft()
                     else:
-                        while normal and len(in_flight) < 2 * workers:
+                        while normal and len(in_flight) < capacity:
                             task_index, cells = normal[0]
                             submit_chunk(task_index, cells, probed=False)
                             normal.popleft()
@@ -1794,9 +1667,7 @@ class CampaignExecutor:
                 for future in done:
                     task_index, cells, _deadline, probed = in_flight.pop(future)
                     try:
-                        harvest(future.result())
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
+                        results = future.result()
                     except BrokenExecutor as error:
                         broken = error
                         settle_failure(
@@ -1808,6 +1679,8 @@ class CampaignExecutor:
                             task_index, cells, "exception", error,
                             blamed=len(cells) == 1,
                         )
+                    else:
+                        harvest(results)
                 now = time.monotonic()
                 expired = [
                     future
@@ -1834,37 +1707,9 @@ class CampaignExecutor:
                 if broken is not None:
                     breakdown(broken)
         finally:
-            if not self.persistent:
-                pool.shutdown(cancel_futures=True)
-
-        if degrade:
-            warnings.warn(
-                f"process pool broke {rebuilds} times "
-                f"(max_pool_rebuilds={policy.max_pool_rebuilds}); degrading "
-                "to serial in-process execution for the remaining cells",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            leftovers: "dict[int, set[tuple[int, int]]]" = {}
-            for task_index, cells in [*probe, *normal]:
-                leftovers.setdefault(task_index, set()).update(
-                    (int(rate_index), int(trial)) for rate_index, trial in cells
-                )
-            for task_index in sorted(leftovers):
-                task = tasks[task_index]
-                runner = task.make_runner()
-                try:
-                    # The fallback exists to finish the campaign, so it
-                    # runs chaos-free: injected disturbances had their
-                    # shot at the pool that just collapsed.
-                    completed = self._run_serial_task(
-                        runner, task, task_index,
-                        sorted(leftovers[task_index]),
-                        rates_list, grids, completed, total, checkpoint,
-                        chaos=None,
-                    )
-                finally:
-                    runner.close()
+            # The warm pool outlives the pass; every other lane ends here.
+            if lane is not self._pool:
+                lane.shutdown(cancel_futures=True)
 
     def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
         """Tear a (possibly broken, possibly stuck) pool down hard.

@@ -70,7 +70,8 @@ class QuantizedCellTask:
         self.label = label
         self._clean: "float | None" = None
         self.suffix = bool(suffix)
-        # Variant-batching width (repro.core.batched); 0/1 = per-cell.
+        # Kernel width inside adaptive families (repro.core.batched);
+        # exact sweeps dispatch per cell and ignore it.
         self.batch_k = int(batch_k)
         # Optional picklable fault sampler over the *int8 code space*:
         # called as sampler(quantized_memory, rate, rng) and may return a
@@ -165,11 +166,6 @@ class _QuantizedCellRunner:
             self.close()
             raise
 
-    @property
-    def cells_per_call(self) -> int:
-        """Preferred dispatch group width (1 = plain per-cell calls)."""
-        return self.kernel.batch_k if self.kernel.enabled else 1
-
     def _fault_set(self, rate_index: int, trial: int):
         task = self.task
         rate = float(task.config.fault_rates[rate_index])
@@ -197,7 +193,8 @@ class _QuantizedCellRunner:
             return self._measure(forward)
 
     def run_cells(self, cells) -> "list[float]":
-        """Batched-kernel group dispatch; bit-identical to per-cell."""
+        """One adaptive chunk through the batched kernel; bit-identical
+        to per-cell."""
         return self.run_fault_sets(
             [self._fault_set(rate_index, trial) for rate_index, trial in cells]
         )
@@ -238,14 +235,13 @@ def run_quantized_campaign(
     checkpoint: "str | None" = None,
     suffix: bool = True,
     sampler: "Callable | None" = None,
-    batch_k: int = 0,
 ) -> ResilienceCurve:
     """Rate sweep x trials with faults in the int8 code space.
 
     ``workers`` fans the grid across a process pool (``0`` = one per CPU
     core); the result is bit-identical to the serial run.  ``progress``
     receives a :class:`~repro.core.executor.CellResult` per completed
-    cell and ``checkpoint`` names a JSON file enabling resume of an
+    cell and ``checkpoint`` names a JSONL journal enabling resume of an
     interrupted sweep — the checkpoint fingerprint records the campaign
     kind, so an int8 checkpoint can never resume a float32 sweep.
     ``suffix`` toggles suffix re-execution on the serial path
@@ -258,7 +254,7 @@ def run_quantized_campaign(
     """
     task = QuantizedCellTask(
         model, memory, images, labels, config, label=label, suffix=suffix,
-        sampler=sampler, batch_k=batch_k,
+        sampler=sampler,
     )
     executor = CampaignExecutor(
         workers=workers, progress=progress, checkpoint=checkpoint

@@ -64,6 +64,7 @@ import numpy as np
 
 from repro import nn
 from repro.models.registry import computational_layers
+from repro.utils.validation import env_number
 
 __all__ = [
     "SuffixForwardEngine",
@@ -85,13 +86,10 @@ def suffix_globally_disabled() -> bool:
 
 def suffix_budget_bytes() -> int:
     """The activation-cache byte budget (``REPRO_SUFFIX_BUDGET_MB`` env)."""
-    raw = os.environ.get(_BUDGET_ENV, "").strip()
-    if raw:
-        try:
-            return max(0, int(float(raw) * 1024 * 1024))
-        except ValueError:
-            pass
-    return _DEFAULT_BUDGET_MB * 1024 * 1024
+    megabytes = env_number(
+        _BUDGET_ENV, float, "a number of megabytes", _DEFAULT_BUDGET_MB
+    )
+    return max(0, int(megabytes * 1024 * 1024))
 
 
 @dataclass(frozen=True)

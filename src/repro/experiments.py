@@ -19,7 +19,6 @@ Scaling notes (see DESIGN.md for the full substitution table):
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import replace
 from typing import Any
 
@@ -31,6 +30,7 @@ from repro.core.swap import swap_activations
 from repro.models.registry import build_model
 from repro.models.zoo import PretrainedBundle, ZooConfig, get_pretrained
 from repro.utils.cache import ArtifactCache
+from repro.utils.validation import env_number
 
 __all__ = [
     "PAPER_ALEXNET",
@@ -105,15 +105,9 @@ def campaign_workers(default: int = 1) -> int:
     not an experiment parameter: ``REPRO_WORKERS=0`` uses every core,
     ``REPRO_WORKERS=N`` uses N processes, unset falls back to ``default``.
     """
-    value = os.environ.get("REPRO_WORKERS", "").strip()
-    if not value:
+    workers = env_number("REPRO_WORKERS", int, "an integer (0 = cpu_count)")
+    if workers is None:
         return default
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WORKERS must be an integer (0 = cpu_count), got {value!r}"
-        ) from None
     from repro.core.executor import resolve_workers
 
     resolve_workers(workers)  # shared validation; 0 resolves at run time

@@ -175,7 +175,6 @@ class ActivationFaultCellTask:
         layers: "list[str] | None" = None,
         label: str = "actfault",
         suffix: bool = True,
-        batch_k: int = 0,
     ):
         from repro.core.campaign import CampaignConfig
 
@@ -187,10 +186,6 @@ class ActivationFaultCellTask:
         self.label = label
         self._clean: "float | None" = None
         self.suffix = bool(suffix)
-        # Accepted for schema uniformity; activation faults are sampled
-        # *inside* the forward hooks, so variants cannot share a tail
-        # and the runner always dispatches per cell.
-        self.batch_k = int(batch_k)
 
     def __getstate__(self) -> dict:
         from repro.core.executor import payload_state

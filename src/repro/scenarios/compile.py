@@ -219,7 +219,6 @@ def compile_spec(
             config=config,
             layers=list(spec.layers) if spec.layers is not None else None,
             label=spec.name,
-            batch_k=spec.batch_k,
         )
     if spec.mode == "adaptive":
         from repro.core.batched import AdaptiveCampaignTask
@@ -302,7 +301,7 @@ def run_scenarios(
     """Run a whole scenario matrix through one shared executor pool.
 
     ``workers=None`` uses the suite's ``workers:`` key (default 1);
-    ``checkpoint`` names one JSON file covering *every* scenario's cells
+    ``checkpoint`` names one JSONL journal covering *every* scenario's cells
     (the multi-campaign fingerprint of
     :class:`~repro.core.executor.CampaignExecutor` guards resume);
     ``out_dir`` writes one ``<scenario>.json`` per result plus a

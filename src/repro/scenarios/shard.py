@@ -18,7 +18,7 @@ segmented run directory::
 
     run_dir/
       shards/<i>-of-<N>/manifest.json    # identity + full spec list
-      shards/<i>-of-<N>/checkpoint.json  # resumable, bound to i/N
+      shards/<i>-of-<N>/checkpoint.jsonl # resumable, bound to i/N
       shards/<i>-of-<N>/partial/*.json   # this shard's cells
       summary.json, <scenario>.json      # written by merge_run
 
@@ -72,7 +72,7 @@ SHARD_FORMAT_VERSION = 1
 
 SHARDS_DIRNAME = "shards"
 MANIFEST_NAME = "manifest.json"
-CHECKPOINT_NAME = "checkpoint.json"
+CHECKPOINT_NAME = "checkpoint.jsonl"
 PARTIAL_DIRNAME = "partial"
 SUMMARY_NAME = "summary.json"
 
@@ -85,9 +85,9 @@ RUN_LAYOUT = {
         "shard identity: format version, suite name + hash, shard "
         "arithmetic, per-scenario grids, and the full expanded spec list"
     ),
-    "shards/<i>-of-<N>/checkpoint.json": (
-        "the shard's resumable executor checkpoint; its fingerprint "
-        "binds i/N and the suite hash"
+    "shards/<i>-of-<N>/checkpoint.jsonl": (
+        "the shard's resumable executor checkpoint, an append-only "
+        "journal; its fingerprint binds i/N and the suite hash"
     ),
     "shards/<i>-of-<N>/partial/<scenario>.json": (
         "one scenario's cells executed by this shard, plus its clean "

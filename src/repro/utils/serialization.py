@@ -56,8 +56,7 @@ def atomic_write(path: "str | Path") -> Iterator[Path]:
 def write_json_atomic(path: "str | Path", payload: Any) -> Path:
     """Serialize ``payload`` and atomically replace ``path``.
 
-    The tmp-file + :func:`os.replace` pattern of
-    :meth:`~repro.core.executor._Checkpoint.flush`: a reader (or a later
+    The tmp-file + :func:`os.replace` pattern: a reader (or a later
     ``repro merge``) either sees the previous complete file or the new
     one, never a truncated write from a killed run.
     """

@@ -36,10 +36,6 @@ Degradation is always graceful and bit-identical:
   per worker, exactly the pre-shared-memory transport.  Loads still
   reconstruct read-only views (into the worker's private bytes), so the
   copy-on-write discipline is exercised identically.
-* **``REPRO_NO_SHM_VIEWS=1``**: the escape hatch.  Packing and shipping
-  are unchanged (so checkpoint CRCs match across modes), but
-  :meth:`PlaneView.load` hands numpy *writable private copies* of every
-  buffer — the historical deserializing path, byte for byte.
 
 Lifecycle and cleanup: the creating process owns the segment and must
 call :meth:`Shipment.release` (close + unlink) exactly once;
@@ -53,7 +49,6 @@ so the memory is reclaimed when the last mapping goes away).
 
 from __future__ import annotations
 
-import os
 import pickle
 import zlib
 from dataclasses import dataclass
@@ -66,7 +61,6 @@ __all__ = [
     "ship_bytes",
     "shared_memory_available",
     "shared_memory_writable",
-    "shm_views_disabled",
     "PackedUnit",
     "pack_object",
     "UnitSpan",
@@ -81,24 +75,10 @@ try:  # pragma: no cover - import succeeds on all supported platforms
 except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     _shared_memory = None
 
-_NO_VIEWS_ENV = "REPRO_NO_SHM_VIEWS"
-
 
 def shared_memory_available() -> bool:
     """Whether this interpreter can create shared-memory segments."""
     return _shared_memory is not None
-
-
-def shm_views_disabled() -> bool:
-    """Whether ``REPRO_NO_SHM_VIEWS`` forces private-copy deserialization.
-
-    The escape hatch of the zero-copy tensor plane: packing, shipping
-    and checkpoint CRCs are unchanged, but every :meth:`PlaneView.load`
-    copies each tensor buffer into private writable memory instead of
-    mapping a read-only view — the historical per-worker deserializing
-    path, bit-identical by construction.
-    """
-    return os.environ.get(_NO_VIEWS_ENV, "").strip() not in ("", "0")
 
 
 def _create_segment(size: int):
@@ -289,8 +269,8 @@ class PackedUnit:
 
         Covers exactly the bytes a plain in-band pickle would contain,
         so the checksum fingerprints the full campaign content; it is
-        identical across zero-copy on/off (packing never changes — only
-        how workers load).
+        identical across transports (packing never changes — only how
+        workers load).
         """
         crc = zlib.crc32(self.stream)
         for buffer in self.buffers:
@@ -372,8 +352,7 @@ class PlaneView:
 
     :meth:`load` reconstructs units on demand; by default every tensor
     comes back as a **read-only numpy view** over the mapped segment
-    (zero-copy), unless ``REPRO_NO_SHM_VIEWS=1`` requests writable
-    private copies.  Close when the generation ends; views created from
+    (zero-copy).  Close when the generation ends; views created from
     this attachment must not be used afterwards.
     """
 
@@ -387,18 +366,15 @@ class PlaneView:
     def __contains__(self, name: str) -> bool:
         return name in self._spans
 
-    def load(self, name: str, copy: "bool | None" = None) -> Any:
+    def load(self, name: str, copy: bool = False) -> Any:
         """Reconstruct the unit called ``name``.
 
-        ``copy=None`` (default) consults :func:`shm_views_disabled`;
-        ``copy=False`` forces zero-copy read-only views, ``copy=True``
-        forces writable private copies.
+        Tensors come back as zero-copy read-only views, or as writable
+        private copies with ``copy=True``.
         """
         if self._memory is None:
             raise ValueError("plane view is closed")
         unit = self._spans[name]
-        if copy is None:
-            copy = shm_views_disabled()
         start, end = unit.stream
         stream = self._memory[start:end]
         if copy:

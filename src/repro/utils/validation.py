@@ -7,11 +7,13 @@ than deep inside numpy broadcasting.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+import os
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "env_number",
     "check_positive",
     "check_non_negative",
     "check_probability",
@@ -20,6 +22,24 @@ __all__ = [
     "check_dtype",
     "as_pair",
 ]
+
+
+def env_number(
+    name: str, parse: Callable[[str], Any], expected: str, default: Any = None
+) -> Any:
+    """Parse environment variable ``name`` with ``parse``.
+
+    Unset or blank returns ``default``; a value ``parse`` rejects raises
+    a ``ValueError`` naming the variable, its value and ``expected``
+    (e.g. ``"an integer"``) instead of a bare conversion error.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {expected}, got {raw!r}") from None
 
 
 def check_positive(name: str, value: float) -> float:

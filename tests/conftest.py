@@ -6,12 +6,32 @@ train in a couple of seconds so the whole suite stays fast on one core.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, DataLoader, SyntheticCIFAR10
 from repro.models import LeNet5, MLP
 from repro.optim import Adam, Trainer
+
+
+def journal_cells(path) -> dict:
+    """The cells a checkpoint journal records: ``{(task, rate, trial): value}``."""
+    lines = Path(path).read_text().splitlines()[1:]
+    return {tuple(entry[:3]): entry[3] for entry in map(json.loads, lines)}
+
+
+def keep_journal_cells(path, keep) -> None:
+    """Rewrite a checkpoint journal with only the cells ``keep`` accepts.
+
+    ``keep`` receives each cell's ``(task, rate, trial)`` key; dropping
+    cells simulates a sweep interrupted before they completed.
+    """
+    header, *lines = Path(path).read_text().splitlines(keepends=True)
+    kept = [line for line in lines if keep(tuple(json.loads(line)[:3]))]
+    Path(path).write_text(header + "".join(kept))
 
 
 @pytest.fixture(autouse=True)

@@ -1,0 +1,117 @@
+"""One conformance matrix: how a suite runs never changes its store bytes.
+
+The bit-identity contract in one place.  A bundled smoke suite, extended
+with an adaptive variant, must write ``store/cells.rcs`` with the same
+sha256 as the plain single-process run across
+
+* workers {1, 2};
+* chaos {off, ``kill=0.25,raise=0.25,seed=7,attempts=1`` under
+  ``on_cell_error=retry``};
+* sharding {unsharded, three shards + ``merge_run``};
+
+and when a run is killed from its progress callback mid-grid and then
+resumed from its checkpoint journal, at workers 1 and 2.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from tests.conftest import journal_cells
+
+SUITE = "stuck_at_memory"
+CHAOS = "kill=0.25,raise=0.25,seed=7,attempts=1"
+SHARDS = 3
+KILL_AT = 5
+
+
+def _suite():
+    from repro.scenarios import ScenarioSuite, load_bundled
+
+    base = load_bundled(SUITE)
+    specs = tuple(spec.shrunk() for spec in base.specs)
+    adaptive = dataclasses.replace(
+        specs[0],
+        name=f"{specs[0].name}-adaptive",
+        mode="adaptive",
+        ci_halfwidth=0.2,
+    )
+    return ScenarioSuite(name=f"{SUITE}-conformance", specs=specs + (adaptive,))
+
+
+def _store_digest(run_dir) -> str:
+    return hashlib.sha256((run_dir / "store" / "cells.rcs").read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """One shared context: the tiny bundle trains once, chaos-free."""
+    from repro.scenarios import smoke_context
+
+    return smoke_context()
+
+
+@pytest.fixture(scope="module")
+def reference(ctx, tmp_path_factory) -> str:
+    from repro.scenarios import run_scenarios
+
+    out = tmp_path_factory.mktemp("reference")
+    run_scenarios(_suite(), workers=1, out_dir=out, context=ctx)
+    return _store_digest(out)
+
+
+@pytest.mark.parametrize("shards", [1, SHARDS])
+@pytest.mark.parametrize("chaos", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_store_digest_is_invariant(
+    ctx, reference, tmp_path, monkeypatch, workers, chaos, shards
+):
+    from repro.scenarios import merge_run, run_scenario_shard, run_scenarios
+
+    if chaos:
+        monkeypatch.setenv("REPRO_CHAOS", CHAOS)
+    out = tmp_path / "out"
+    if shards == 1:
+        results = run_scenarios(
+            _suite(), workers=workers, out_dir=out, context=ctx,
+            on_cell_error="retry",
+        )
+    else:
+        for index in range(1, shards + 1):
+            run_scenario_shard(
+                _suite(), f"{index}/{shards}", out, workers=workers,
+                context=ctx, on_cell_error="retry",
+            )
+        results = merge_run(out)
+    assert all(not result.failed for result in results)
+    assert _store_digest(out) == reference
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_run_resumes_from_journal(ctx, reference, tmp_path, workers):
+    from repro.scenarios import run_scenarios
+
+    class _Kill(RuntimeError):
+        pass
+
+    def killer(cell):
+        if cell.completed == KILL_AT and not cell.from_checkpoint:
+            raise _Kill("simulated crash")
+
+    out = tmp_path / "out"
+    journal = tmp_path / "sweep.jsonl"
+    with pytest.raises(_Kill):
+        run_scenarios(
+            _suite(), workers=workers, out_dir=out, context=ctx,
+            checkpoint=journal, progress=killer,
+        )
+    # Every cell up to the one the killer saw is already journaled.
+    assert len(journal_cells(journal)) >= KILL_AT
+    run_scenarios(
+        _suite(), workers=workers, out_dir=out, context=ctx,
+        checkpoint=journal,
+    )
+    assert _store_digest(out) == reference

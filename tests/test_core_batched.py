@@ -3,9 +3,12 @@
 The load-bearing guarantees:
 
 * **Registry-wide exact bit-identity** — every cell-task kind (weight /
-  quantized / activation / outcome / per-class) produces bit-identical
-  results with variant batching on, across workers {1, 2} x suffix
-  {on, off} x zero-copy {on, off} and under ``REPRO_NO_BATCHED=1``.
+  quantized / activation / outcome / per-class) produces results
+  bit-identical to the full-forward reference across workers {1, 2} x
+  suffix {on, off}, over the shared-memory and the inline transport.
+* **Batched-kernel soundness** — a chunk of variants through
+  :class:`BatchedSuffixKernel` accounts for every variant and never
+  trusts an unverified wide tail.
 * **Adaptive determinism** — executed trials equal the exact sweep's
   prefix bit for bit, and the stopping decision is invariant to worker
   count, suffix caching, the batched-kernel env switch, and
@@ -27,7 +30,6 @@ from repro.core.batched import (
     BatchedSuffixKernel,
     FaultVariant,
     ImportanceBitflipSampler,
-    batched_globally_disabled,
     clopper_pearson_interval,
     family_interval,
     wilson_interval,
@@ -37,6 +39,7 @@ from repro.core.executor import CampaignExecutor, WeightFaultCellTask
 from repro.core.quantized import QuantizedCellTask
 from repro.hw.actfaults import ActivationFaultCellTask
 from repro.hw.memory import WeightMemory
+from tests.conftest import journal_cells
 
 RATES = (1e-4, 1e-3)
 TRIALS = 4
@@ -59,31 +62,26 @@ def parts(trained_mlp, mlp_eval_arrays):
 KINDS = ("weight", "quantized", "activation", "outcome", "perclass")
 
 
-def _make_task(kind, parts, batch_k, suffix=True):
+def _make_task(kind, parts, suffix=True):
     model, memory, images, labels, config = parts
     if kind == "weight":
         return WeightFaultCellTask(
-            model, memory, images, labels, config=config,
-            suffix=suffix, batch_k=batch_k,
+            model, memory, images, labels, config=config, suffix=suffix
         )
     if kind == "quantized":
         return QuantizedCellTask(
-            model, memory, images, labels, config,
-            suffix=suffix, batch_k=batch_k,
+            model, memory, images, labels, config, suffix=suffix
         )
     if kind == "activation":
         return ActivationFaultCellTask(
-            model, images, labels, config=config,
-            suffix=suffix, batch_k=batch_k,
+            model, images, labels, config=config, suffix=suffix
         )
     if kind == "outcome":
         return OutcomeCellTask(
-            model, memory, images, labels, config=config,
-            suffix=suffix, batch_k=batch_k,
+            model, memory, images, labels, config=config, suffix=suffix
         )
     return PerClassCellTask(
-        model, memory, images, labels, config=config,
-        suffix=suffix, batch_k=batch_k,
+        model, memory, images, labels, config=config, suffix=suffix
     )
 
 
@@ -99,10 +97,10 @@ def _comparable(kind, result) -> np.ndarray:
 
 
 class TestRegistryBitIdentity:
-    """Batched exact mode == per-cell, for every task kind, everywhere."""
+    """Every task kind matches the full-forward reference, everywhere."""
 
-    def _run_all(self, parts, batch_k, workers=1, suffix=True):
-        tasks = [_make_task(kind, parts, batch_k, suffix) for kind in KINDS]
+    def _run_all(self, parts, workers=1, suffix=True):
+        tasks = [_make_task(kind, parts, suffix) for kind in KINDS]
         results = CampaignExecutor(workers=workers).run_tasks(tasks)
         return {
             kind: _comparable(kind, result)
@@ -110,9 +108,11 @@ class TestRegistryBitIdentity:
         }
 
     @pytest.fixture
-    def reference(self, parts):
-        """The historical per-cell path (serial, suffix on, no batching)."""
-        return self._run_all(parts, batch_k=0)
+    def reference(self, parts, monkeypatch):
+        """Serial full forwards: no suffix re-execution anywhere."""
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_NO_SUFFIX", "1")
+            return self._run_all(parts)
 
     def _assert_matches(self, reference, observed):
         for kind in KINDS:
@@ -121,48 +121,40 @@ class TestRegistryBitIdentity:
             )
 
     def test_serial_suffix_on(self, parts, reference):
-        self._assert_matches(reference, self._run_all(parts, BATCH_K))
+        self._assert_matches(reference, self._run_all(parts))
 
     def test_serial_suffix_off(self, parts, reference):
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, suffix=False)
-        )
+        self._assert_matches(reference, self._run_all(parts, suffix=False))
 
     def test_two_workers_zero_copy_on(self, parts, reference):
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, workers=2)
-        )
+        self._assert_matches(reference, self._run_all(parts, workers=2))
 
     def test_two_workers_zero_copy_off(self, parts, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM_VIEWS", "1")
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, workers=2)
-        )
+        """Without shared memory the plane travels inline: one private
+        copy per worker instead of mapped views."""
+        import repro.utils.shm as shm_module
+
+        monkeypatch.setattr(shm_module, "_shared_memory", None)
+        self._assert_matches(reference, self._run_all(parts, workers=2))
 
     def test_two_workers_suffix_off_everywhere(
         self, parts, reference, monkeypatch
     ):
         monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
-        self._assert_matches(
-            reference, self._run_all(parts, BATCH_K, workers=2)
-        )
-
-    def test_env_kill_switch(self, parts, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCHED", "1")
-        assert batched_globally_disabled()
-        self._assert_matches(reference, self._run_all(parts, BATCH_K))
+        self._assert_matches(reference, self._run_all(parts, workers=2))
 
     def test_wide_batch_k_exceeding_family(self, parts, reference):
-        """A batch_k wider than the trial family is harmless."""
-        observed = {
-            "weight": _comparable(
-                "weight",
-                CampaignExecutor().run_tasks(
-                    [_make_task("weight", parts, batch_k=64)]
-                )[0],
-            )
-        }
-        np.testing.assert_array_equal(reference["weight"], observed["weight"])
+        """An adaptive chunk wider than the trial family is harmless: the
+        whole family goes through the kernel as one chunk, and every
+        executed trial equals the exact sweep's bit for bit."""
+        model, memory, images, labels, config = parts
+        base = WeightFaultCellTask(
+            model, memory, images, labels, config=config, batch_k=64
+        )
+        task = AdaptiveCampaignTask(base, ci_halfwidth=0.001, batch_k=64)
+        result = CampaignExecutor().run_tasks([task])[0]
+        np.testing.assert_array_equal(result.executed, [TRIALS] * len(RATES))
+        np.testing.assert_array_equal(result.accuracies, reference["weight"])
 
 
 class TestBatchedKernelInternals:
@@ -191,7 +183,10 @@ class TestBatchedKernelInternals:
             forward(np.zeros((3, 3, 8, 8), np.float32), 0)  # row mismatch
 
     def test_grouped_dispatch_accounts_for_every_variant(self, parts):
-        task = _make_task("weight", parts, batch_k=BATCH_K)
+        model, memory, images, labels, config = parts
+        task = WeightFaultCellTask(
+            model, memory, images, labels, config=config, batch_k=BATCH_K
+        )
         runner = task.make_runner()
         try:
             runner.run_cells([(0, j) for j in range(TRIALS)])
@@ -491,10 +486,8 @@ class TestAdaptiveCheckpointResume:
         return progress
 
     def test_kill_then_serial_resume(self, adaptive_parts, tmp_path):
-        import json
-
         full = _run_adaptive(_adaptive_task(adaptive_parts))
-        path = tmp_path / "adaptive.json"
+        path = tmp_path / "adaptive.jsonl"
         with pytest.raises(self._Kill):
             _run_adaptive(
                 _adaptive_task(adaptive_parts),
@@ -503,7 +496,7 @@ class TestAdaptiveCheckpointResume:
             )
         # Families are recorded before the progress callback fires, so
         # the one the killer was notified about is already saved.
-        saved = len(json.loads(path.read_text())["cells"])
+        saved = len(journal_cells(path))
         assert saved == 2  # killed mid-run, one family still pending
         recomputed = []
         resumed = _run_adaptive(
@@ -518,7 +511,7 @@ class TestAdaptiveCheckpointResume:
 
     def test_kill_then_parallel_resume(self, adaptive_parts, tmp_path):
         full = _run_adaptive(_adaptive_task(adaptive_parts))
-        path = tmp_path / "adaptive.json"
+        path = tmp_path / "adaptive.jsonl"
         with pytest.raises(self._Kill):
             _run_adaptive(
                 _adaptive_task(adaptive_parts),

@@ -28,6 +28,7 @@ from repro.core.executor import (
 )
 from repro.hw.faultmodels import FaultSet
 from repro.hw.memory import WeightMemory
+from tests.conftest import journal_cells, keep_journal_cells
 
 RATES = (1e-5, 1e-4, 1e-3)
 
@@ -163,30 +164,28 @@ class TestProgressStreaming:
 class TestCheckpointResume:
     def test_checkpoint_written_and_complete(self, campaign_parts, tmp_path):
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         curve = run_campaign(
             model, memory, images, labels, config, checkpoint=str(path)
         )
-        payload = json.loads(path.read_text())
-        assert payload["seed"] == config.seed
-        assert len(payload["cells"]) == len(RATES) * config.trials
-        for key, accuracy in payload["cells"].items():
-            rate_index, trial = map(int, key.split("/"))
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["version"] == 4
+        assert header["campaigns"][0]["seed"] == config.seed
+        cells = journal_cells(path)
+        assert len(cells) == len(RATES) * config.trials
+        for (task_index, rate_index, trial), accuracy in cells.items():
+            assert task_index == 0
             assert curve.accuracies[rate_index, trial] == accuracy
 
     def test_resume_skips_completed_cells(self, campaign_parts, tmp_path):
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         full = run_campaign(
             model, memory, images, labels, config, checkpoint=str(path)
         )
         # Drop some cells from the checkpoint to simulate an interrupt.
-        payload = json.loads(path.read_text())
-        keys = sorted(payload["cells"])
-        removed = keys[::3]
-        for key in removed:
-            del payload["cells"][key]
-        path.write_text(json.dumps(payload))
+        removed = sorted(journal_cells(path))[::3]
+        keep_journal_cells(path, lambda key: key not in removed)
 
         recomputed: list[CellResult] = []
 
@@ -199,7 +198,7 @@ class TestCheckpointResume:
             checkpoint=str(path), progress=progress,
         )
         assert {(c.rate_index, c.trial) for c in recomputed} == {
-            tuple(map(int, key.split("/"))) for key in removed
+            key[1:] for key in removed
         }
         np.testing.assert_array_equal(full.accuracies, resumed.accuracies)
 
@@ -207,7 +206,7 @@ class TestCheckpointResume:
         self, campaign_parts, tmp_path
     ):
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         first = run_campaign(
             model, memory, images, labels, config, checkpoint=str(path)
         )
@@ -224,12 +223,10 @@ class TestCheckpointResume:
         """A sweep checkpointed serially can be finished by a worker pool."""
         model, memory, images, labels, config = campaign_parts
         serial = run_campaign(model, memory, images, labels, config)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         run_campaign(model, memory, images, labels, config, checkpoint=str(path))
         # Prune the checkpoint down to one completed cell.
-        payload = json.loads(path.read_text())
-        payload["cells"] = {"0/0": payload["cells"]["0/0"]}
-        path.write_text(json.dumps(payload))
+        keep_journal_cells(path, lambda key: key == (0, 0, 0))
         resumed = run_campaign(
             model, memory, images, labels, config,
             workers=2, checkpoint=str(path),
@@ -238,7 +235,7 @@ class TestCheckpointResume:
 
     def test_mismatched_checkpoint_rejected(self, campaign_parts, tmp_path):
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         run_campaign(model, memory, images, labels, config, checkpoint=str(path))
         other = CampaignConfig(
             fault_rates=RATES, trials=config.trials, seed=config.seed + 1
@@ -252,7 +249,7 @@ class TestCheckpointResume:
         """The fingerprint covers campaign *content*, not just the grid:
         the same config on different weights must not resume."""
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         run_campaign(model, memory, images, labels, config, checkpoint=str(path))
 
         from repro.models import MLP
@@ -272,7 +269,7 @@ class TestCheckpointResume:
         from repro.core.baselines import ecc_sampler
 
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         run_campaign(model, memory, images, labels, config, checkpoint=str(path))
         with pytest.raises(ValueError, match="different campaign"):
             run_campaign(
@@ -287,7 +284,7 @@ class TestMidGridKillResume:
         recomputes only the missing cells and matches the full run."""
         model, memory, images, labels, config = campaign_parts
         full = run_campaign(model, memory, images, labels, config)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         kill_at = 5
 
         class _Kill(RuntimeError):
@@ -302,7 +299,7 @@ class TestMidGridKillResume:
                 model, memory, images, labels, config,
                 progress=killer, checkpoint=str(path),
             )
-        saved = len(json.loads(path.read_text())["cells"])
+        saved = len(journal_cells(path))
         assert 0 < saved < len(RATES) * config.trials
 
         recomputed = []
@@ -317,7 +314,7 @@ class TestMidGridKillResume:
     def test_serial_kill_then_parallel_resume(self, campaign_parts, tmp_path):
         model, memory, images, labels, config = campaign_parts
         full = run_campaign(model, memory, images, labels, config)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
 
         class _Kill(RuntimeError):
             pass
@@ -350,7 +347,7 @@ class TestMidGridKillResume:
         with pytest.raises(_Kill):
             run_campaign(
                 model, memory, images, labels, config,
-                progress=killer, checkpoint=str(tmp_path / "s.json"),
+                progress=killer, checkpoint=str(tmp_path / "s.jsonl"),
             )
         for old, new in zip(before, memory.snapshot()):
             np.testing.assert_array_equal(old, new)
@@ -453,7 +450,7 @@ class TestCrossCampaignScheduling:
         """Kill a multi-campaign sweep mid-way through the *second*
         campaign; the resume recomputes only what is missing."""
         full = CampaignExecutor(workers=1).run_tasks(self._tasks(campaign_parts))
-        path = tmp_path / "multi.json"
+        path = tmp_path / "multi.jsonl"
         per_task = len(RATES) * campaign_parts[4].trials
 
         class _Kill(RuntimeError):
@@ -467,7 +464,7 @@ class TestCrossCampaignScheduling:
             CampaignExecutor(
                 workers=1, progress=killer, checkpoint=str(path)
             ).run_tasks(self._tasks(campaign_parts))
-        saved = len(json.loads(path.read_text())["cells"])
+        saved = len(journal_cells(path))
         assert per_task < saved < 2 * per_task
 
         recomputed = []
@@ -486,7 +483,7 @@ class TestCrossCampaignScheduling:
         self, campaign_parts, tmp_path
     ):
         full = CampaignExecutor(workers=1).run_tasks(self._tasks(campaign_parts))
-        path = tmp_path / "multi.json"
+        path = tmp_path / "multi.jsonl"
 
         class _Kill(RuntimeError):
             pass
@@ -510,7 +507,7 @@ class TestCrossCampaignScheduling:
     ):
         """A cross-campaign checkpoint can't resume a single-campaign
         sweep (and vice versa): the fingerprint layouts differ."""
-        path = tmp_path / "multi.json"
+        path = tmp_path / "multi.jsonl"
         CampaignExecutor(workers=1, checkpoint=str(path)).run_tasks(
             self._tasks(campaign_parts)
         )
@@ -521,7 +518,7 @@ class TestCrossCampaignScheduling:
     def test_multi_checkpoint_rejects_reordered_tasks(
         self, campaign_parts, tmp_path
     ):
-        path = tmp_path / "multi.json"
+        path = tmp_path / "multi.jsonl"
         CampaignExecutor(workers=1, checkpoint=str(path)).run_tasks(
             self._tasks(campaign_parts)
         )
@@ -575,8 +572,8 @@ class TestWarmPool:
     def test_prepickled_payloads_skip_reserialization(
         self, campaign_parts, monkeypatch
     ):
-        """run_tasks(payloads=...) must use the given payloads verbatim —
-        both the legacy raw-bytes form and the packed-unit form."""
+        """run_tasks(payloads=...) must use the given packed units
+        verbatim, and refuses anything that is not a PackedUnit."""
         import pickle
 
         import repro.core.executor as executor_module
@@ -584,7 +581,6 @@ class TestWarmPool:
 
         model, memory, images, labels, config = campaign_parts
         task = WeightFaultCellTask(model, memory, images, labels, config=config)
-        blob = pickle.dumps(task)
         unit = pack_object(task)
         monkeypatch.setattr(
             executor_module,
@@ -592,10 +588,12 @@ class TestWarmPool:
             lambda task: pytest.fail("pre-packed task was re-serialized"),
         )
         baseline = run_campaign(model, memory, images, labels, config)
-        curve = CampaignExecutor(workers=2).run_tasks([task], payloads=[blob])[0]
-        np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
         curve = CampaignExecutor(workers=2).run_tasks([task], payloads=[unit])[0]
         np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
+        with pytest.raises(TypeError, match="PackedUnit"):
+            CampaignExecutor(workers=2).run_tasks(
+                [task], payloads=[pickle.dumps(task)]
+            )
 
     def test_payloads_length_mismatch_rejected(self, campaign_parts):
         model, memory, images, labels, config = campaign_parts
@@ -705,8 +703,8 @@ class TestSegmentCleanup:
 
 
 class TestZeroCopyFallbackMatrix:
-    """ISSUE 4: shm unavailable, suffix budget exceeded and
-    REPRO_NO_SHM_VIEWS=1 must all be bit-identical to the mapped path."""
+    """Shared memory unavailable and the suffix budget exceeded must both
+    be bit-identical to the mapped path."""
 
     def _parallel(self, campaign_parts):
         model, memory, images, labels, config = campaign_parts
@@ -721,11 +719,6 @@ class TestZeroCopyFallbackMatrix:
         curve = self._parallel(campaign_parts)
         np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
 
-    def test_no_shm_views_bit_identical(self, campaign_parts, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM_VIEWS", "1")
-        curve = self._parallel(campaign_parts)
-        np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
-
     def test_shm_unavailable_bit_identical(self, campaign_parts, baseline, monkeypatch):
         import repro.utils.shm as shm_module
 
@@ -737,12 +730,6 @@ class TestZeroCopyFallbackMatrix:
         self, campaign_parts, baseline, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "0")
-        curve = self._parallel(campaign_parts)
-        np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
-
-    def test_no_suffix_and_no_views_combined(self, campaign_parts, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
-        monkeypatch.setenv("REPRO_NO_SHM_VIEWS", "1")
         curve = self._parallel(campaign_parts)
         np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
 
@@ -778,7 +765,7 @@ class TestWorkerPlaneWiring:
         saved_state = executor_module._WORKER_STATE
         try:
             _init_worker()
-            results = _run_task_cells(shipment.ref, (0, 1), 0, [(0, 0)])
+            results = _run_task_cells(shipment.ref, (0, 1), 0, [(0, 0, 0)])
             assert results == [(0, 0, 0, expected)]
             state = executor_module._WORKER_STATE
             runner = state["runner"]
@@ -842,6 +829,15 @@ class TestSupervisionPolicy:
         assert mixed.max_retries == 1
         assert mixed.cell_timeout == 1.5
         assert mixed.on_cell_error == "retry"
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("REPRO_MAX_RETRIES", "two"), ("REPRO_CELL_TIMEOUT", "5s")],
+    )
+    def test_env_misparse_names_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name} must be .*'{value}'"):
+            SupervisionPolicy.from_env()
 
     def test_backoff_is_deterministic_and_capped(self):
         policy = SupervisionPolicy(retry_backoff=0.1)
@@ -987,18 +983,58 @@ class TestChaosSupervision:
         np.testing.assert_array_equal(result.accuracies, baseline.accuracies)
         assert executor.quarantined == []
 
+    def test_in_process_lane_enforces_no_timeout(
+        self, campaign_parts, baseline, monkeypatch
+    ):
+        """An in-process cell cannot be preempted: a stall longer than
+        cell_timeout completes instead of being quarantined."""
+        monkeypatch.setenv(
+            CHAOS_ENV_VAR, "delay=1,delay_seconds=0.2,attempts=99,cell=0:1"
+        )
+        result, executor = self._run(
+            campaign_parts, 1,
+            supervision=SupervisionPolicy(
+                max_retries=0, cell_timeout=0.01, on_cell_error="retry"
+            ),
+        )
+        np.testing.assert_array_equal(result.accuracies, baseline.accuracies)
+        assert executor.quarantined == []
+
+    def test_serial_run_builds_each_runner_once(
+        self, campaign_parts, monkeypatch
+    ):
+        """The in-process lane keeps one runner per task for the whole
+        pass: a fault-free serial sweep calls make_runner once per task."""
+        built = []
+        real = WeightFaultCellTask.make_runner
+
+        def counting(task):
+            built.append(task.label)
+            return real(task)
+
+        monkeypatch.setattr(WeightFaultCellTask, "make_runner", counting)
+        model, memory, images, labels, config = campaign_parts
+        tasks = [
+            WeightFaultCellTask(
+                model, memory, images, labels, config=config, label=name
+            )
+            for name in ("first", "second")
+        ]
+        CampaignExecutor(workers=1).run_tasks(tasks)
+        assert built == ["first", "second"]
+
 
 class TestInterruptFlush:
-    """Satellite 1: Ctrl-C mid-run must flush the checkpoint atomically
-    before the KeyboardInterrupt propagates, so every completed cell
-    survives into the resume."""
+    """Ctrl-C mid-run loses nothing: every cell recorded before the
+    KeyboardInterrupt is already in the journal, so every completed
+    cell survives into the resume."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_keyboard_interrupt_flushes_checkpoint(
         self, campaign_parts, tmp_path, workers
     ):
         model, memory, images, labels, config = campaign_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         stop_at = 3
 
         def interrupt(cell):
@@ -1010,7 +1046,7 @@ class TestInterruptFlush:
                 model, memory, images, labels, config,
                 workers=workers, progress=interrupt, checkpoint=str(path),
             )
-        saved = json.loads(path.read_text())["cells"]
+        saved = journal_cells(path)
         assert len(saved) >= stop_at
         full = run_campaign(model, memory, images, labels, config)
         resumed = run_campaign(
@@ -1029,7 +1065,7 @@ class TestChaosCheckpointResume:
     ):
         model, memory, images, labels, config = campaign_parts
         undisturbed = run_campaign(model, memory, images, labels, config)
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=1")
         task = WeightFaultCellTask(model, memory, images, labels, config=config)
 
@@ -1042,7 +1078,7 @@ class TestChaosCheckpointResume:
                 workers=2, progress=interrupt, checkpoint=str(path),
                 on_cell_error="retry",
             ).run_tasks([task])
-        assert json.loads(path.read_text())["cells"]
+        assert journal_cells(path)
         resumed = CampaignExecutor(
             workers=2, checkpoint=str(path), on_cell_error="retry"
         ).run_tasks([task])[0]
@@ -1064,7 +1100,7 @@ class TestChaosCheckpointResume:
             return AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
 
         undisturbed = CampaignExecutor().run_tasks([adaptive_task()])[0]
-        path = tmp_path / "adaptive.json"
+        path = tmp_path / "adaptive.jsonl"
         monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=1")
 
         def interrupt(cell):
@@ -1076,7 +1112,7 @@ class TestChaosCheckpointResume:
                 workers=2, progress=interrupt, checkpoint=str(path),
                 on_cell_error="retry",
             ).run_tasks([adaptive_task()])
-        assert json.loads(path.read_text())["cells"]
+        assert journal_cells(path)
         resumed = CampaignExecutor(
             workers=2, checkpoint=str(path), on_cell_error="retry"
         ).run_tasks([adaptive_task()])[0]
@@ -1087,3 +1123,112 @@ class TestChaosCheckpointResume:
         np.testing.assert_array_equal(
             resumed.estimates, undisturbed.estimates
         )
+
+
+class _ConstantTask:
+    """A picklable task whose cells cost nothing: journal cost alone."""
+
+    kind = "constant"
+    label = ""
+    cell_width = 1
+
+    def __init__(self, n_rates: int, trials: int):
+        rates = [10.0 ** (-8 + 4 * i / n_rates) for i in range(n_rates)]
+        self.config = CampaignConfig(fault_rates=rates, trials=trials)
+
+    def make_runner(self):
+        return _ConstantRunner()
+
+    def build_result(self, rates, values):
+        return values
+
+
+class _ConstantRunner:
+    def run_cell(self, rate_index: int, trial: int) -> float:
+        return rate_index + trial / 1024.0
+
+    def close(self) -> None:
+        pass
+
+
+class TestCheckpointJournal:
+    """The checkpoint is an append-only JSONL journal: constant cost per
+    cell, torn-tail tolerant, and it refuses the old JSON format."""
+
+    def _run(self, campaign_parts, path, progress=None, **kwargs):
+        model, memory, images, labels, config = campaign_parts
+        task = WeightFaultCellTask(model, memory, images, labels, config=config)
+        executor = CampaignExecutor(checkpoint=path, progress=progress, **kwargs)
+        return executor.run_tasks([task])[0]
+
+    def test_five_thousand_cells_write_and_resume_under_a_second(
+        self, tmp_path
+    ):
+        import time
+
+        task = _ConstantTask(n_rates=50, trials=100)
+        path = tmp_path / "big.jsonl"
+        replayed: list[CellResult] = []
+        start = time.perf_counter()
+        written = CampaignExecutor(checkpoint=path).run_tasks([task])[0]
+        resumed = CampaignExecutor(
+            checkpoint=path, progress=replayed.append
+        ).run_tasks([task])[0]
+        elapsed = time.perf_counter() - start
+        assert len(journal_cells(path)) == 5000
+        assert len(replayed) == 5000
+        assert all(cell.from_checkpoint for cell in replayed)
+        np.testing.assert_array_equal(written, resumed)
+        assert elapsed < 1.0, f"5,000-cell journal took {elapsed:.2f}s"
+
+    def test_torn_last_line_is_recomputed_byte_identically(
+        self, campaign_parts, tmp_path
+    ):
+        path = tmp_path / "sweep.jsonl"
+        full = self._run(campaign_parts, path)
+        complete = path.read_bytes()
+        last = complete.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        path.write_bytes(complete[: -len(last) // 2])  # died mid-append
+        recomputed: list[CellResult] = []
+        resumed = self._run(
+            campaign_parts, path,
+            progress=lambda cell: recomputed.append(cell)
+            if not cell.from_checkpoint else None,
+        )
+        torn = tuple(json.loads(last)[1:3])
+        assert [(c.rate_index, c.trial) for c in recomputed] == [torn]
+        np.testing.assert_array_equal(full.accuracies, resumed.accuracies)
+        assert path.read_bytes() == complete
+
+    def test_version_3_json_checkpoint_refused(self, campaign_parts, tmp_path):
+        model, memory, images, labels, config = campaign_parts
+        path = tmp_path / "sweep.json"
+        legacy = {
+            "version": 3,
+            "kind": "weight-fault",
+            "seed": config.seed,
+            "cells": {"0/0": 0.5},
+        }
+        path.write_text(json.dumps(legacy, indent=1))
+        with pytest.raises(ValueError, match="version 3"):
+            self._run(campaign_parts, path)
+        assert json.loads(path.read_text()) == legacy  # left untouched
+
+    def test_quarantined_cells_stay_out_and_resume_retries_them(
+        self, campaign_parts, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "sweep.jsonl"
+        monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=99,cell=0:1")
+        self._run(campaign_parts, path, on_cell_error="quarantine")
+        assert (0, 0, 1) not in journal_cells(path)
+        monkeypatch.delenv(CHAOS_ENV_VAR)
+        recomputed: list[CellResult] = []
+        resumed = self._run(
+            campaign_parts, path,
+            progress=lambda cell: recomputed.append(cell)
+            if not cell.from_checkpoint else None,
+        )
+        assert [(c.rate_index, c.trial) for c in recomputed] == [(0, 1)]
+        model, memory, images, labels, config = campaign_parts
+        baseline = run_campaign(model, memory, images, labels, config)
+        np.testing.assert_array_equal(resumed.accuracies, baseline.accuracies)

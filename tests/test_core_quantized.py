@@ -5,8 +5,6 @@ with the float32 campaigns, so it inherits the bit-identical-parallelism
 contract, progress streaming and checkpoint resume — all guarded here.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from repro.core.campaign import CampaignConfig, run_campaign
 from repro.core.executor import CellResult
 from repro.core.quantized import QuantizedCellTask, run_quantized_campaign
 from repro.hw.memory import WeightMemory
+from tests.conftest import journal_cells, keep_journal_cells
 
 RATES = (1e-4, 1e-3)
 
@@ -95,7 +94,7 @@ class TestQuantizedProgressAndCheckpoint:
         only the missing cells, and still restores the float weights."""
         model, memory, images, labels, config = quant_parts
         full = run_quantized_campaign(model, memory, images, labels, config)
-        path = tmp_path / "int8.json"
+        path = tmp_path / "int8.jsonl"
         before = memory.snapshot()
 
         class _Kill(RuntimeError):
@@ -116,7 +115,7 @@ class TestQuantizedProgressAndCheckpoint:
             np.testing.assert_array_equal(old, new)
         # The cell is recorded before the progress callback fires, so a
         # crashing callback never loses the work it was notified about.
-        saved = len(json.loads(path.read_text())["cells"])
+        saved = len(journal_cells(path))
         assert saved == 3
 
         recomputed = []
@@ -133,7 +132,7 @@ class TestQuantizedProgressAndCheckpoint:
         must never resume a float32 weight-fault sweep, even with an
         identical config grid."""
         model, memory, images, labels, config = quant_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         run_quantized_campaign(
             model, memory, images, labels, config, checkpoint=str(path)
         )
@@ -144,7 +143,7 @@ class TestQuantizedProgressAndCheckpoint:
         self, quant_parts, tmp_path
     ):
         model, memory, images, labels, config = quant_parts
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.jsonl"
         run_campaign(model, memory, images, labels, config, checkpoint=str(path))
         with pytest.raises(ValueError, match="different campaign"):
             run_quantized_campaign(
@@ -154,13 +153,11 @@ class TestQuantizedProgressAndCheckpoint:
     def test_parallel_resume_of_serial_checkpoint(self, quant_parts, tmp_path):
         model, memory, images, labels, config = quant_parts
         serial = run_quantized_campaign(model, memory, images, labels, config)
-        path = tmp_path / "int8.json"
+        path = tmp_path / "int8.jsonl"
         run_quantized_campaign(
             model, memory, images, labels, config, checkpoint=str(path)
         )
-        payload = json.loads(path.read_text())
-        payload["cells"] = {"0/0": payload["cells"]["0/0"]}
-        path.write_text(json.dumps(payload))
+        keep_journal_cells(path, lambda key: key == (0, 0, 0))
         resumed = run_quantized_campaign(
             model, memory, images, labels, config, workers=2, checkpoint=str(path)
         )

@@ -186,8 +186,14 @@ class TestMemoryBudget:
     def test_budget_env_var_parsed(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "2")
         assert suffix_budget_bytes() == 2 * 1024 * 1024
-        monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "not-a-number")
+        monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", " ")
         assert suffix_budget_bytes() == 256 * 1024 * 1024
+
+    def test_budget_env_var_misparse_names_variable(self, monkeypatch):
+        """A typo must not silently fall back to the 256 MB default."""
+        monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "12O")
+        with pytest.raises(ValueError, match="REPRO_SUFFIX_BUDGET_MB.*'12O'"):
+            suffix_budget_bytes()
 
     def test_activation_static_cut_engine_skipped_without_cache(self):
         """No clean shortcut + nothing cached => no engine at all."""

@@ -218,8 +218,8 @@ class TestShardLifecycle:
         foreign = run_dir / "shards" / "2-of-2"
         foreign.mkdir(parents=True)
         shutil.copy(
-            run_dir / "shards" / "1-of-2" / "checkpoint.json",
-            foreign / "checkpoint.json",
+            run_dir / "shards" / "1-of-2" / "checkpoint.jsonl",
+            foreign / "checkpoint.jsonl",
         )
         with pytest.raises(ValueError, match="different campaign"):
             run_scenario_shard(suite, "2/2", run_dir, context=ctx)
@@ -231,8 +231,8 @@ class TestShardLifecycle:
         target = other / "shards" / "1-of-3"
         target.mkdir(parents=True)
         shutil.copy(
-            source / "shards" / "1-of-2" / "checkpoint.json",
-            target / "checkpoint.json",
+            source / "shards" / "1-of-2" / "checkpoint.jsonl",
+            target / "checkpoint.jsonl",
         )
         with pytest.raises(ValueError, match="different campaign"):
             run_scenario_shard(suite, "1/3", other, context=ctx)

@@ -5,8 +5,8 @@ host (see :mod:`repro.utils.shm`).  Two contracts are pinned here: the
 byte transport's round-trip is the exact identity for arbitrary
 payloads — any dtype, any shape — with an inline fallback when shared
 memory is unavailable; and the *tensor plane* reconstructs packed
-objects as zero-copy read-only views (writable private copies under
-``REPRO_NO_SHM_VIEWS=1``), bit-equal to the originals in every mode.
+objects as zero-copy read-only views (writable private copies on
+request), bit-equal to the originals in every mode.
 """
 
 import pickle
@@ -23,7 +23,6 @@ from repro.utils.shm import (
     ship_bytes,
     ship_units,
     shared_memory_available,
-    shm_views_disabled,
 )
 
 DTYPES = (
@@ -264,21 +263,6 @@ class TestTensorPlane:
                 view.close()
         finally:
             shipment.release()
-
-    def test_no_shm_views_env_switches_default_to_copies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM_VIEWS", "1")
-        assert shm_views_disabled()
-        shipment = ship_units([("task/0", pack_object(_sample_payload()))])
-        try:
-            view = shipment.ref.open()
-            try:
-                assert view.load("task/0")["weights"].flags.writeable
-            finally:
-                view.close()
-        finally:
-            shipment.release()
-        monkeypatch.setenv("REPRO_NO_SHM_VIEWS", "0")
-        assert not shm_views_disabled()
 
     def test_inline_fallback_still_serves_views(self, monkeypatch):
         """Without shared memory the plane travels inline, same contract."""
