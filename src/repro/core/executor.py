@@ -51,10 +51,21 @@ re-executes only from the first layer its fault set touches.
 :class:`~repro.utils.rng.SeedTree` (path ``rate/<i>/trial/<j>``), never on
 which worker evaluates the cell, which task the cell belongs to, or in
 which order cells complete.  Worker state is a bit-exact copy of the
-parent's and evaluation is pure single-threaded NumPy, so parallel and
-cross-campaign runs produce results *bit-identical* to running each
-campaign's serial loop back-to-back — the common-random-numbers contract
-of ``campaign.py`` survives any scheduling.
+parent's and evaluation is deterministic NumPy whose bytes do not
+depend on the BLAS thread count, so parallel and cross-campaign runs
+produce results *bit-identical* to running each campaign's serial loop
+back-to-back — the common-random-numbers contract of ``campaign.py``
+survives any scheduling.  ``tests/test_conformance.py`` checks the
+store bytes across worker and BLAS thread counts.
+
+**BLAS thread budget.**  NumPy's OpenBLAS starts one thread per CPU in
+every process, so a pool of ``W`` workers on ``C`` CPUs would run
+``W x C`` BLAS threads.  Each pool worker therefore caps its BLAS
+threads at ``max(1, C // W)`` in the pool initializer
+(:mod:`repro.utils.blas`), where ``C`` is this process's CPU affinity
+count; the cap only ever lowers the count a worker inherited, so an
+``OPENBLAS_NUM_THREADS`` set before launch still bounds it.  The parent
+and the in-process lane keep their count.
 
 **Dispatch.**  Cells are enumerated task-major, rate-major (the serial
 order) and fed to one supervised loop — retry, backoff, quarantine,
@@ -101,6 +112,7 @@ import numpy as np
 
 from repro.core.chaos import ChaosPolicy
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
+from repro.utils import blas
 from repro.utils.rng import SeedTree
 from repro.utils.shm import PackedUnit, ShippedPlane, pack_object, ship_units
 from repro.utils.validation import env_number
@@ -592,9 +604,21 @@ _WORKER_STATE: "dict | None" = None
 _GENERATION = iter(range(1, 2**62))
 
 
-def _init_worker() -> None:
-    """Pool initializer: empty slots, filled by the first chunk call."""
+def _blas_budget(workers: int) -> int:
+    """BLAS threads per worker of a ``workers``-process pool: the CPUs shared out."""
+    return max(1, resolve_workers(0) // workers)
+
+
+def _init_worker(blas_threads: int) -> None:
+    """Pool initializer: cap BLAS threads, then empty slots for the first chunk.
+
+    The cap only lowers the worker's inherited count.  Applying it here
+    covers every start method, every pool rebuild and warm pools alike.
+    """
     global _WORKER_STATE
+    inherited = blas.blas_threads()
+    if inherited is not None and inherited > blas_threads:
+        blas.set_blas_threads(blas_threads)
     _WORKER_STATE = {
         "generation": None,
         "view": None,
@@ -1745,6 +1769,7 @@ class CampaignExecutor:
             max_workers=workers,
             mp_context=context,
             initializer=_init_worker,
+            initargs=(_blas_budget(workers),),
         )
         if self.persistent:
             self._pool = pool

@@ -25,9 +25,9 @@ prefix was recomputed thousands of times for nothing.
   empty (common at low rates) return the cached clean logits outright.
 * **Bit-identity by construction.**  The cached boundary tensor *is* the
   tensor the full forward would recompute — the skipped prefix is
-  untouched by the faults — and evaluation is pure single-threaded
-  NumPy, so the suffix output equals the full-forward output bit for
-  bit.  ``tests/test_core_suffix.py`` guards this with a
+  untouched by the faults — and evaluation is deterministic NumPy
+  whose bytes do not depend on the BLAS thread count, so the suffix
+  output equals the full-forward output bit for bit.  ``tests/test_core_suffix.py`` guards this with a
   registry-wide hypothesis property test.
 * **Memory budget with graceful fallback.**  Cached boundaries are
   admitted deepest-first while the projected total stays within a byte
@@ -42,9 +42,9 @@ prefix was recomputed thousands of times for nothing.
   zero-copy views** of the same activations via :func:`shared_cache`
   instead of re-running the clean pass.  The cache is what the worker
   would have computed — same weights (bit-exact pickle round-trip),
-  same batching, pure single-threaded NumPy — so sharing it changes
-  nothing but wall clock (``docs/MEMORY_MODEL.md`` documents the
-  lifecycle).
+  same batching, bytes independent of the BLAS thread count — so
+  sharing it changes nothing but wall clock (``docs/MEMORY_MODEL.md``
+  documents the lifecycle).
 
 The engine is an execution detail, not science: results are bit-identical
 with it on or off, which the determinism test matrix checks for every

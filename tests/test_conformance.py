@@ -9,8 +9,13 @@ sha256 as the plain single-process run across
   ``on_cell_error=retry``};
 * sharding {unsharded, three shards + ``merge_run``};
 
-and when a run is killed from its progress callback mid-grid and then
-resumed from its checkpoint journal, at workers 1 and 2.
+for a serial run with numpy's BLAS pinned to one thread, and with
+``REPRO_NO_SUFFIX=1`` at workers 1 and 2; and when a run is killed from
+its progress callback mid-grid and then resumed from its checkpoint
+journal, at workers 1 and 2.  The reference runs at the process's own
+BLAS thread count, and the workers-2 runs at the pool's budget
+(``max(1, cpus // 2)`` threads per worker), so on hosts with more than
+one CPU the BLAS thread count is an axis of every pooled case too.
 """
 
 from __future__ import annotations
@@ -87,6 +92,32 @@ def test_store_digest_is_invariant(
             )
         results = merge_run(out)
     assert all(not result.failed for result in results)
+    assert _store_digest(out) == reference
+
+
+@pytest.mark.parametrize(
+    ("workers", "axis"),
+    [(1, "blas-threads-1"), (1, "no-suffix"), (2, "no-suffix")],
+)
+def test_store_digest_is_invariant_to_blas_and_suffix(
+    ctx, reference, tmp_path, monkeypatch, workers, axis
+):
+    from repro.scenarios import run_scenarios
+    from repro.utils.blas import set_blas_threads
+
+    restore = None
+    if axis == "blas-threads-1":
+        restore = set_blas_threads(1)
+        if restore is None:  # pragma: no cover - numpy without OpenBLAS
+            pytest.skip("numpy's BLAS thread count is not controllable here")
+    else:
+        monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
+    out = tmp_path / "out"
+    try:
+        run_scenarios(_suite(), workers=workers, out_dir=out, context=ctx)
+    finally:
+        if restore is not None:
+            set_blas_threads(restore)
     assert _store_digest(out) == reference
 
 

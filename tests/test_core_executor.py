@@ -7,6 +7,8 @@ accuracy grid is assembled by cell index, never by completion order.
 """
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.core.executor import (
 )
 from repro.hw.faultmodels import FaultSet
 from repro.hw.memory import WeightMemory
+from repro.utils.blas import blas_threads, set_blas_threads
 from tests.conftest import journal_cells, keep_journal_cells
 
 RATES = (1e-5, 1e-4, 1e-3)
@@ -763,8 +766,11 @@ class TestWorkerPlaneWiring:
         finally:
             baseline.close()
         saved_state = executor_module._WORKER_STATE
+        # _init_worker caps BLAS threads; this process is not a worker,
+        # so its count is restored below.
+        saved_threads = blas_threads()
         try:
-            _init_worker()
+            _init_worker(1)
             results = _run_task_cells(shipment.ref, (0, 1), 0, [(0, 0, 0)])
             assert results == [(0, 0, 0, expected)]
             state = executor_module._WORKER_STATE
@@ -795,6 +801,8 @@ class TestWorkerPlaneWiring:
             state["view"].close()
         finally:
             executor_module._WORKER_STATE = saved_state
+            if saved_threads is not None:
+                set_blas_threads(saved_threads)
             shipment.release()
 
 class TestSupervisionPolicy:
@@ -1232,3 +1240,88 @@ class TestCheckpointJournal:
         model, memory, images, labels, config = campaign_parts
         baseline = run_campaign(model, memory, images, labels, config)
         np.testing.assert_array_equal(resumed.accuracies, baseline.accuracies)
+
+
+class _BlasProbeTask(_ConstantTask):
+    """Each cell reports the BLAS threads and pid of the process running it."""
+
+    kind = "blas-probe"
+    cell_width = 2
+
+    def make_runner(self):
+        return _BlasProbeRunner()
+
+
+class _BlasProbeRunner(_ConstantRunner):
+    def run_cell(self, rate_index: int, trial: int) -> "list[float]":
+        threads = blas_threads()
+        return [-1.0 if threads is None else float(threads), float(os.getpid())]
+
+
+def _probe_pool(mp_context: "str | None" = None) -> "tuple[set[float], set[float]]":
+    """(BLAS thread counts, pids) the cells of a 2-worker pooled probe saw."""
+    grid = CampaignExecutor(workers=2, mp_context=mp_context).run_tasks(
+        [_BlasProbeTask(n_rates=2, trials=4)]
+    )[0]
+    return set(grid[..., 0].ravel()), set(grid[..., 1].ravel())
+
+
+class TestBlasBudget:
+    """Each pool worker runs max(1, cpus // workers) BLAS threads, never
+    more than it inherited; the parent keeps its own count."""
+
+    @pytest.fixture
+    def parent_threads(self):
+        threads = blas_threads()
+        if threads is None:  # pragma: no cover - numpy without OpenBLAS
+            pytest.skip("no controllable OpenBLAS mapped")
+        yield threads
+        set_blas_threads(threads)
+
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_workers_run_their_share_of_the_cpus(self, parent_threads, mp_context):
+        threads, pids = _probe_pool(mp_context)
+        budget = max(1, resolve_workers(0) // 2)
+        assert float(os.getpid()) not in pids
+        assert threads == {float(min(parent_threads, budget))}
+
+    def test_parent_count_unchanged_after_pooled_run(self, parent_threads):
+        _probe_pool()
+        assert blas_threads() == parent_threads
+
+    def test_budget_never_raises_the_inherited_count(
+        self, parent_threads, monkeypatch
+    ):
+        """A budget above the inherited count (as under a launch-time
+        OPENBLAS_NUM_THREADS=1) leaves workers at the inherited count."""
+        import repro.core.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_blas_budget", lambda workers: 64)
+        set_blas_threads(1)
+        threads, _pids = _probe_pool("fork")
+        assert threads == {1.0}
+
+    @pytest.mark.parametrize("mapped", ["no-library", "no-known-setter"])
+    def test_unknown_blas_keeps_the_pool_and_the_bytes(
+        self, campaign_parts, monkeypatch, mapped
+    ):
+        """Where the helper finds nothing to set, workers start anyway:
+        the run completes in the pool, bit-identical, without degrading."""
+        import _ctypes
+
+        import repro.utils.blas as blas_module
+
+        # _ctypes is mapped in every process and exports no BLAS symbol;
+        # forked workers inherit the patched lookup.
+        paths = [] if mapped == "no-library" else [_ctypes.__file__]
+        monkeypatch.setattr(blas_module, "_mapped_openblas", lambda: list(paths))
+        threads, pids = _probe_pool("fork")
+        assert threads == {-1.0}
+        assert float(os.getpid()) not in pids
+        model, memory, images, labels, config = campaign_parts
+        serial = run_campaign(model, memory, images, labels, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled = run_campaign(model, memory, images, labels, config, workers=2)
+        assert not [w for w in caught if "degrading" in str(w.message)]
+        np.testing.assert_array_equal(serial.accuracies, pooled.accuracies)
