@@ -146,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-k",
         type=int,
         default=0,
-        help="adaptive mode: trials per chunk between stopping checks, "
-        "evaluated together through the bitwise-verified batched kernel "
-        "(0 = the default chunk of 8); exact mode ignores it",
+        help="adaptive mode: trials per chunk between stopping checks "
+        "(0 = the default chunk of 8; a negative width is an error); "
+        "exact mode ignores it",
     )
     add_supervision_args(p_campaign)
 
@@ -535,13 +535,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # (and REPRO_CHAOS) govern exact and adaptive sweeps alike.
     if args.variant == "int8":
         base = QuantizedCellTask(
-            model, memory, images, labels, config,
-            label=args.variant, batch_k=args.batch_k,
+            model, memory, images, labels, config, label=args.variant
         )
     else:
         base = WeightFaultCellTask(
             model, memory, images, labels, config=config,
-            sampler=sampler, label=args.variant, batch_k=args.batch_k,
+            sampler=sampler, label=args.variant,
         )
     adaptive = None
     if args.mode == "adaptive":

@@ -427,7 +427,6 @@ class InjectionCellRunner:
     """
 
     def __init__(self, task):
-        from repro.core.batched import BatchedSuffixKernel
         from repro.core.suffix import SuffixForwardEngine
         from repro.hw.injector import FaultInjector
 
@@ -441,59 +440,24 @@ class InjectionCellRunner:
             scope_layers=task.memory.layer_names(),
             enabled=getattr(task, "suffix", True),
         )
-        self.kernel = BatchedSuffixKernel(
-            task.model,
-            task.images,
-            task.config.batch_size,
-            engine=self.engine,
-            batch_k=getattr(task, "batch_k", 0),
-        )
 
-    def _fault_set(self, rate_index: int, trial: int):
+    def fault_set(self, rate_index: int, trial: int):
         """The cell's fault draw on its deterministic seed path."""
         task = self.task
         rate = float(task.config.fault_rates[rate_index])
         rng = self.tree.generator(cell_seed_path(rate_index, trial))
         return task.sampler(task.memory, rate, rng)
 
-    def run_cell(self, rate_index: int, trial: int) -> "float | Sequence[float]":
-        fault_set = self._fault_set(rate_index, trial)
+    def run_fault_set(self, fault_set) -> "float | Sequence[float]":
+        """Measure the model under one pre-drawn fault set."""
         forward = None
         if self.engine is not None:
             forward = self.engine.forward_fn(self.injector.affected_layers(fault_set))
         with self.injector.apply(fault_set):
             return self.task.measure(forward=forward)
 
-    def run_cells(
-        self, cells: Sequence[tuple[int, int]]
-    ) -> "list[float | Sequence[float]]":
-        """Evaluate one adaptive chunk of cells through the batched kernel.
-
-        Bit-identical to calling :meth:`run_cell` per cell in order:
-        fault sets are drawn from the same per-cell seed paths, and the
-        kernel either shares a bitwise-verified wide tail across the
-        group or falls back to exactly the per-cell forward.
-        """
-        return self.run_fault_sets(
-            [self._fault_set(rate_index, trial) for rate_index, trial in cells]
-        )
-
-    def run_fault_sets(self, fault_sets) -> "list[float | Sequence[float]]":
-        """Measure the model under each pre-drawn fault set (in order)."""
-        from functools import partial
-
-        from repro.core.batched import FaultVariant
-
-        variants = [
-            FaultVariant(
-                apply=partial(self.injector.apply, fault_set),
-                affected=tuple(self.injector.affected_layers(fault_set)),
-            )
-            for fault_set in fault_sets
-        ]
-        return self.kernel.run_family(
-            variants, lambda forward: self.task.measure(forward=forward)
-        )
+    def run_cell(self, rate_index: int, trial: int) -> "float | Sequence[float]":
+        return self.run_fault_set(self.fault_set(rate_index, trial))
 
     def close(self) -> None:
         # Injection restores per cell; only the activation cache remains.
@@ -526,7 +490,6 @@ class WeightFaultCellTask:
         label: str = "",
         clean_accuracy: "float | None" = None,
         suffix: bool = True,
-        batch_k: int = 0,
     ):
         from repro.core.campaign import CampaignConfig, random_bitflip_sampler
 
@@ -539,11 +502,6 @@ class WeightFaultCellTask:
         self.label = label
         self._clean = None if clean_accuracy is None else float(clean_accuracy)
         self.suffix = bool(suffix)
-        # Kernel width of the runner's BatchedSuffixKernel
-        # (repro.core.batched) inside adaptive families, whose chunks of
-        # K trials share bitwise-verified wide tails; exact sweeps
-        # dispatch per cell and ignore it.
-        self.batch_k = int(batch_k)
 
     def __getstate__(self) -> dict:
         return payload_state(self)

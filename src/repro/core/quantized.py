@@ -60,7 +60,6 @@ class QuantizedCellTask:
         label: str = "int8",
         suffix: bool = True,
         sampler: "Callable | None" = None,
-        batch_k: int = 0,
     ):
         self.model = model
         self.memory = memory
@@ -70,9 +69,6 @@ class QuantizedCellTask:
         self.label = label
         self._clean: "float | None" = None
         self.suffix = bool(suffix)
-        # Kernel width inside adaptive families (repro.core.batched);
-        # exact sweeps dispatch per cell and ignore it.
-        self.batch_k = int(batch_k)
         # Optional picklable fault sampler over the *int8 code space*:
         # called as sampler(quantized_memory, rate, rng) and may return a
         # bit-index array or a FaultSet (stuck-at ops included).  None
@@ -135,7 +131,6 @@ class _QuantizedCellRunner:
     """
 
     def __init__(self, task: QuantizedCellTask):
-        from repro.core.batched import BatchedSuffixKernel
         from repro.core.suffix import SuffixForwardEngine
 
         self.task = task
@@ -152,13 +147,6 @@ class _QuantizedCellRunner:
                 scope_layers=task.memory.layer_names(),
                 enabled=getattr(task, "suffix", True),
             )
-            self.kernel = BatchedSuffixKernel(
-                task.model,
-                task.images,
-                task.config.batch_size,
-                engine=self.engine,
-                batch_k=getattr(task, "batch_k", 0),
-            )
         except BaseException:
             # Construction must not strand the caller's live model on
             # dequantized weights (the serial path and the executor's
@@ -166,7 +154,8 @@ class _QuantizedCellRunner:
             self.close()
             raise
 
-    def _fault_set(self, rate_index: int, trial: int):
+    def fault_set(self, rate_index: int, trial: int):
+        """The cell's int8 fault draw on its deterministic seed path."""
         task = self.task
         rate = float(task.config.fault_rates[rate_index])
         rng = self.tree.generator(cell_seed_path(rate_index, trial))
@@ -175,44 +164,22 @@ class _QuantizedCellRunner:
             return self.quantized.sample_bitflips(rate, rng)
         return sampler(self.quantized, rate, rng)
 
-    def _measure(self, forward) -> float:
+    def run_fault_set(self, faults) -> float:
+        """Measure the deployed model under one pre-drawn fault set."""
         task = self.task
-        return evaluate_accuracy_arrays(
-            task.model, task.images, task.labels, task.config.batch_size,
-            forward=forward,
-        )
-
-    def run_cell(self, rate_index: int, trial: int) -> float:
-        faults = self._fault_set(rate_index, trial)
         forward = None
         if self.engine is not None:
             forward = self.engine.forward_fn(
                 self.quantized.affected_layers(faults)
             )
         with self.quantized.apply(faults):
-            return self._measure(forward)
-
-    def run_cells(self, cells) -> "list[float]":
-        """One adaptive chunk through the batched kernel; bit-identical
-        to per-cell."""
-        return self.run_fault_sets(
-            [self._fault_set(rate_index, trial) for rate_index, trial in cells]
-        )
-
-    def run_fault_sets(self, fault_sets) -> "list[float]":
-        """Measure the deployed model under each pre-drawn fault set."""
-        from functools import partial
-
-        from repro.core.batched import FaultVariant
-
-        variants = [
-            FaultVariant(
-                apply=partial(self.quantized.apply, faults),
-                affected=tuple(self.quantized.affected_layers(faults)),
+            return evaluate_accuracy_arrays(
+                task.model, task.images, task.labels, task.config.batch_size,
+                forward=forward,
             )
-            for faults in fault_sets
-        ]
-        return self.kernel.run_family(variants, self._measure)
+
+    def run_cell(self, rate_index: int, trial: int) -> float:
+        return self.run_fault_set(self.fault_set(rate_index, trial))
 
     def close(self) -> None:
         if self.engine is not None:

@@ -391,22 +391,6 @@ class SuffixForwardEngine:
                 break
         return start
 
-    def cached_input(
-        self, batch_index: int, start: int
-    ) -> "np.ndarray | None":
-        """The cached tensor flowing into child ``start`` for one batch.
-
-        ``None`` when the batch or boundary is not cached (callers fall
-        back to the raw images).  Read-only by contract, like every
-        cached activation.  This is the batched kernel's entry point
-        (:mod:`repro.core.batched`): it re-runs a variant's faulted span
-        itself and only needs the clean boundary tensor, not the whole
-        suffix forward that :meth:`forward_fn` wraps around it.
-        """
-        if not 0 <= batch_index < len(self._cached):
-            return None
-        return self._cached[batch_index].get(start)
-
     def forward_fn(self, affected_layers: Sequence[str]):
         """A :data:`~repro.core.metrics.BatchForward` for one cell.
 
@@ -414,7 +398,9 @@ class SuffixForwardEngine:
         set (:meth:`repro.hw.injector.FaultInjector.affected_layers`,
         :meth:`repro.hw.quant.QuantizedWeightMemory.affected_layers`, or
         an activation injector's hooked layers).  Returns ``None`` when
-        the plain full forward is the right path.
+        the plain full forward is the right path.  Every trial takes
+        this path, an adaptive family's included (it runs its chunks
+        trial by trial), so :attr:`stats` counts every suffix forward.
         """
         if not affected_layers:
             if not self.clean_shortcut:

@@ -103,31 +103,19 @@ class Sequential(Module):
             out = layer(out)
         return out, captured
 
-    def forward_from(
-        self, index: int, x: np.ndarray, stop: "int | None" = None
-    ) -> np.ndarray:
-        """Run only the children at positions ``[index, stop)``.
+    def forward_from(self, index: int, x: np.ndarray) -> np.ndarray:
+        """Run only the children at positions ``index`` onward.
 
         ``x`` must be the tensor that would flow into child ``index`` in a
         full forward pass (e.g. one captured by :meth:`forward_collect`);
         the result is then bit-identical to the full forward, because the
         skipped prefix would have recomputed exactly ``x``.
-        ``forward_from(0, x)`` is equivalent to ``forward(x)``.  ``stop``
-        (default: run to the end) bounds the range exclusively, returning
-        the tensor that would flow *into* child ``stop`` — the composition
-        ``forward_from(stop, forward_from(index, x, stop=stop))`` runs
-        exactly the same layer sequence as ``forward_from(index, x)``.
+        ``forward_from(0, x)`` is equivalent to ``forward(x)``; an
+        ``index`` outside the children raises :class:`IndexError`.
         """
         index = self._normalize_index(index)
-        children = list(self._modules.values())
-        if stop is None:
-            stop = len(children)
-        elif not index <= stop <= len(children):
-            raise IndexError(
-                f"stop must lie in [{index}, {len(children)}], got {stop}"
-            )
         out = x
-        for layer in children[index:stop]:
+        for layer in list(self._modules.values())[index:]:
             out = layer(out)
         return out
 

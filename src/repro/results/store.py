@@ -111,7 +111,7 @@ CELL_COLUMNS = {
     "fault_rate": ("float", "fault rate of the cell's rate family"),
     "trial": ("int", "trial index inside the rate family"),
     "seed": ("int", "spec seed; the cell RNG path is rate/<i>/trial/<t>"),
-    "batch_k": ("int", "batched-kernel chunk width the spec requested"),
+    "batch_k": ("int", "adaptive chunk width the spec requested"),
     "outcome": ("str", "outcome class: ok, failed or skipped"),
     "accuracy": ("float", "cell accuracy (NaN unless the outcome is ok)"),
     "weight": (

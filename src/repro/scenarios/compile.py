@@ -193,7 +193,6 @@ def compile_spec(
             config=config,
             sampler=sampler,
             label=spec.name,
-            batch_k=spec.batch_k,
         )
     elif spec.campaign == "quantized":
         from repro.core.quantized import QuantizedCellTask
@@ -206,7 +205,6 @@ def compile_spec(
             config=config,
             label=spec.name,
             sampler=spec_sampler,
-            batch_k=spec.batch_k,
         )
     else:
         # activation (spec validation admits nothing else)

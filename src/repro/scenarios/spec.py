@@ -235,7 +235,8 @@ class CampaignSpec:
             raise ValueError(
                 "mode 'adaptive' requires campaign 'weight' or 'quantized' "
                 "(activation faults are sampled inside the forward pass, "
-                "so their trial families cannot be batched or reweighted)"
+                "so a trial has no fault set drawn ahead of it to run or "
+                "reweight)"
             )
         if self.importance is not None:
             if self.mode != "adaptive":

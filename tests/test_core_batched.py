@@ -1,4 +1,4 @@
-"""Tests for the batched Monte-Carlo kernel and adaptive early stopping.
+"""Tests for adaptive early stopping and exact-sweep bit-identity.
 
 The load-bearing guarantees:
 
@@ -6,13 +6,10 @@ The load-bearing guarantees:
   quantized / activation / outcome / per-class) produces results
   bit-identical to the full-forward reference across workers {1, 2} x
   suffix {on, off}, over the shared-memory and the inline transport.
-* **Batched-kernel soundness** — a chunk of variants through
-  :class:`BatchedSuffixKernel` accounts for every variant and never
-  trusts an unverified wide tail.
 * **Adaptive determinism** — executed trials equal the exact sweep's
-  prefix bit for bit, and the stopping decision is invariant to worker
-  count, suffix caching, the batched-kernel env switch, and
-  checkpoint-resume after a mid-run kill.
+  prefix bit for bit, float32 and int8 alike, and the stopping decision
+  is invariant to worker count, suffix caching, and checkpoint-resume
+  after a mid-run kill.
 """
 
 import math
@@ -27,8 +24,6 @@ from repro.core.batched import (
     SKIP_SENTINEL,
     AdaptiveCampaignTask,
     AdaptiveResult,
-    BatchedSuffixKernel,
-    FaultVariant,
     ImportanceBitflipSampler,
     clopper_pearson_interval,
     family_interval,
@@ -43,7 +38,6 @@ from tests.conftest import journal_cells
 
 RATES = (1e-4, 1e-3)
 TRIALS = 4
-BATCH_K = 3  # splits a 4-trial family into a wide chunk + a singleton
 
 
 @pytest.fixture
@@ -51,8 +45,8 @@ def parts(trained_mlp, mlp_eval_arrays):
     images, labels = mlp_eval_arrays
     images, labels = images[:48], labels[:48]
     memory = WeightMemory.from_model(trained_mlp)
-    # batch_size 24 -> two evaluation batches per forward, so the replay
-    # table and the wide tail both see multiple offsets.
+    # batch_size 24 -> two evaluation batches per forward, so the suffix
+    # engine serves more than one offset.
     config = CampaignConfig(
         fault_rates=RATES, trials=TRIALS, seed=11, batch_size=24
     )
@@ -145,133 +139,14 @@ class TestRegistryBitIdentity:
 
     def test_wide_batch_k_exceeding_family(self, parts, reference):
         """An adaptive chunk wider than the trial family is harmless: the
-        whole family goes through the kernel as one chunk, and every
-        executed trial equals the exact sweep's bit for bit."""
+        whole family runs as one chunk, and every executed trial equals
+        the exact sweep's bit for bit."""
         model, memory, images, labels, config = parts
-        base = WeightFaultCellTask(
-            model, memory, images, labels, config=config, batch_k=64
-        )
+        base = WeightFaultCellTask(model, memory, images, labels, config=config)
         task = AdaptiveCampaignTask(base, ci_halfwidth=0.001, batch_k=64)
         result = CampaignExecutor().run_tasks([task])[0]
         np.testing.assert_array_equal(result.executed, [TRIALS] * len(RATES))
         np.testing.assert_array_equal(result.accuracies, reference["weight"])
-
-
-class TestBatchedKernelInternals:
-    def test_env_switch_degrades_to_per_cell(self, trained_mlp, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCHED", "1")
-        kernel = BatchedSuffixKernel(
-            trained_mlp, np.zeros((8, 3, 8, 8), np.float32), 8, batch_k=4
-        )
-        assert kernel.batch_k == 1 and not kernel.enabled
-
-    def test_cut_span_unknown_layer_is_single(self, trained_mlp):
-        kernel = BatchedSuffixKernel(
-            trained_mlp, np.zeros((8, 3, 8, 8), np.float32), 8, batch_k=4
-        )
-        assert kernel._cut_span(()) is None
-        assert kernel._cut_span(("no-such-layer",)) is None
-
-    def test_replay_rejects_unknown_offsets(self, trained_mlp):
-        kernel = BatchedSuffixKernel(
-            trained_mlp, np.zeros((8, 3, 8, 8), np.float32), 8, batch_k=4
-        )
-        forward = kernel._replay([np.zeros((8, 10), np.float32)])
-        with pytest.raises(RuntimeError, match="replay"):
-            forward(np.zeros((8, 3, 8, 8), np.float32), 999)
-        with pytest.raises(RuntimeError, match="replay"):
-            forward(np.zeros((3, 3, 8, 8), np.float32), 0)  # row mismatch
-
-    def test_grouped_dispatch_accounts_for_every_variant(self, parts):
-        model, memory, images, labels, config = parts
-        task = WeightFaultCellTask(
-            model, memory, images, labels, config=config, batch_k=BATCH_K
-        )
-        runner = task.make_runner()
-        try:
-            runner.run_cells([(0, j) for j in range(TRIALS)])
-        finally:
-            runner.close()
-        stats = runner.kernel.stats
-        assert stats["families"] == 1
-        assert stats["variants_batched"] + stats["variants_single"] == TRIALS
-
-    def test_every_tail_signature_gets_a_verdict(
-        self, trained_mlp, mlp_eval_arrays
-    ):
-        """The wide tail is never trusted unverified: the first batch of
-        each signature computes both paths and checks them bit for bit,
-        and no-op variants reproduce the clean logits exactly."""
-        import contextlib
-
-        images, _ = mlp_eval_arrays
-        images = images[:48]
-        kernel = BatchedSuffixKernel(trained_mlp, images, 24, batch_k=4)
-        assert kernel.enabled
-        # FC-1 is the first faultable layer, so the common tail is real.
-        variants = [
-            FaultVariant(apply=contextlib.nullcontext, affected=("FC-1",))
-            for _ in range(3)
-        ]
-        collected = []
-
-        def measure(forward):
-            logits = [
-                forward(images[o : o + 24], o) for o in range(0, 48, 24)
-            ]
-            collected.append(np.concatenate(logits, axis=0))
-            return float(len(collected))
-
-        values = kernel.run_family(variants, measure)
-        assert values == [1.0, 2.0, 3.0]
-        stats = kernel.stats
-        assert stats["variants_batched"] == 3
-        assert (
-            stats["verified_signatures"] + stats["fallback_signatures"]
-            == len(kernel._verified)
-            >= 1
-        )
-        # The bit-identity reference is the per-cell path: one forward
-        # per evaluation batch (full-set forwards differ at BLAS level).
-        clean = np.concatenate(
-            [trained_mlp(images[o : o + 24]) for o in range(0, 48, 24)]
-        )
-        for replayed in collected:
-            np.testing.assert_array_equal(replayed, clean)
-
-
-class TestForwardFromRange:
-    """The ranged nn.Sequential.forward_from the kernel is built on."""
-
-    def test_stop_composes_to_full_forward(self, trained_mlp, mlp_eval_arrays):
-        images, _ = mlp_eval_arrays
-        x = images[:8]
-        full = trained_mlp(x)
-        for stop in range(len(trained_mlp)):
-            frontier = trained_mlp.forward_from(0, x, stop=stop)
-            np.testing.assert_array_equal(
-                trained_mlp.forward_from(stop, frontier), full
-            )
-        # stop == len(model): the frontier already is the final logits.
-        np.testing.assert_array_equal(
-            trained_mlp.forward_from(0, x, stop=len(trained_mlp)), full
-        )
-
-    def test_stop_none_is_full_suffix(self, trained_mlp, mlp_eval_arrays):
-        images, _ = mlp_eval_arrays
-        x = images[:4]
-        np.testing.assert_array_equal(
-            trained_mlp.forward_from(0, x, stop=None), trained_mlp(x)
-        )
-
-    def test_invalid_ranges_rejected(self, trained_mlp):
-        x = np.zeros((2, 3, 8, 8), np.float32)
-        with pytest.raises(IndexError):
-            trained_mlp.forward_from(0, x, stop=len(trained_mlp) + 1)
-        with pytest.raises(IndexError):
-            trained_mlp.forward_from(2, x, stop=1)
-        with pytest.raises(IndexError):
-            trained_mlp.forward_from(len(trained_mlp), x)
 
 
 class TestIntervalValidation:
@@ -314,6 +189,11 @@ class TestIntervalValidation:
         estimate, halfwidth = family_interval([0.5], 10, weights=[2.0])
         assert estimate == pytest.approx(1.0)
         assert math.isinf(halfwidth)
+        # Weights must parallel the accuracies exactly, longer or shorter.
+        with pytest.raises(ValueError, match="3 weights for 2 accuracies"):
+            family_interval([0.5, 0.6], 10, weights=[1.0, 1.0, 5.0])
+        with pytest.raises(ValueError, match="1 weights for 2 accuracies"):
+            family_interval([0.5, 0.6], 10, weights=[1.0])
 
 
 @pytest.fixture
@@ -328,10 +208,7 @@ def adaptive_parts(trained_mlp, mlp_eval_arrays):
 
 def _adaptive_task(adaptive_parts, **kwargs):
     model, memory, images, labels, config = adaptive_parts
-    base = WeightFaultCellTask(
-        model, memory, images, labels, config=config,
-        batch_k=kwargs.get("batch_k", 2),
-    )
+    base = WeightFaultCellTask(model, memory, images, labels, config=config)
     kwargs.setdefault("ci_halfwidth", 0.08)
     kwargs.setdefault("batch_k", 2)
     return AdaptiveCampaignTask(base, **kwargs)
@@ -375,26 +252,44 @@ class TestAdaptiveStopping:
                 or n == config.trials
             )
 
-    def test_stopping_invariant_to_execution_details(
-        self, adaptive_parts, monkeypatch
+    def test_quantized_prefix_is_exact_int8_sweep_bitwise(
+        self, adaptive_parts
     ):
-        """Workers, suffix caching and REPRO_NO_BATCHED change how cells
-        are evaluated, never which cells run or what they produce."""
+        """The int8 runner under adaptive stopping: executed trials equal
+        the exact int8 sweep's first n trials bit for bit, at workers 1
+        and 2."""
+        model, memory, images, labels, config = adaptive_parts
+        exact = CampaignExecutor().run_tasks(
+            [QuantizedCellTask(model, memory, images, labels, config)]
+        )[0]
+        for workers in (1, 2):
+            base = QuantizedCellTask(model, memory, images, labels, config)
+            result = _run_adaptive(
+                AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2),
+                workers=workers,
+            )
+            assert result.cells_executed < result.cells_total
+            for i in range(len(config.fault_rates)):
+                n = int(result.executed[i])
+                assert 2 <= n <= config.trials
+                np.testing.assert_array_equal(
+                    result.accuracies[i, :n], exact.accuracies[i, :n],
+                    err_msg=f"workers={workers} rate={i}",
+                )
+
+    def test_stopping_invariant_to_execution_details(self, adaptive_parts):
+        """Workers and suffix caching change how cells are evaluated,
+        never which cells run or what they produce."""
         reference = _run_adaptive(_adaptive_task(adaptive_parts))
         _assert_same_result(
             reference, _run_adaptive(_adaptive_task(adaptive_parts), workers=2)
         )
         model, memory, images, labels, config = adaptive_parts
         base = WeightFaultCellTask(
-            model, memory, images, labels, config=config,
-            suffix=False, batch_k=2,
+            model, memory, images, labels, config=config, suffix=False
         )
         no_suffix = AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
         _assert_same_result(reference, _run_adaptive(no_suffix))
-        monkeypatch.setenv("REPRO_NO_BATCHED", "1")
-        _assert_same_result(
-            reference, _run_adaptive(_adaptive_task(adaptive_parts))
-        )
 
     def test_huge_tolerance_stops_at_min_trials(self, adaptive_parts):
         result = _run_adaptive(
@@ -464,6 +359,9 @@ class TestAdaptiveStopping:
             AdaptiveCampaignTask(base, level=1.0)
         with pytest.raises(ValueError, match="max_trials"):
             AdaptiveCampaignTask(base, max_trials=0)
+        # A negative chunk width is an error, not the default chunk.
+        with pytest.raises(ValueError, match="batch_k .*got -3"):
+            AdaptiveCampaignTask(base, batch_k=-3)
         with pytest.raises(ValueError, match="memory"):
             AdaptiveCampaignTask(
                 ActivationFaultCellTask(model, images, labels, config=config),

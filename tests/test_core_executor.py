@@ -1103,7 +1103,7 @@ class TestChaosCheckpointResume:
 
         def adaptive_task():
             base = WeightFaultCellTask(
-                model, memory, images, labels, config=config, batch_k=2
+                model, memory, images, labels, config=config
             )
             return AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
 

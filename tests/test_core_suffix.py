@@ -76,6 +76,11 @@ class TestForwardFromAndCollect:
         with pytest.raises(IndexError):
             model.forward_collect(images, [len(model)])
 
+    def test_forward_from_out_of_range_rejected(self):
+        model, images = _model_and_images("lenet5")
+        with pytest.raises(IndexError):
+            model.forward_from(len(model), images)
+
     def test_forward_from_fires_child_hooks(self):
         model, images = _model_and_images("lenet5")
         seen = []
