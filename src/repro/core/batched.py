@@ -77,43 +77,14 @@ _METHODS = ("wilson", "clopper-pearson")
 
 
 def _norm_ppf(q: float) -> float:
-    """Standard normal quantile; scipy when present, else Acklam's
-    rational approximation (|error| < 1.2e-8 over the open unit
-    interval — far below any stopping tolerance used here)."""
+    """Standard normal quantile (stdlib ``NormalDist``)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
-    try:
-        from scipy import stats
+    # Imported here: a module-level ``statistics`` import pulls
+    # ``decimal`` and ``fractions`` into every process, interval or not.
+    from statistics import NormalDist
 
-        return float(stats.norm.ppf(q))
-    except ImportError:  # pragma: no cover - scipy is present in dev envs
-        return _norm_ppf_fallback(q)
-
-
-def _norm_ppf_fallback(q: float) -> float:
-    """Acklam's inverse-normal approximation (pure stdlib)."""
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    q_low = 0.02425
-    if q < q_low:
-        u = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-            ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-    if q > 1.0 - q_low:
-        return -_norm_ppf_fallback(1.0 - q)
-    u = q - 0.5
-    r = u * u
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    return NormalDist().inv_cdf(q)
 
 
 def wilson_interval(
@@ -134,7 +105,11 @@ def wilson_interval(
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
+    # At k = 0 and k = n the bound is exactly 0 or 1, but the float
+    # difference can round either side of it.
+    low = 0.0 if successes <= 0 else max(0.0, centre - half)
+    high = 1.0 if successes >= trials else min(1.0, centre + half)
+    return low, high
 
 
 def clopper_pearson_interval(
@@ -144,8 +119,7 @@ def clopper_pearson_interval(
 
     Guaranteed-conservative alternative to Wilson: coverage is at least
     nominal for every (p, n), at the price of wider intervals (slower
-    stopping).  Quantiles of the beta distribution via scipy when
-    available, else a regularized-incomplete-beta bisection.
+    stopping).  Its beta quantiles come from :func:`_beta_ppf`.
     """
     _check_counts(successes, trials)
     if not 0.0 < level < 1.0:
@@ -167,20 +141,12 @@ def _check_counts(successes: float, trials: float) -> None:
 
 
 def _beta_ppf(q: float, a: float, b: float) -> float:
-    """Beta distribution quantile; scipy when present, else bisection."""
-    try:
-        from scipy import stats
+    """Beta distribution quantile: invert the regularized incomplete beta
+    by bisection.
 
-        return float(stats.beta.ppf(q, a, b))
-    except ImportError:  # pragma: no cover - scipy is present in dev envs
-        return _beta_ppf_fallback(q, a, b)
-
-
-def _beta_ppf_fallback(q: float, a: float, b: float) -> float:
-    """Invert the regularized incomplete beta by bisection.
-
-    60 halvings pin the root to ~1e-18, far below the 1e-6-ish accuracy
-    the continued-fraction CDF itself delivers; both are orders of
+    60 halvings pin the root to ~1e-18, below the accuracy of the
+    continued-fraction CDF itself: the quantile agrees with the test
+    oracle's to ~1e-14 (``tests/test_stats_stopping.py``), orders of
     magnitude tighter than any stopping tolerance.
     """
     if q <= 0.0:
@@ -268,6 +234,8 @@ def family_interval(
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
     accs = [float(a) for a in accuracies]
     if not accs:
         raise ValueError("family_interval needs at least one executed trial")

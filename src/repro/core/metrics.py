@@ -123,34 +123,6 @@ def auc_resilience(
     return float(np.trapezoid(accs, x))
 
 
-def _t_critical(level: float, df: int) -> float:
-    """Two-sided Student-t critical value; scipy if present, else a
-    normal-approximation fallback adequate for df >= 5."""
-    tail = (1.0 + level) / 2.0
-    try:
-        from scipy import stats
-
-        return float(stats.t.ppf(tail, df))
-    except ImportError:  # pragma: no cover - scipy is present in dev envs
-        # Cornish-Fisher style correction of the normal quantile.
-        from math import sqrt
-
-        z = sqrt(2.0) * _erfinv(2.0 * tail - 1.0)
-        return z * (1.0 + (z * z + 1.0) / (4.0 * df))
-
-
-def _erfinv(y: float) -> float:  # pragma: no cover - scipy fallback only
-    """Rational approximation of the inverse error function."""
-    a = 0.147
-    import math
-
-    ln_term = math.log(1.0 - y * y)
-    first = 2.0 / (math.pi * a) + ln_term / 2.0
-    return math.copysign(
-        math.sqrt(math.sqrt(first * first - ln_term / a) - first), y
-    )
-
-
 @dataclass(frozen=True)
 class BoxStats:
     """Five-number summary of the accuracy distribution at one fault rate."""
@@ -222,26 +194,6 @@ class ResilienceCurve:
     def box_stats(self) -> list[BoxStats]:
         """Per-rate five-number summaries (paper Fig. 7b/7c, 8b/8c)."""
         return [BoxStats.from_samples(row) for row in self.accuracies]
-
-    def confidence_interval(self, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-        """Per-rate Student-t confidence interval of the mean accuracy.
-
-        Returns ``(lower, upper)`` arrays.  With a single trial the
-        interval degenerates to the point estimate.
-        """
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {level}")
-        means = self.mean_accuracies()
-        n = self.n_trials
-        if n < 2:
-            return means.copy(), means.copy()
-        std_err = self.accuracies.std(axis=1, ddof=1) / np.sqrt(n)
-        critical = _t_critical(level, df=n - 1)
-        half_width = critical * std_err
-        return (
-            np.clip(means - half_width, 0.0, 1.0),
-            np.clip(means + half_width, 0.0, 1.0),
-        )
 
     def auc(self, include_zero_rate: bool = True, x_mode: str = "index") -> float:
         """The paper's AUC over this curve.

@@ -13,8 +13,9 @@ through whichever known symbol pair that library exports:
 * ``openblas_*_num_threads64_`` — the ILP64 copy of numpy 1.x wheels;
 * ``openblas_*_num_threads`` — a distribution's shared OpenBLAS;
 * ``scipy_openblas_*_num_threads`` — scipy's separate LP64 copy
-  (``scipy.libs/libscipy_openblas-*.so``, mapped once ``scipy.stats``
-  is imported).
+  (``scipy.libs/libscipy_openblas-*.so``).  The runtime never imports
+  scipy, so this copy is mapped only when the caller imports scipy
+  itself.
 
 On any other BLAS (MKL, Accelerate, a reference build), or where
 ``/proc`` is missing, every function here is a no-op that returns

@@ -16,12 +16,18 @@ journal, at workers 1 and 2.  The reference runs at the process's own
 BLAS thread count, and the workers-2 runs at the pool's budget
 (``max(1, cpus // 2)`` threads per worker), so on hosts with more than
 one CPU the BLAS thread count is an axis of every pooled case too.
+
+With scipy blocked from import, at workers 1 and 2, every scenario JSON
+and ``summary.json`` must match the reference too, not just the store:
+scipy is a dev extra, and the adaptive scenario's ``ci_halfwidths`` are
+where an install-dependent quantile would show.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 
@@ -31,6 +37,7 @@ SUITE = "stuck_at_memory"
 CHAOS = "kill=0.25,raise=0.25,seed=7,attempts=1"
 SHARDS = 3
 KILL_AT = 5
+STORE = "store/cells.rcs"
 
 
 def _suite():
@@ -47,8 +54,14 @@ def _suite():
     return ScenarioSuite(name=f"{SUITE}-conformance", specs=specs + (adaptive,))
 
 
-def _store_digest(run_dir) -> str:
-    return hashlib.sha256((run_dir / "store" / "cells.rcs").read_bytes()).hexdigest()
+def _output_digests(run_dir) -> "dict[str, str]":
+    """sha256 of the store, ``summary.json`` and every scenario JSON."""
+    paths = [run_dir / STORE, *sorted(run_dir.glob("*.json"))]
+    return {
+        path.relative_to(run_dir).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+    }
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +73,12 @@ def ctx():
 
 
 @pytest.fixture(scope="module")
-def reference(ctx, tmp_path_factory) -> str:
+def reference(ctx, tmp_path_factory) -> "dict[str, str]":
     from repro.scenarios import run_scenarios
 
     out = tmp_path_factory.mktemp("reference")
     run_scenarios(_suite(), workers=1, out_dir=out, context=ctx)
-    return _store_digest(out)
+    return _output_digests(out)
 
 
 @pytest.mark.parametrize("shards", [1, SHARDS])
@@ -92,7 +105,7 @@ def test_store_digest_is_invariant(
             )
         results = merge_run(out)
     assert all(not result.failed for result in results)
-    assert _store_digest(out) == reference
+    assert _output_digests(out)[STORE] == reference[STORE]
 
 
 @pytest.mark.parametrize(
@@ -118,7 +131,7 @@ def test_store_digest_is_invariant_to_blas_and_suffix(
     finally:
         if restore is not None:
             set_blas_threads(restore)
-    assert _store_digest(out) == reference
+    assert _output_digests(out)[STORE] == reference[STORE]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -145,4 +158,17 @@ def test_killed_run_resumes_from_journal(ctx, reference, tmp_path, workers):
         _suite(), workers=workers, out_dir=out, context=ctx,
         checkpoint=journal,
     )
-    assert _store_digest(out) == reference
+    assert _output_digests(out)[STORE] == reference[STORE]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_outputs_do_not_depend_on_scipy(
+    ctx, reference, tmp_path, monkeypatch, workers
+):
+    from repro.scenarios import run_scenarios
+
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    out = tmp_path / "out"
+    run_scenarios(_suite(), workers=workers, out_dir=out, context=ctx)
+    assert _output_digests(out) == reference

@@ -155,8 +155,10 @@ class TestIntervalValidation:
     def test_wilson_basics(self):
         low, high = wilson_interval(50, 100)
         assert 0.0 <= low < 0.5 < high <= 1.0
-        assert wilson_interval(0, 10)[0] == 0.0
-        assert wilson_interval(10, 10)[1] == pytest.approx(1.0)
+        # Exact at the boundaries, whichever way the float rounding goes.
+        for n in (10, 96, 640, 1280):
+            assert wilson_interval(0, n)[0] == 0.0
+            assert wilson_interval(n, n)[1] == 1.0
 
     def test_clopper_pearson_brackets_wilson(self):
         for successes, trials in [(3, 10), (50, 100), (97, 100)]:
@@ -194,6 +196,11 @@ class TestIntervalValidation:
             family_interval([0.5, 0.6], 10, weights=[1.0, 1.0, 5.0])
         with pytest.raises(ValueError, match="1 weights for 2 accuracies"):
             family_interval([0.5, 0.6], 10, weights=[1.0])
+        # The level is checked once, for both branches alike.
+        for level in (0.0, -0.5, 1.0):
+            for weights in (None, [1.0, 1.0]):
+                with pytest.raises(ValueError, match="level must be in"):
+                    family_interval([0.5, 0.6], 10, level=level, weights=weights)
 
 
 @pytest.fixture

@@ -168,54 +168,6 @@ class TestResilienceCurve:
             ResilienceCurve(np.asarray([1e-7, 1e-6]), np.zeros((3, 2)), 1.0)
 
 
-class TestConfidenceInterval:
-    def _curve(self, trials=8, seed=0):
-        rng = np.random.default_rng(seed)
-        rates = np.asarray([1e-7, 1e-6, 1e-5])
-        accs = np.clip(rng.normal(0.7, 0.05, size=(3, trials)), 0, 1)
-        return ResilienceCurve(rates, accs, clean_accuracy=0.9)
-
-    def test_interval_brackets_mean(self):
-        curve = self._curve()
-        lower, upper = curve.confidence_interval(0.95)
-        means = curve.mean_accuracies()
-        assert (lower <= means + 1e-12).all()
-        assert (upper >= means - 1e-12).all()
-
-    def test_higher_level_wider(self):
-        curve = self._curve()
-        lower95, upper95 = curve.confidence_interval(0.95)
-        lower99, upper99 = curve.confidence_interval(0.99)
-        assert ((upper99 - lower99) >= (upper95 - lower95) - 1e-12).all()
-
-    def test_more_trials_narrower(self):
-        wide = self._curve(trials=4)
-        narrow = self._curve(trials=64)
-        width_wide = np.subtract(*wide.confidence_interval()[::-1]).mean()
-        width_narrow = np.subtract(*narrow.confidence_interval()[::-1]).mean()
-        assert width_narrow < width_wide
-
-    def test_single_trial_degenerates(self):
-        curve = ResilienceCurve(
-            np.asarray([1e-7, 1e-6]), np.asarray([[0.9], [0.5]]), clean_accuracy=1.0
-        )
-        lower, upper = curve.confidence_interval()
-        np.testing.assert_array_equal(lower, upper)
-
-    def test_clipped_to_unit_interval(self):
-        rates = np.asarray([1e-7, 1e-6])
-        accs = np.asarray([[0.99, 1.0, 0.98], [0.01, 0.0, 0.02]])
-        curve = ResilienceCurve(rates, accs, clean_accuracy=1.0)
-        lower, upper = curve.confidence_interval(0.999)
-        assert (upper <= 1.0).all() and (lower >= 0.0).all()
-
-    def test_invalid_level(self):
-        with pytest.raises(ValueError):
-            self._curve().confidence_interval(1.0)
-        with pytest.raises(ValueError):
-            self._curve().confidence_interval(0.0)
-
-
 class TestCurveSerialization:
     def _curve(self):
         rates = np.asarray([1e-7, 1e-6, 1e-5])
