@@ -12,6 +12,7 @@ capture.
 
 from __future__ import annotations
 
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,29 @@ TRIALS = 15
 
 
 BENCHMARKS_DIR = Path(__file__).parent
+
+
+def git_sha() -> str:
+    """Short SHA keying a benchmark history entry ('unknown' outside git).
+
+    A tree with uncommitted changes under ``src/`` measures code the SHA
+    does not name, so its entries are keyed ``<sha>-dirty``.
+    """
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10,
+            cwd=BENCHMARKS_DIR.parent,
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src")
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    if not sha:
+        return "unknown"
+    return f"{sha}-dirty" if dirty else sha
 
 
 def pytest_collection_modifyitems(items):

@@ -24,8 +24,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import RESULTS_DIR
-from benchmarks.test_campaign_executor import _git_sha
+from benchmarks.conftest import RESULTS_DIR, git_sha
 from repro.scenarios import load_bundled
 from repro.scenarios.compile import run_scenarios, smoke_context
 
@@ -110,7 +109,7 @@ def test_bench_adaptive_vs_exact_grid(record_result):
         parallel_checked = True
 
     entry = {
-        "sha": _git_sha(),
+        "sha": git_sha(),
         "cpus": cpus,
         "spec": base.name,
         "rates": [float(r) for r in base.rates],

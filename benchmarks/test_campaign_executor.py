@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -56,7 +55,7 @@ from repro.models import LeNet5
 from repro.utils.blas import blas_threads
 from repro.utils.shm import pack_object, ship_units, shared_memory_available
 
-from .conftest import RESULTS_DIR
+from .conftest import RESULTS_DIR, git_sha
 
 # Fixed workload: a full-size LeNet-5 on 32x32 images, heavy enough that
 # per-cell evaluation dominates pool overhead on a multi-core box, small
@@ -75,18 +74,6 @@ def _model_and_eval_set():
     model.eval()
     images, labels = SyntheticCIFAR10(seed=3).generate(EVAL_IMAGES, "test")
     return model, images, labels
-
-
-def _git_sha() -> str:
-    """Short SHA keying this run's history entry ('unknown' outside git)."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
 
 
 def _append_history(path, entry: dict) -> dict:
@@ -243,7 +230,7 @@ def test_bench_campaign_serial_vs_two_workers(record_result, bench_workers):
 
     cpus = resolve_workers(0)  # the affinity count the BLAS budget divides
     entry = {
-        "sha": _git_sha(),
+        "sha": git_sha(),
         "cpus": cpus,
         "workers": workers,
         "cells": len(RATES) * TRIALS,

@@ -128,31 +128,35 @@ def get_pretrained(
     cache = cache if cache is not None else ArtifactCache()
     path = cache.path_for(f"zoo-{config.model}", config.to_dict())
 
-    if path.exists() and not retrain:
-        state, metadata = load_state_dict(path)
-        model = build_model(
-            config.model,
-            num_classes=config.num_classes,
-            width_mult=config.width_mult,
-            seed=config.seed,
+    from_cache = path.exists() and not retrain
+    if not from_cache:
+        trained = train_model(config, verbose=verbose)
+        save_state_dict(
+            path,
+            trained.model.state_dict(),
+            metadata={
+                "clean_accuracy": trained.clean_accuracy,
+                "config": config.to_dict(),
+            },
         )
-        model.load_state_dict(state)
-        model.eval()
-        train_set, val_set, test_set = _make_splits(config)
-        return PretrainedBundle(
-            model=model,
-            config=config,
-            clean_accuracy=float(metadata["clean_accuracy"]),
-            train_set=train_set,
-            val_set=val_set,
-            test_set=test_set,
-            from_cache=True,
-        )
-
-    bundle = train_model(config, verbose=verbose)
-    save_state_dict(
-        path,
-        bundle.model.state_dict(),
-        metadata={"clean_accuracy": bundle.clean_accuracy, "config": config.to_dict()},
+    # A miss returns what a later hit builds, not the trained instance,
+    # whose layers still hold their last training batch's backward caches.
+    state, metadata = load_state_dict(path)
+    model = build_model(
+        config.model,
+        num_classes=config.num_classes,
+        width_mult=config.width_mult,
+        seed=config.seed,
     )
-    return bundle
+    model.load_state_dict(state)
+    model.eval()
+    train_set, val_set, test_set = _make_splits(config)
+    return PretrainedBundle(
+        model=model,
+        config=config,
+        clean_accuracy=float(metadata["clean_accuracy"]),
+        train_set=train_set,
+        val_set=val_set,
+        test_set=test_set,
+        from_cache=from_cache,
+    )

@@ -69,7 +69,7 @@ class Conv2d(Module):
         flat_weight = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ flat_weight.T  # (N*out_h*out_w, out_channels)
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
         if self.training:

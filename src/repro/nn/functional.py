@@ -31,12 +31,16 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def pad_nchw(x: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
-    """Zero-pad the two spatial axes of an NCHW tensor."""
+def pad_nchw(
+    x: np.ndarray, padding: tuple[int, int], value: float = 0.0
+) -> np.ndarray:
+    """Pad the two spatial axes of an NCHW tensor with ``value`` (zeros)."""
     pad_h, pad_w = padding
     if pad_h == 0 and pad_w == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    return np.pad(
+        x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)), constant_values=value
+    )
 
 
 def im2col(
@@ -50,25 +54,32 @@ def im2col(
     Returns ``(cols, (out_h, out_w))`` where ``cols`` has shape
     ``(N * out_h * out_w, C * kh * kw)``: one row per output pixel, one
     column per weight of the receptive field.
+
+    Each kernel row (``kw`` values, contiguous in the padded input) is
+    copied as one opaque ``kw * itemsize``-byte element instead of ``kw``
+    single floats, which is what makes the copy cheap.  The bytes and
+    layout of ``cols`` are exactly those of the element-wise gather.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     out_h = conv_output_size(h, kh, sh, padding[0])
     out_w = conv_output_size(w, kw, sw, padding[1])
-    padded = pad_nchw(x, padding)
+    padded = np.ascontiguousarray(pad_nchw(x, padding))
 
-    # Strided sliding-window view: (N, C, out_h, out_w, kh, kw), no copy.
+    # Strided view of kernel rows, (N, out_h, out_w, C, kh), no copy.
     ns, cs, hs, ws = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(ns, cs, hs * sh, ws * sw, hs, ws),
-        writeable=False,
+    row = np.dtype((np.void, kw * padded.itemsize))
+    windows = np.ndarray(
+        (n, out_h, out_w, c, kh),
+        dtype=row,
+        buffer=padded,
+        strides=(ns, hs * sh, ws * sw, cs, hs),
     )
-    # Reorder to (N, out_h, out_w, C, kh, kw) then flatten.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), (out_h, out_w)
+    cols = np.empty(windows.shape, dtype=row)
+    cols[...] = windows
+    cols = cols.view(padded.dtype).reshape(n * out_h * out_w, c * kh * kw)
+    return cols, (out_h, out_w)
 
 
 def col2im(

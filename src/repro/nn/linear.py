@@ -52,7 +52,7 @@ class Linear(Module):
             self._input = x
         out = x @ self.weight.data.T
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

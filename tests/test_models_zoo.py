@@ -5,8 +5,7 @@ import pytest
 
 from repro.models import ZooConfig, get_pretrained, train_model
 from repro.utils.cache import ArtifactCache
-
-pytestmark = pytest.mark.slow  # every test trains (or retrains) a network
+from repro.utils.shm import pack_object
 
 # A deliberately tiny config so zoo tests stay fast.
 TINY = ZooConfig(
@@ -21,6 +20,33 @@ TINY = ZooConfig(
 )
 
 
+# Smaller still: one epoch on a handful of images, for the fast tier.
+MINI = ZooConfig(
+    model="lenet5",
+    width_mult=0.25,
+    n_train=64,
+    n_val=16,
+    n_test=16,
+    epochs=1,
+    batch_size=32,
+    seed=7,
+)
+
+
+def test_cache_miss_returns_the_model_a_hit_builds(tmp_path):
+    """A cold cache must not hand out the trained instance: its layers
+    still hold backward caches, which change the packed model's bytes and
+    so a campaign's checkpoint fingerprint between cold and warm runs."""
+    cache = ArtifactCache(tmp_path)
+    cold = get_pretrained(MINI, cache=cache)
+    warm = get_pretrained(MINI, cache=cache)
+    assert (cold.from_cache, warm.from_cache) == (False, True)
+    assert not cold.model.training
+    assert pack_object(cold.model).crc32() == pack_object(warm.model).crc32()
+    assert cold.clean_accuracy == warm.clean_accuracy
+
+
+@pytest.mark.slow  # every test below trains (or retrains) a network
 class TestTrainModel:
     def test_produces_working_model(self):
         bundle = train_model(TINY)
@@ -35,6 +61,7 @@ class TestTrainModel:
         assert not bundle.model.training
 
 
+@pytest.mark.slow
 class TestGetPretrained:
     def test_caches_and_reloads(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -30,7 +30,29 @@ def naive_im2col(x, kernel, stride, padding):
             for j in range(out_w):
                 patch = padded[b, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
                 rows.append(patch.reshape(-1))
-    return np.stack(rows), (out_h, out_w)
+    cols = np.asarray(rows, dtype=x.dtype).reshape(n * out_h * out_w, c * kh * kw)
+    return cols, (out_h, out_w)
+
+
+def _normal(shape, dtype=np.float32):
+    return np.random.default_rng(1).standard_normal(shape).astype(dtype)
+
+
+def _transposed(shape):
+    """A non-contiguous view of the requested shape."""
+    n, c, h, w = shape
+    return _normal((n, c, w, h)).transpose(0, 1, 3, 2)
+
+
+def _read_only(shape):
+    """A read-only input, like the views of a shared-memory suffix cache."""
+    x = _normal(shape)
+    x.flags.writeable = False
+    return x
+
+
+def _float64(shape):
+    return _normal(shape, np.float64)
 
 
 class TestConvOutputSize:
@@ -61,20 +83,38 @@ class TestPad:
 
 class TestIm2Col:
     @pytest.mark.parametrize(
-        "shape,kernel,stride,padding",
+        "shape,kernel,stride,padding,make",
         [
-            ((2, 3, 8, 8), (3, 3), (1, 1), (1, 1)),
-            ((1, 1, 5, 5), (2, 2), (2, 2), (0, 0)),
-            ((3, 2, 7, 9), (3, 2), (2, 1), (1, 0)),
-            ((1, 4, 4, 4), (4, 4), (1, 1), (0, 0)),
+            ((2, 3, 8, 8), (3, 3), (1, 1), (1, 1), _normal),
+            ((1, 1, 5, 5), (2, 2), (2, 2), (0, 0), _normal),
+            ((3, 2, 7, 9), (3, 2), (2, 1), (1, 0), _normal),
+            ((1, 4, 4, 4), (4, 4), (1, 1), (0, 0), _normal),
+            ((2, 3, 7, 9), (3, 3), (1, 2), (0, 0), _transposed),
+            ((2, 3, 7, 9), (3, 3), (1, 1), (1, 1), _transposed),
+            ((2, 3, 8, 8), (3, 3), (1, 1), (0, 0), _read_only),
+            ((2, 3, 6, 7), (2, 2), (1, 1), (1, 0), _float64),
+            ((2, 2, 9, 11), (2, 3), (3, 4), (0, 1), _normal),
+            ((0, 3, 8, 8), (3, 3), (1, 1), (1, 1), _normal),
+        ],
+        # The first four keep the ids pytest generated before ``make``
+        # joined the parametrization.
+        ids=[f"shape{i}-kernel{i}-stride{i}-padding{i}" for i in range(4)]
+        + [
+            "transposed",
+            "transposed-padded",
+            "read-only",
+            "float64-kw2",
+            "stride-over-kernel",
+            "empty-batch",
         ],
     )
-    def test_matches_naive(self, shape, kernel, stride, padding):
-        x = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+    def test_matches_naive(self, shape, kernel, stride, padding, make):
+        x = make(shape)
         got, got_hw = im2col(x, kernel, stride, padding)
         want, want_hw = naive_im2col(x, kernel, stride, padding)
         assert got_hw == want_hw
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
+        assert got.dtype == x.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
     def test_col2im_is_adjoint_of_im2col(self):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint property
