@@ -32,6 +32,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.campaign import CampaignConfig
 from repro.core.executor import WeightFaultCellTask
@@ -109,22 +110,22 @@ def _campaign_seconds(model, memory, images, labels, suffix):
         seed=SEED,
         batch_size=BATCH_SIZE,
     )
-    task = WeightFaultCellTask(
-        model, memory, images, labels, config=config, suffix=suffix
-    )
-    # The timer covers runner construction: the engine's one-time clean
-    # pass is part of the cost being measured, not overhead to hide.
-    start = time.perf_counter()
-    runner = task.make_runner()
-    try:
-        values = [
-            runner.run_cell(rate_index, trial)
-            for rate_index in range(len(CAMPAIGN_CELLS_RATES))
-            for trial in range(CAMPAIGN_TRIALS)
-        ]
-        return time.perf_counter() - start, np.asarray(values)
-    finally:
-        runner.close()
+    task = WeightFaultCellTask(model, memory, images, labels, config=config)
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_NO_SUFFIX", "0" if suffix else "1")
+        # The timer covers runner construction: the engine's one-time
+        # clean pass is part of the cost being measured, not overhead.
+        start = time.perf_counter()
+        runner = task.make_runner()
+        try:
+            values = [
+                runner.run_cell(rate_index, trial)
+                for rate_index in range(len(CAMPAIGN_CELLS_RATES))
+                for trial in range(CAMPAIGN_TRIALS)
+            ]
+            return time.perf_counter() - start, np.asarray(values)
+        finally:
+            runner.close()
 
 
 def test_bench_forward_suffix(record_result):

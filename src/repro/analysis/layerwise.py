@@ -69,7 +69,6 @@ def run_layerwise_analysis(
     workers: int = 1,
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
-    suffix: bool = True,
 ) -> LayerwiseResult:
     """Per-layer fault injection: one scoped campaign per CONV/FC layer.
 
@@ -85,10 +84,8 @@ def run_layerwise_analysis(
 
     Each layer's campaign is the suffix engine's best case: faults are
     scoped to one known layer, so every cell re-executes only from that
-    layer's cached input (``suffix=False`` restores the full-forward
-    path on the serial loop; workers always run with the engine on, and
-    ``REPRO_NO_SUFFIX=1`` disables it everywhere — curves are
-    bit-identical in every combination).
+    layer's cached input (``REPRO_NO_SUFFIX=1`` restores the full-forward
+    path; curves are bit-identical either way).
     """
     available = layer_names(model)
     selected: Sequence[str] = list(layers) if layers is not None else available
@@ -106,7 +103,7 @@ def run_layerwise_analysis(
         tasks.append(
             WeightFaultCellTask(
                 model, memory, images, labels,
-                config=config, sampler=sampler, label=layer, suffix=suffix,
+                config=config, sampler=sampler, label=layer,
             )
         )
     executor = CampaignExecutor(

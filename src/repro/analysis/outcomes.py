@@ -167,7 +167,6 @@ class OutcomeCellTask:
         config: "CampaignConfig | None" = None,
         sampler: "FaultSampler | None" = None,
         label: str = "",
-        suffix: bool = True,
     ):
         self.model = model
         self.memory = memory
@@ -176,7 +175,6 @@ class OutcomeCellTask:
         self.config = config if config is not None else CampaignConfig()
         self.sampler = sampler if sampler is not None else random_bitflip_sampler()
         self.label = label
-        self.suffix = bool(suffix)
         self.clean_predictions = predict_labels(
             model, self.images, self.config.batch_size
         )
@@ -230,7 +228,6 @@ def run_outcome_analysis(
     workers: int = 1,
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
-    suffix: bool = True,
 ) -> OutcomeBreakdown:
     """Sweep fault rates and classify every inference's outcome.
 
@@ -238,14 +235,10 @@ def run_outcome_analysis(
     :class:`~repro.core.campaign.FaultInjectionCampaign`, so outcome
     breakdowns pair exactly with accuracy curves from the same config.
     ``workers`` fans the grid across a process pool (``0`` = one per CPU
-    core) with counts bit-identical to the serial sweep; ``suffix``
-    toggles suffix re-execution on the serial path (also bit-identical;
-    workers always run with the engine on — ``REPRO_NO_SUFFIX=1``
-    disables it everywhere).
+    core) with counts bit-identical to the serial sweep.
     """
     task = OutcomeCellTask(
         model, memory, images, labels, config=config, sampler=sampler, label=label,
-        suffix=suffix,
     )
     executor = CampaignExecutor(
         workers=workers, progress=progress, checkpoint=checkpoint

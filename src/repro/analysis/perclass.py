@@ -89,7 +89,6 @@ class PerClassCellTask:
         sampler: "FaultSampler | None" = None,
         num_classes: "int | None" = None,
         label: str = "",
-        suffix: bool = True,
     ):
         self.model = model
         self.memory = memory
@@ -102,7 +101,6 @@ class PerClassCellTask:
         self.num_classes = int(num_classes)
         self.cell_width = 2 * self.num_classes
         self.label = label
-        self.suffix = bool(suffix)
 
     def __getstate__(self) -> dict:
         return payload_state(self)
@@ -156,20 +154,15 @@ def run_per_class_analysis(
     workers: int = 1,
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
-    suffix: bool = True,
 ) -> PerClassResult:
     """Sweep fault rates and record per-class recall / prediction share.
 
     ``workers`` fans the grid across a process pool (``0`` = one per CPU
-    core) with results bit-identical to the serial sweep; ``suffix``
-    toggles suffix re-execution on the serial path (also bit-identical;
-    workers always run with the engine on — ``REPRO_NO_SUFFIX=1``
-    disables it everywhere).
+    core) with results bit-identical to the serial sweep.
     """
     task = PerClassCellTask(
         model, memory, images, labels,
         config=config, sampler=sampler, num_classes=num_classes,
-        suffix=suffix,
     )
     executor = CampaignExecutor(
         workers=workers, progress=progress, checkpoint=checkpoint

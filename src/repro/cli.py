@@ -6,7 +6,8 @@ without writing Python:
 * ``train``     — train (or load from cache) a canonical network;
 * ``profile``   — Step 1: per-layer activation statistics / ACT_max;
 * ``harden``    — Steps 1-3: produce fine-tuned clipping thresholds;
-* ``campaign``  — fault-injection sweep on the chosen variant;
+* ``campaign``  — fault-injection sweep on the chosen variant, run as a
+  one-spec scenario suite;
 * ``scenarios`` — run a declarative scenario file (or bundled spec) —
   every expanded scenario through one shared executor pool; ``--shard
   i/N`` executes one shard of an N-way split into a segmented run
@@ -39,7 +40,7 @@ _MODELS = ("lenet5", "alexnet", "vgg16")
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing and docs)."""
-    from repro.experiments import CAMPAIGN_VARIANTS
+    from repro.scenarios.spec import MITIGATION_VARIANTS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -109,11 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_harden.add_argument("--json", dest="json_path", default=None,
                           help="write thresholds to this JSON file")
 
-    p_campaign = sub.add_parser("campaign", help="fault-injection sweep")
+    p_campaign = sub.add_parser(
+        "campaign",
+        help="fault-injection sweep: a one-spec scenario suite "
+        "(see docs/SCENARIOS.md)",
+    )
     add_model_arg(p_campaign)
     add_workers_arg(p_campaign)
     p_campaign.add_argument(
-        "--variant", default="unprotected", choices=CAMPAIGN_VARIANTS
+        "--variant",
+        default="unprotected",
+        choices=(*MITIGATION_VARIANTS, "int8"),
+        help="mitigation variant; int8 runs the quantized campaign over "
+        "the unprotected model",
     )
     p_campaign.add_argument("--trials", type=int, default=10)
     p_campaign.add_argument("--eval-images", type=int, default=200)
@@ -140,15 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.02,
         help="adaptive mode: stop a family once its CI half-width falls "
-        "under this tolerance",
+        "under this tolerance, in (0, 0.5]; checked in both modes",
     )
     p_campaign.add_argument(
         "--batch-k",
         type=int,
         default=0,
         help="adaptive mode: trials per chunk between stopping checks "
-        "(0 = the default chunk of 8; a negative width is an error); "
-        "exact mode ignores it",
+        "(0 = the default chunk of 8); a negative width is an error in "
+        "both modes",
     )
     add_supervision_args(p_campaign)
 
@@ -406,8 +415,11 @@ def _apply_chaos(args: argparse.Namespace) -> "int | None":
     return None
 
 
-def _report_quarantined(records) -> None:
-    """Print one line per quarantined cell (failed outcomes)."""
+def _report_scenario_failures(results) -> None:
+    """Print one line per quarantined cell (failed outcome) of each result."""
+    records = [
+        dict(cell, task=result.name) for result in results for cell in result.failed
+    ]
     if not records:
         return
     print(f"{len(records)} cell(s) quarantined as failed outcomes:")
@@ -420,14 +432,19 @@ def _report_quarantined(records) -> None:
         )
 
 
-def _report_scenario_failures(results) -> None:
-    """Surface per-scenario quarantined cells after a table print."""
-    records = [
-        dict(cell, task=result.name)
-        for result in results
-        for cell in getattr(result, "failed", ())
-    ]
-    _report_quarantined(records)
+def _eval_arrays(bundle, args: argparse.Namespace):
+    """The first ``--eval-images`` test images and labels of ``bundle``.
+
+    Asking for more images than the split holds is an error, as in
+    ``compile_spec``, never a silently shorter evaluation set.
+    """
+    images, labels = bundle.test_set.arrays()
+    if not 0 < args.eval_images <= images.shape[0]:
+        raise ValueError(
+            f"{args.command!r} wants {args.eval_images} eval images but "
+            f"the test split holds {images.shape[0]}"
+        )
+    return images[: args.eval_images], labels[: args.eval_images]
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -503,78 +520,53 @@ def _cmd_harden(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    """One ``CampaignSpec``, run as a one-spec suite without a run directory."""
     from repro.analysis.reporting import format_curve_table
-    from repro.core.campaign import CampaignConfig
-    from repro.core.executor import CampaignExecutor, WeightFaultCellTask
-    from repro.core.quantized import QuantizedCellTask
-    from repro.experiments import (
-        experiment_bundle,
-        paper_fault_rates,
-        prepare_campaign_variant,
-    )
-    from repro.hw.memory import WeightMemory
+    from repro.scenarios import CampaignSpec, ScenarioContext, run_scenarios
 
     code = _apply_chaos(args)
     if code is not None:
         return code
-    bundle = experiment_bundle(args.model)
-    images, labels = bundle.test_set.arrays()
-    images, labels = images[: args.eval_images], labels[: args.eval_images]
-    config = CampaignConfig(
-        fault_rates=paper_fault_rates(), trials=args.trials, seed=args.seed
-    )
-    # --workers threads into ftclipact's hardening step too: on a cold
-    # cache Algorithm 1's fine-tuning campaigns dominate this command.
-    model, sampler = prepare_campaign_variant(bundle, args.variant, args.workers)
-
+    quantized = args.variant == "int8"
     progress = _cell_progress_printer() if args.progress else None
-
-    memory = WeightMemory.from_model(model)
-    # Both modes build their cell task directly and run it through one
-    # supervised executor, so --max-retries/--cell-timeout/--on-cell-error
-    # (and REPRO_CHAOS) govern exact and adaptive sweeps alike.
-    if args.variant == "int8":
-        base = QuantizedCellTask(
-            model, memory, images, labels, config, label=args.variant
-        )
-    else:
-        base = WeightFaultCellTask(
-            model, memory, images, labels, config=config,
-            sampler=sampler, label=args.variant,
-        )
-    adaptive = None
-    if args.mode == "adaptive":
-        from repro.core.batched import AdaptiveCampaignTask
-
-        task = AdaptiveCampaignTask(
-            base,
+    try:
+        spec = CampaignSpec(
+            name=args.variant,
+            model=args.model,
+            campaign="quantized" if quantized else "weight",
+            variant="unprotected" if quantized else args.variant,
+            trials=args.trials,
+            seed=args.seed,
+            eval_images=args.eval_images,
+            mode=args.mode,
             ci_halfwidth=args.ci_halfwidth,
             batch_k=args.batch_k,
-            label=args.variant,
         )
-    else:
-        task = base
-    executor = CampaignExecutor(
-        workers=args.workers,
-        progress=progress,
-        checkpoint=args.checkpoint,
-        max_retries=args.max_retries,
-        cell_timeout=args.cell_timeout,
-        on_cell_error=args.on_cell_error,
-    )
-    result = executor.run_tasks([task])[0]
-    if args.mode == "adaptive":
-        adaptive = result
-        curve = adaptive.curve
-    else:
-        curve = result
+        # --workers threads into ftclipact's hardening step too: on a
+        # cold cache Algorithm 1's fine-tuning campaigns dominate.
+        (result,) = run_scenarios(
+            [spec],
+            workers=args.workers,
+            progress=progress,
+            checkpoint=args.checkpoint,
+            out_dir=None,
+            context=ScenarioContext(harden_workers=args.workers),
+            max_retries=args.max_retries,
+            cell_timeout=args.cell_timeout,
+            on_cell_error=args.on_cell_error,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(
         format_curve_table(
-            curve, title=f"{args.model} [{args.variant}]: accuracy vs fault rate"
+            result.curve,
+            title=f"{args.model} [{args.variant}]: accuracy vs fault rate",
         )
     )
-    print(f"AUC = {curve.auc():.4f}")
-    _report_quarantined(executor.quarantined)
+    print(f"AUC = {result.curve.auc():.4f}")
+    _report_scenario_failures([result])
+    adaptive = result.adaptive
     if adaptive is not None:
         print(
             f"adaptive: executed {adaptive.cells_executed}/"
@@ -743,9 +735,12 @@ def _cmd_layerwise(args: argparse.Namespace) -> int:
     from repro.experiments import clone_model, experiment_bundle, paper_fault_rates
 
     bundle = experiment_bundle(args.model)
+    try:
+        images, labels = _eval_arrays(bundle, args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     model = clone_model(bundle)
-    images, labels = bundle.test_set.arrays()
-    images, labels = images[: args.eval_images], labels[: args.eval_images]
     config = CampaignConfig(
         fault_rates=paper_fault_rates(), trials=args.trials, seed=3
     )
@@ -783,9 +778,12 @@ def _cmd_bitpos(args: argparse.Namespace) -> int:
     from repro.hw.bits import bit_field
 
     bundle = experiment_bundle(args.model)
+    try:
+        images, labels = _eval_arrays(bundle, args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     model = clone_model(bundle)
-    images, labels = bundle.test_set.arrays()
-    images, labels = images[: args.eval_images], labels[: args.eval_images]
     result = run_bit_position_study(
         model, images, labels, n_faults=args.faults, trials=args.trials, seed=5
     )
@@ -814,9 +812,12 @@ def _cmd_outcomes(args: argparse.Namespace) -> int:
     from repro.hw.memory import WeightMemory
 
     bundle = experiment_bundle(args.model)
+    try:
+        images, labels = _eval_arrays(bundle, args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     model = clone_model(bundle)
-    images, labels = bundle.test_set.arrays()
-    images, labels = images[: args.eval_images], labels[: args.eval_images]
     config = CampaignConfig(
         fault_rates=paper_fault_rates(), trials=args.trials, seed=args.seed
     )

@@ -172,7 +172,6 @@ class FaultInjectionCampaign:
         workers: int = 1,
         progress: "Callable | None" = None,
         checkpoint: "str | None" = None,
-        suffix: bool = True,
     ) -> ResilienceCurve:
         """Execute the full (rates x trials) sweep.
 
@@ -186,21 +185,19 @@ class FaultInjectionCampaign:
         ``progress`` receives a :class:`~repro.core.executor.CellResult`
         per completed cell and ``checkpoint`` names a JSONL journal enabling
         resume of an interrupted sweep — see
-        :class:`~repro.core.executor.CampaignExecutor`.  ``suffix``
-        controls the suffix re-execution engine
-        (:mod:`repro.core.suffix`) — an execution detail: results are
-        bit-identical with it on or off.  The flag governs the serial
-        path only; worker processes always run with the engine on (it
-        is excluded from task payloads so checkpoints interoperate
-        across engine settings) — set ``REPRO_NO_SUFFIX=1`` to disable
-        it everywhere, workers included.
+        :class:`~repro.core.executor.CampaignExecutor`.
         """
-        from repro.core.executor import CampaignExecutor
+        from repro.core.executor import CampaignExecutor, WeightFaultCellTask
 
+        task = WeightFaultCellTask(
+            self.model, self.memory, self.images, self.labels,
+            config=self.config, sampler=sampler, label=label,
+            clean_accuracy=self.clean_accuracy,
+        )
         executor = CampaignExecutor(
             workers=workers, progress=progress, checkpoint=checkpoint
         )
-        return executor.run(self, sampler=sampler, label=label, suffix=suffix)
+        return executor.run_tasks([task])[0]
 
 
 def run_campaign(
@@ -214,7 +211,6 @@ def run_campaign(
     workers: int = 1,
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
-    suffix: bool = True,
 ) -> ResilienceCurve:
     """Functional one-shot wrapper around :class:`FaultInjectionCampaign`."""
     campaign = FaultInjectionCampaign(model, memory, images, labels, config)
@@ -224,5 +220,4 @@ def run_campaign(
         workers=workers,
         progress=progress,
         checkpoint=checkpoint,
-        suffix=suffix,
     )

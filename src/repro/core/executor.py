@@ -118,7 +118,7 @@ from repro.utils.shm import PackedUnit, ShippedPlane, pack_object, ship_units
 from repro.utils.validation import env_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.campaign import CampaignConfig, FaultInjectionCampaign, FaultSampler
+    from repro.core.campaign import CampaignConfig, FaultSampler
 
 __all__ = [
     "CellResult",
@@ -371,21 +371,14 @@ class CampaignCellTask(Protocol):
 def payload_state(task: CampaignCellTask) -> dict:
     """The ``__getstate__`` shared by every cell task.
 
-    Drops parent-side presentation (``label``), caches (``_clean``) and
-    execution details (``suffix`` — results are bit-identical with the
-    engine on or off) from the pickled payload, so the payload bytes —
-    and hence the checkpoint CRC — depend only on the campaign's
-    scientific content: a checkpoint written with the suffix engine on
-    resumes a run with it off, and vice versa.  Worker processes thus
-    always run with the engine enabled; ``REPRO_NO_SUFFIX=1`` (inherited
-    by workers) is the everywhere-off switch.
+    Drops parent-side presentation (``label``) and caches (``_clean``)
+    from the pickled payload, so the payload bytes — and hence the
+    checkpoint CRC — depend only on the campaign's scientific content.
     """
     state = dict(task.__dict__)
     state["label"] = ""
     if "_clean" in state:
         state["_clean"] = None
-    if "suffix" in state:
-        state["suffix"] = True
     return state
 
 
@@ -438,7 +431,6 @@ class InjectionCellRunner:
             task.images,
             task.config.batch_size,
             scope_layers=task.memory.layer_names(),
-            enabled=getattr(task, "suffix", True),
         )
 
     def fault_set(self, rate_index: int, trial: int):
@@ -489,7 +481,6 @@ class WeightFaultCellTask:
         sampler: "FaultSampler | None" = None,
         label: str = "",
         clean_accuracy: "float | None" = None,
-        suffix: bool = True,
     ):
         from repro.core.campaign import CampaignConfig, random_bitflip_sampler
 
@@ -501,7 +492,6 @@ class WeightFaultCellTask:
         self.sampler = sampler if sampler is not None else random_bitflip_sampler()
         self.label = label
         self._clean = None if clean_accuracy is None else float(clean_accuracy)
-        self.suffix = bool(suffix)
 
     def __getstate__(self) -> dict:
         return payload_state(self)
@@ -721,19 +711,23 @@ class _InProcessLane:
 # --------------------------------------------------------------------- #
 
 
-def _pack_task(
-    task: CampaignCellTask,
-) -> "tuple[PackedUnit | None, Exception | None]":
+def _pack_task(task: CampaignCellTask) -> PackedUnit:
     """Serialize one task once, for both the checkpoint CRC and the pool.
 
-    Returns ``(None, error)`` when the task is unpicklable (e.g. a
-    closure sampler): in-process runs then fall back to config-level
-    checkpoint validation, and pool runs raise a clear error.
+    An unpicklable task (e.g. a closure sampler) is an error here: the
+    pool could not ship it, and a checkpoint could not fingerprint its
+    content, so a journal could resume a different campaign.
     """
     try:
-        return pack_object(task), None
+        return pack_object(task)
     except Exception as error:
-        return None, error
+        raise ValueError(
+            f"campaign state of {task.label or task.kind!r} must be "
+            "picklable for workers > 1 or a checkpoint; use a picklable "
+            "sampler (e.g. random_bitflip_sampler(), ecc_sampler()) "
+            "instead of a lambda/closure, or run with workers=1 and no "
+            f"checkpoint ({error})"
+        ) from error
 
 
 def _export_suffix_caches(
@@ -796,7 +790,7 @@ class _Journal:
         self,
         path: "str | Path",
         tasks: Sequence[CampaignCellTask],
-        crcs: Sequence["str | None"],
+        crcs: Sequence[str],
         extra: "dict | None" = None,
     ):
         self.path = Path(path)
@@ -1043,27 +1037,6 @@ class CampaignExecutor:
 
     # ------------------------------------------------------------------ #
 
-    def run(
-        self,
-        campaign: "FaultInjectionCampaign",
-        sampler: "FaultSampler | None" = None,
-        label: str = "",
-        suffix: bool = True,
-    ) -> ResilienceCurve:
-        """Execute one weight-fault campaign's sweep and build its curve."""
-        task = WeightFaultCellTask(
-            campaign.model,
-            campaign.memory,
-            campaign.images,
-            campaign.labels,
-            config=campaign.config,
-            sampler=sampler,
-            label=label,
-            clean_accuracy=campaign.clean_accuracy,
-            suffix=suffix,
-        )
-        return self.run_tasks([task])[0]
-
     def run_tasks(
         self,
         tasks: Sequence[CampaignCellTask],
@@ -1152,28 +1125,14 @@ class CampaignExecutor:
                     "payloads entries must be PackedUnit or None, got "
                     f"{type(unit).__name__}"
                 )
-        errors: "list[Exception | None]" = [None] * len(tasks)
         if self.checkpoint_path is not None or self.workers > 1:
             for index, task in enumerate(tasks):
                 if units[index] is None:
-                    units[index], errors[index] = _pack_task(task)
+                    units[index] = _pack_task(task)
 
         journal = None
         if self.checkpoint_path is not None:
-            if any(unit is None for unit in units):
-                first_error = next(e for e in errors if e is not None)
-                warnings.warn(
-                    "campaign state is not picklable; the checkpoint can "
-                    "validate only the config grid, not the model/sampler/"
-                    "eval set — resuming against different campaign content "
-                    f"would go undetected ({first_error})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            crcs = [
-                f"{unit.crc32():08x}" if unit is not None else None
-                for unit in units
-            ]
+            crcs = [f"{unit.crc32():08x}" for unit in units]
             journal = _Journal(
                 self.checkpoint_path, tasks, crcs, extra=self.checkpoint_extra
             )
@@ -1199,7 +1158,7 @@ class CampaignExecutor:
             ]
             if any(pending):
                 self._run_pending(
-                    tasks, units, errors, pending, rates_list, grids,
+                    tasks, units, pending, rates_list, grids,
                     completed, total, journal,
                 )
         finally:
@@ -1211,7 +1170,6 @@ class CampaignExecutor:
         self,
         tasks: Sequence[CampaignCellTask],
         units: "list[PackedUnit | None]",
-        errors: "list[Exception | None]",
         pending: "list[list[tuple[int, int]]]",
         rates_list: list[np.ndarray],
         grids: list[np.ndarray],
@@ -1225,15 +1183,6 @@ class CampaignExecutor:
                 tasks, None, pending, rates_list, grids, completed, total, journal
             )
             return
-        for task, unit, error in zip(tasks, units, errors):
-            if unit is None:
-                raise ValueError(
-                    f"campaign state of {task.label or task.kind!r} must "
-                    "be picklable for workers > 1; use a picklable "
-                    "sampler (e.g. random_bitflip_sampler(), "
-                    "ecc_sampler()) instead of a lambda/closure, or "
-                    f"run with workers=1 ({error})"
-                ) from error
         # One clean pass per host: publish each task's suffix
         # activation cache alongside its weights (skipped on the
         # inline transport, where the cache bytes would be

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro import nn
-from repro.core.campaign import CampaignConfig, FaultInjectionCampaign, FaultSampler
+from repro.core.campaign import CampaignConfig, FaultSampler
 from repro.core.executor import CampaignExecutor, WeightFaultCellTask
 from repro.core.swap import get_thresholds, set_thresholds
 from repro.hw.memory import WeightMemory
@@ -248,13 +248,11 @@ class LayerAUCEvaluator:
         self.sampler = sampler
         self.include_zero_rate = include_zero_rate
         self.workers = workers
-        self._campaign = FaultInjectionCampaign(
-            model, memory, self.images, self.labels, campaign_config
-        )
         self._executor: "CampaignExecutor | None" = None
 
     def _warm_executor(self) -> CampaignExecutor:
-        """The evaluator's persistent executor (pool built on first use)."""
+        """The evaluator's persistent executor (pool built on first use;
+        at ``workers=1`` it runs every campaign in process)."""
         if self._executor is None:
             self._executor = CampaignExecutor(
                 workers=self.workers, persistent=True
@@ -269,19 +267,12 @@ class LayerAUCEvaluator:
 
     def __call__(self, threshold: float) -> float:
         set_thresholds(self.model, {self.layer_name: threshold})
-        self._campaign.invalidate_clean_accuracy()
-        if self.workers > 1:
-            curve = self._warm_executor().run(
-                self._campaign,
-                sampler=self.sampler,
-                label=f"{self.layer_name}@T={threshold:g}",
-            )
-        else:
-            curve = self._campaign.run(
-                sampler=self.sampler,
-                label=f"{self.layer_name}@T={threshold:g}",
-                workers=1,
-            )
+        task = WeightFaultCellTask(
+            self.model, self.memory, self.images, self.labels,
+            config=self.campaign_config, sampler=self.sampler,
+            label=f"{self.layer_name}@T={threshold:g}",
+        )
+        curve = self._warm_executor().run_tasks([task])[0]
         return curve.auc(include_zero_rate=self.include_zero_rate)
 
     def evaluate_many(self, thresholds: Sequence[float]) -> list[float]:

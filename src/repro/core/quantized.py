@@ -58,7 +58,6 @@ class QuantizedCellTask:
         labels: np.ndarray,
         config: "CampaignConfig | None" = None,
         label: str = "int8",
-        suffix: bool = True,
         sampler: "Callable | None" = None,
     ):
         self.model = model
@@ -68,7 +67,6 @@ class QuantizedCellTask:
         self.config = config if config is not None else CampaignConfig()
         self.label = label
         self._clean: "float | None" = None
-        self.suffix = bool(suffix)
         # Optional picklable fault sampler over the *int8 code space*:
         # called as sampler(quantized_memory, rate, rng) and may return a
         # bit-index array or a FaultSet (stuck-at ops included).  None
@@ -145,7 +143,6 @@ class _QuantizedCellRunner:
                 task.images,
                 task.config.batch_size,
                 scope_layers=task.memory.layer_names(),
-                enabled=getattr(task, "suffix", True),
             )
         except BaseException:
             # Construction must not strand the caller's live model on
@@ -200,7 +197,6 @@ def run_quantized_campaign(
     workers: int = 1,
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
-    suffix: bool = True,
     sampler: "Callable | None" = None,
 ) -> ResilienceCurve:
     """Rate sweep x trials with faults in the int8 code space.
@@ -211,17 +207,13 @@ def run_quantized_campaign(
     cell and ``checkpoint`` names a JSONL journal enabling resume of an
     interrupted sweep — the checkpoint fingerprint records the campaign
     kind, so an int8 checkpoint can never resume a float32 sweep.
-    ``suffix`` toggles suffix re-execution on the serial path
-    (bit-identical either way; workers always run with the engine on —
-    ``REPRO_NO_SUFFIX=1`` disables it everywhere).  ``sampler``
-    optionally replaces the random-bit-flip draw with a picklable
-    ``(quantized_memory, rate, rng) -> FaultSet | bit indices``
+    ``sampler`` optionally replaces the random-bit-flip draw with a
+    picklable ``(quantized_memory, rate, rng) -> FaultSet | bit indices``
     callable — how declarative scenarios (:mod:`repro.scenarios`) run
     stuck-at/burst/targeted fault models against int8 storage.
     """
     task = QuantizedCellTask(
-        model, memory, images, labels, config, label=label, suffix=suffix,
-        sampler=sampler,
+        model, memory, images, labels, config, label=label, sampler=sampler,
     )
     executor = CampaignExecutor(
         workers=workers, progress=progress, checkpoint=checkpoint

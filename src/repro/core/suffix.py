@@ -49,8 +49,7 @@ prefix was recomputed thousands of times for nothing.
 The engine is an execution detail, not science: results are bit-identical
 with it on or off, which the determinism test matrix checks for every
 campaign type (suffix on/off x workers 1/2 x zero-copy on/off).  Disable
-globally with ``REPRO_NO_SUFFIX=1`` or per campaign with the
-``suffix=False`` keyword.
+it with ``REPRO_NO_SUFFIX=1``, which worker processes inherit.
 """
 
 from __future__ import annotations
@@ -278,7 +277,6 @@ class SuffixForwardEngine:
         scope_layers: "Iterable[str] | None" = None,
         budget_bytes: "int | None" = None,
         clean_shortcut: bool = True,
-        enabled: bool = True,
     ) -> "SuffixForwardEngine | None":
         """Build an engine, or ``None`` when it cannot pay for itself.
 
@@ -290,7 +288,7 @@ class SuffixForwardEngine:
         at layer 0 (weight campaigns want this; activation campaigns,
         whose faults are sampled during the forward itself, do not).
         """
-        if not enabled or suffix_globally_disabled():
+        if suffix_globally_disabled():
             return None
         if not isinstance(model, nn.Sequential) or len(model) == 0:
             return None

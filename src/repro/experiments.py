@@ -37,7 +37,6 @@ __all__ = [
     "PAPER_VGG16",
     "PAPER_LENET",
     "EXPERIMENT_CONFIGS",
-    "CAMPAIGN_VARIANTS",
     "paper_fault_rates",
     "campaign_workers",
     "default_harden_config",
@@ -170,14 +169,6 @@ def clone_model(bundle: PretrainedBundle) -> nn.Module:
     return model
 
 
-# Canonical campaign variants (CLI `campaign --variant`, benchmark sweeps).
-# "int8" runs through the quantized campaign; every other variant is a
-# weight-fault campaign differing in model preparation and/or sampler.
-CAMPAIGN_VARIANTS = (
-    "unprotected", "ftclipact", "relu6", "ecc", "tmr", "dmr", "int8",
-)
-
-
 def prepare_campaign_variant(
     bundle: PretrainedBundle,
     variant: str,
@@ -185,8 +176,9 @@ def prepare_campaign_variant(
     harden_config: "FTClipActConfig | None" = None,
     cache: "ArtifactCache | None" = None,
 ) -> "tuple[nn.Module, Any]":
-    """The ``(model, sampler)`` for one canonical campaign variant.
+    """The ``(model, sampler)`` for one mitigation variant.
 
+    ``variant`` is one of the scenario spec's ``MITIGATION_VARIANTS``.
     Model-level mitigations (ftclipact, relu6) return a prepared clone
     with ``sampler=None``; redundancy schemes (ecc/tmr/dmr) return an
     unmodified clone plus their protection sampler.  ``workers`` threads
@@ -203,11 +195,12 @@ def prepare_campaign_variant(
         ecc_sampler,
         tmr_sampler,
     )
+    from repro.scenarios.spec import MITIGATION_VARIANTS
 
-    if variant not in CAMPAIGN_VARIANTS:
+    if variant not in MITIGATION_VARIANTS:
         raise ValueError(
-            f"unknown campaign variant {variant!r}; available: "
-            f"{list(CAMPAIGN_VARIANTS)}"
+            f"unknown mitigation variant {variant!r}; available: "
+            f"{list(MITIGATION_VARIANTS)}"
         )
     sampler = None
     if variant == "ftclipact":

@@ -174,7 +174,6 @@ class ActivationFaultCellTask:
         config: "CampaignConfig | None" = None,
         layers: "list[str] | None" = None,
         label: str = "actfault",
-        suffix: bool = True,
     ):
         from repro.core.campaign import CampaignConfig
 
@@ -185,7 +184,6 @@ class ActivationFaultCellTask:
         self.layers = list(layers) if layers is not None else None
         self.label = label
         self._clean: "float | None" = None
-        self.suffix = bool(suffix)
 
     def __getstate__(self) -> dict:
         from repro.core.executor import payload_state
@@ -263,7 +261,6 @@ class _ActivationCellRunner:
                 task.config.batch_size,
                 scope_layers=self.injector.layer_names[:1],
                 clean_shortcut=False,
-                enabled=getattr(task, "suffix", True),
             )
             self._forward = (
                 None
@@ -306,7 +303,6 @@ def run_activation_campaign(
     workers: int = 1,
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
-    suffix: bool = True,
 ) -> "ResilienceCurve":
     """Rate sweep x trials with transient faults in activation memory.
 
@@ -315,16 +311,11 @@ def run_activation_campaign(
     (``0`` = one per CPU core) with curves bit-identical to serial;
     ``progress``/``checkpoint`` behave exactly as on the weight-fault
     campaigns.  The model's hooks are removed before returning.
-    ``suffix`` toggles suffix re-execution from the first corrupted
-    layer on the serial path (bit-identical either way; workers always
-    run with the engine on — ``REPRO_NO_SUFFIX=1`` disables it
-    everywhere).
     """
     from repro.core.executor import CampaignExecutor
 
     task = ActivationFaultCellTask(
         model, images, labels, config=config, layers=layers, label=label,
-        suffix=suffix,
     )
     executor = CampaignExecutor(
         workers=workers, progress=progress, checkpoint=checkpoint

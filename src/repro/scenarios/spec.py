@@ -62,9 +62,9 @@ __all__ = [
 # and their checkpoint `kind` fingerprints.
 CAMPAIGN_KINDS = ("weight", "quantized", "activation")
 
-# Mitigation variants (repro.experiments.prepare_campaign_variant minus
-# "int8", which is a storage model here — `campaign: quantized` — not a
-# mitigation).
+# Mitigation variants (repro.experiments.prepare_campaign_variant).  The
+# CLI's `campaign --variant int8` is a storage model, not a mitigation:
+# it runs `campaign: quantized` over the unprotected model.
 MITIGATION_VARIANTS = ("unprotected", "ftclipact", "relu6", "ecc", "tmr", "dmr")
 
 # Redundancy schemes are *fault-sampler filters* over the float32 bit

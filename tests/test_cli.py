@@ -168,6 +168,147 @@ class TestCommands:
         assert "SDC" in out and "masked" in out
 
 
+CAMPAIGN_ARGS = ["campaign", "--model", "lenet5", "--trials", "2",
+                 "--eval-images", "32"]
+
+
+def _direct_stdout(variant, mode, workers):
+    """What `repro campaign` prints for CAMPAIGN_ARGS, from the direct API."""
+    from repro.analysis.reporting import format_curve_table
+    from repro.core.batched import AdaptiveCampaignTask
+    from repro.core.campaign import CampaignConfig, run_campaign
+    from repro.core.executor import CampaignExecutor, WeightFaultCellTask
+    from repro.core.quantized import QuantizedCellTask, run_quantized_campaign
+    from repro.hw.memory import WeightMemory
+
+    bundle = experiments.experiment_bundle("lenet5")
+    quantized = variant == "int8"
+    model, sampler = experiments.prepare_campaign_variant(
+        bundle, "unprotected" if quantized else variant
+    )
+    images, labels = bundle.test_set.arrays()
+    parts = (model, WeightMemory.from_model(model), images[:32], labels[:32])
+    config = CampaignConfig(
+        fault_rates=experiments.paper_fault_rates(), trials=2, seed=42
+    )
+    adaptive = None
+    if mode == "adaptive":
+        base = (
+            QuantizedCellTask(*parts, config)
+            if quantized
+            else WeightFaultCellTask(*parts, config=config, sampler=sampler)
+        )
+        task = AdaptiveCampaignTask(base, ci_halfwidth=0.1, batch_k=2)
+        adaptive = CampaignExecutor(workers=workers).run_tasks([task])[0]
+        curve = adaptive.curve
+    elif quantized:
+        curve = run_quantized_campaign(*parts, config, workers=workers)
+    else:
+        curve = run_campaign(*parts, config, sampler=sampler, workers=workers)
+    lines = [
+        format_curve_table(
+            curve, title=f"lenet5 [{variant}]: accuracy vs fault rate"
+        ),
+        f"AUC = {curve.auc():.4f}",
+    ]
+    if adaptive is not None:
+        lines.append(
+            f"adaptive: executed {adaptive.cells_executed}/"
+            f"{adaptive.cells_total} cells (skipped {adaptive.cells_skipped}); "
+            f"max CI half-width {max(adaptive.halfwidths):.4f} "
+            f"(tolerance {adaptive.tolerance:.4f})"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestCampaignCommand:
+    """`repro campaign` runs a one-spec suite; its output is the direct API's."""
+
+    @pytest.fixture(autouse=True)
+    def shared_cache(self, tmp_path_factory, monkeypatch):
+        """One trained TINY bundle for the whole class."""
+        cache = tmp_path_factory.getbasetemp() / "cli-campaign-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "variant, mode",
+        [("unprotected", "exact"), ("int8", "exact"), ("ecc", "adaptive"),
+         ("int8", "adaptive")],
+    )
+    def test_stdout_is_the_direct_api(self, capsys, variant, mode, workers):
+        argv = CAMPAIGN_ARGS + ["--variant", variant, "--mode", mode,
+                                "--workers", str(workers)]
+        if mode == "adaptive":
+            argv += ["--ci-halfwidth", "0.1", "--batch-k", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == _direct_stdout(variant, mode, workers)
+
+    def test_checkpoint_rerun_replays_every_cell(self, capsys, tmp_path):
+        argv = CAMPAIGN_ARGS + ["--checkpoint", str(tmp_path / "sweep.jsonl"),
+                                "--progress"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert main(argv) == 0
+        second = capsys.readouterr().out.splitlines()
+        progress = [line for line in second if line.startswith("[")]
+        assert len(progress) == 7 * 2
+        assert all(line.endswith(" (checkpointed)") for line in progress)
+        table = [line for line in first if not line.startswith("[")]
+        assert table == [line for line in second if not line.startswith("[")]
+
+    def test_chaos_quarantine_prints_the_failed_cells(self, capsys, monkeypatch):
+        from repro.core.chaos import CHAOS_ENV_VAR
+
+        monkeypatch.setenv(CHAOS_ENV_VAR, "")  # restored after --chaos sets it
+        argv = CAMPAIGN_ARGS + ["--chaos", "raise=0.5,seed=3",
+                                "--on-cell-error", "quarantine"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        block = out.split("cell(s) quarantined as failed outcomes:\n")[1]
+        rows = block.splitlines()
+        assert rows and all(
+            row.startswith("  unprotected: rate_index=")
+            and "reason=exception" in row
+            for row in rows
+        )
+        assert "AUC = nan" in out
+
+    @pytest.mark.parametrize("mode", ["exact", "adaptive"])
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--batch-k", "-3", "batch_k"), ("--ci-halfwidth", "0.7", "ci_halfwidth")],
+    )
+    def test_adaptive_knobs_are_validated_in_both_modes(
+        self, capsys, mode, flag, value, field
+    ):
+        assert main(CAMPAIGN_ARGS + ["--mode", mode, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--trials", "1"],
+            ["layerwise", "--layers", "CONV-1", "--trials", "1"],
+            ["bitpos", "--faults", "1", "--trials", "1"],
+            ["outcomes", "--trials", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_oversize_eval_images_is_an_error(self, capsys, argv):
+        """TINY's test split holds 80 images; asking for more must not
+        silently evaluate on fewer."""
+        assert main(argv + ["--model", "lenet5", "--eval-images", "500"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "wants 500 eval images but the test split holds 80" in (
+            captured.err
+        )
+
+
 class TestScenariosCommand:
     def test_list_bundled(self, capsys):
         assert main(["scenarios", "--list"]) == 0

@@ -4,8 +4,9 @@ The load-bearing guarantees:
 
 * **Registry-wide exact bit-identity** — every cell-task kind (weight /
   quantized / activation / outcome / per-class) produces results
-  bit-identical to the full-forward reference across workers {1, 2} x
-  suffix {on, off}, over the shared-memory and the inline transport.
+  bit-identical to the serial full-forward reference (``REPRO_NO_SUFFIX=1``)
+  at workers {1, 2}, suffix on and off, over the shared-memory and the
+  inline transport.
 * **Adaptive determinism** — executed trials equal the exact sweep's
   prefix bit for bit, float32 and int8 alike, and the stopping decision
   is invariant to worker count, suffix caching, and checkpoint-resume
@@ -56,27 +57,17 @@ def parts(trained_mlp, mlp_eval_arrays):
 KINDS = ("weight", "quantized", "activation", "outcome", "perclass")
 
 
-def _make_task(kind, parts, suffix=True):
+def _make_task(kind, parts):
     model, memory, images, labels, config = parts
     if kind == "weight":
-        return WeightFaultCellTask(
-            model, memory, images, labels, config=config, suffix=suffix
-        )
+        return WeightFaultCellTask(model, memory, images, labels, config=config)
     if kind == "quantized":
-        return QuantizedCellTask(
-            model, memory, images, labels, config, suffix=suffix
-        )
+        return QuantizedCellTask(model, memory, images, labels, config)
     if kind == "activation":
-        return ActivationFaultCellTask(
-            model, images, labels, config=config, suffix=suffix
-        )
+        return ActivationFaultCellTask(model, images, labels, config=config)
     if kind == "outcome":
-        return OutcomeCellTask(
-            model, memory, images, labels, config=config, suffix=suffix
-        )
-    return PerClassCellTask(
-        model, memory, images, labels, config=config, suffix=suffix
-    )
+        return OutcomeCellTask(model, memory, images, labels, config=config)
+    return PerClassCellTask(model, memory, images, labels, config=config)
 
 
 def _comparable(kind, result) -> np.ndarray:
@@ -93,8 +84,8 @@ def _comparable(kind, result) -> np.ndarray:
 class TestRegistryBitIdentity:
     """Every task kind matches the full-forward reference, everywhere."""
 
-    def _run_all(self, parts, workers=1, suffix=True):
-        tasks = [_make_task(kind, parts, suffix) for kind in KINDS]
+    def _run_all(self, parts, workers=1):
+        tasks = [_make_task(kind, parts) for kind in KINDS]
         results = CampaignExecutor(workers=workers).run_tasks(tasks)
         return {
             kind: _comparable(kind, result)
@@ -116,9 +107,6 @@ class TestRegistryBitIdentity:
 
     def test_serial_suffix_on(self, parts, reference):
         self._assert_matches(reference, self._run_all(parts))
-
-    def test_serial_suffix_off(self, parts, reference):
-        self._assert_matches(reference, self._run_all(parts, suffix=False))
 
     def test_two_workers_zero_copy_on(self, parts, reference):
         self._assert_matches(reference, self._run_all(parts, workers=2))
@@ -284,19 +272,19 @@ class TestAdaptiveStopping:
                     err_msg=f"workers={workers} rate={i}",
                 )
 
-    def test_stopping_invariant_to_execution_details(self, adaptive_parts):
+    def test_stopping_invariant_to_execution_details(
+        self, adaptive_parts, monkeypatch
+    ):
         """Workers and suffix caching change how cells are evaluated,
         never which cells run or what they produce."""
         reference = _run_adaptive(_adaptive_task(adaptive_parts))
         _assert_same_result(
             reference, _run_adaptive(_adaptive_task(adaptive_parts), workers=2)
         )
-        model, memory, images, labels, config = adaptive_parts
-        base = WeightFaultCellTask(
-            model, memory, images, labels, config=config, suffix=False
+        monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
+        _assert_same_result(
+            reference, _run_adaptive(_adaptive_task(adaptive_parts))
         )
-        no_suffix = AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
-        _assert_same_result(reference, _run_adaptive(no_suffix))
 
     def test_huge_tolerance_stops_at_min_trials(self, adaptive_parts):
         result = _run_adaptive(

@@ -85,7 +85,8 @@ class TestParallelDeterminism:
         campaign = FaultInjectionCampaign(model, memory, images, labels, config)
         serial = campaign.run()
         executor = CampaignExecutor(workers=3, chunk_size=1)
-        parallel = executor.run(campaign)
+        task = WeightFaultCellTask(model, memory, images, labels, config=config)
+        parallel = executor.run_tasks([task])[0]
         np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
 
     def test_parallel_leaves_parent_weights_untouched(self, campaign_parts):
@@ -279,6 +280,30 @@ class TestCheckpointResume:
                 model, memory, images, labels, config,
                 sampler=ecc_sampler(), checkpoint=str(path),
             )
+
+    def test_unpicklable_task_refuses_to_checkpoint(
+        self, campaign_parts, tmp_path
+    ):
+        """A journal fingerprints the campaign's pickled content; a task
+        that cannot pickle has none, so checkpointing it is an error.
+        Otherwise a no-fault closure campaign would replay the cells of a
+        bit-flip closure campaign's journal."""
+        model, memory, images, labels, config = campaign_parts
+        path = tmp_path / "sweep.jsonl"
+
+        def bit_flips(mem, rate, rng):  # closures cannot pickle
+            return RandomBitFlipSampler()(mem, rate, rng)
+
+        def no_faults(mem, rate, rng):
+            return FaultSet.empty()
+
+        for sampler in (bit_flips, no_faults):
+            with pytest.raises(ValueError, match="must be picklable"):
+                run_campaign(
+                    model, memory, images, labels, config,
+                    sampler=sampler, checkpoint=str(path),
+                )
+        assert not path.exists()
 
 
 class TestMidGridKillResume:
@@ -551,24 +576,22 @@ class TestWarmPool:
         baseline = run_campaign(model, memory, images, labels, config)
         with CampaignExecutor(workers=2, persistent=True) as executor:
             for _ in range(3):
-                curve = executor.run(
-                    FaultInjectionCampaign(model, memory, images, labels, config)
+                task = WeightFaultCellTask(
+                    model, memory, images, labels, config=config
                 )
+                curve = executor.run_tasks([task])[0]
                 np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
         assert len(created) == 1
 
     def test_close_is_idempotent_and_allows_reuse(self, campaign_parts):
         model, memory, images, labels, config = campaign_parts
         executor = CampaignExecutor(workers=2, persistent=True)
-        first = executor.run(
-            FaultInjectionCampaign(model, memory, images, labels, config)
-        )
+        task = WeightFaultCellTask(model, memory, images, labels, config=config)
+        first = executor.run_tasks([task])[0]
         executor.close()
         executor.close()
         # A fresh pool is built transparently after close.
-        second = executor.run(
-            FaultInjectionCampaign(model, memory, images, labels, config)
-        )
+        second = executor.run_tasks([task])[0]
         executor.close()
         np.testing.assert_array_equal(first.accuracies, second.accuracies)
 

@@ -227,16 +227,16 @@ class TestDeterminismMatrix:
         config = CampaignConfig(fault_rates=(1e-4, 1e-3), trials=2, seed=11)
         return trained_mlp, images, labels, config
 
-    def test_layerwise_matrix(self, parts):
+    def test_layerwise_matrix(self, parts, monkeypatch):
         from repro.analysis.layerwise import run_layerwise_analysis
 
         model, images, labels, config = parts
-        baseline = run_layerwise_analysis(
-            model, images, labels, config, suffix=False
-        )
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_NO_SUFFIX", "1")
+            baseline = run_layerwise_analysis(model, images, labels, config)
         for workers in (1, 2):
             result = run_layerwise_analysis(
-                model, images, labels, config, workers=workers, suffix=True
+                model, images, labels, config, workers=workers
             )
             assert result.ordered_layers() == baseline.ordered_layers()
             for layer, curve in result.curves.items():
@@ -253,7 +253,7 @@ class TestDeterminismMatrix:
 
         model, images, labels, config = parts
         baseline = run_layerwise_analysis(
-            model, images, labels, config, layers=["FC-1"], suffix=False
+            model, images, labels, config, layers=["FC-1"]
         )
         monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
         result = run_layerwise_analysis(
@@ -263,29 +263,29 @@ class TestDeterminismMatrix:
             result.curves["FC-1"].accuracies, baseline.curves["FC-1"].accuracies
         )
 
-    def test_checkpoint_resume_with_suffix(self, parts, tmp_path):
+    def test_checkpoint_resume_with_suffix(self, parts, tmp_path, monkeypatch):
         model, images, labels, config = parts
         memory = WeightMemory.from_model(model, layers=["FC-1"])
         path = tmp_path / "suffix.json"
-        baseline = run_campaign(
-            model, memory, images, labels, config, suffix=False
-        )
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_NO_SUFFIX", "1")
+            baseline = run_campaign(model, memory, images, labels, config)
         first = run_campaign(
             model, memory, images, labels, config, checkpoint=str(path)
         )
         np.testing.assert_array_equal(first.accuracies, baseline.accuracies)
         # Resuming a fully-checkpointed sweep recomputes nothing and
         # reproduces the same curve, engine on or off.
-        for suffix in (True, False):
+        for disabled in ("0", "1"):
+            monkeypatch.setenv("REPRO_NO_SUFFIX", disabled)
             resumed = run_campaign(
-                model, memory, images, labels, config,
-                checkpoint=str(path), suffix=suffix,
+                model, memory, images, labels, config, checkpoint=str(path)
             )
             np.testing.assert_array_equal(resumed.accuracies, baseline.accuracies)
 
 
 class TestTimingSmoke:
-    def test_suffix_not_slower_on_lenet_deep_cut(self):
+    def test_suffix_not_slower_on_lenet_deep_cut(self, monkeypatch):
         """Fast-tier perf floor: the engine must pay for its clean pass.
 
         A LeNet-5 campaign scoped to the deepest FC layer re-executes
@@ -302,9 +302,8 @@ class TestTimingSmoke:
         )
 
         def run_cells(suffix: bool) -> tuple[float, np.ndarray]:
-            task = WeightFaultCellTask(
-                model, memory, images, labels, config=config, suffix=suffix
-            )
+            monkeypatch.setenv("REPRO_NO_SUFFIX", "0" if suffix else "1")
+            task = WeightFaultCellTask(model, memory, images, labels, config=config)
             # Time runner construction too: the engine's one-time clean
             # pass is exactly the cost it must amortise to win here.
             start = time.perf_counter()

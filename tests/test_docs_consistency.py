@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -671,6 +672,47 @@ class TestServiceDocs:
             assert "docs/SERVICE.md" in text, (
                 f"{name} does not link docs/SERVICE.md"
             )
+
+
+class TestDocumentedCommands:
+    """Every ``python -m repro …`` line in the docs parses (nothing runs).
+
+    The docs are README, EXPERIMENTS, DESIGN, ``docs/*.md`` and every
+    ``skills/*/SKILL.md`` under a hidden top-level directory.
+    Backslash continuations are joined first; a ``<cmd>`` placeholder in
+    the subcommand position is not a command and is skipped.
+    """
+
+    COMMAND_RE = re.compile(r"python -m repro (\w[^`\n]*)")
+
+    def _commands(self):
+        paths = [
+            ROOT / "README.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            *sorted(ROOT.glob(".*/skills/*/SKILL.md")),
+        ]
+        return [
+            (path.name, match.group(1))
+            for path in paths
+            for match in self.COMMAND_RE.finditer(
+                path.read_text().replace("\\\n", " ")
+            )
+        ]
+
+    def test_every_documented_command_parses(self, capsys):
+        from repro.cli import build_parser
+
+        commands = self._commands()
+        assert len(commands) >= 30, commands
+        failures = []
+        for name, line in commands:
+            try:
+                build_parser().parse_args(shlex.split(line))
+            except SystemExit:
+                failures.append(f"{name}: python -m repro {line.strip()}")
+        assert not failures, "\n".join(failures)
 
 
 class TestPaperFigureCoverage:
