@@ -1,6 +1,7 @@
 # Test-suite entry points (see pytest.ini for the slow-marker tiering).
 #
-#   make fast   - the ~25s inner loop: unit + property tests only,
+#   make fast   - the inner loop (1,228 tests, 105-132 s on a
+#                 2-CPU host): unit + property tests only,
 #                 including the suffix-engine timing smoke (a perf
 #                 regression in the hot path fails here, not in CI-hours)
 #   make test   - the full tier-1 gate, including figure benchmarks

@@ -398,7 +398,8 @@ def _apply_chaos(args: argparse.Namespace) -> "int | None":
 
     Returns an exit code on a bad spec, ``None`` on success.  The spec
     travels by environment so worker processes (which re-read it in
-    ``_run_task_cells``) see the same policy as the parent.
+    ``_run_task_cells``) see the same policy as the parent; :func:`main`
+    restores the variable when the command returns.
     """
     import os
 
@@ -670,17 +671,21 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         )
         return 0
 
-    results = run_scenarios(
-        suite,
-        workers=args.workers,
-        progress=progress,
-        checkpoint=args.checkpoint,
-        out_dir=args.out,
-        max_retries=args.max_retries,
-        cell_timeout=args.cell_timeout,
-        on_cell_error=args.on_cell_error,
-        store=not args.no_store,
-    )
+    try:
+        results = run_scenarios(
+            suite,
+            workers=args.workers,
+            progress=progress,
+            checkpoint=args.checkpoint,
+            out_dir=args.out,
+            max_retries=args.max_retries,
+            cell_timeout=args.cell_timeout,
+            on_cell_error=args.on_cell_error,
+            store=not args.no_store,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(
         format_scenario_table(
             results,
@@ -958,7 +963,22 @@ _COMMANDS = {
 def main(argv: "Sequence[str] | None" = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    if getattr(args, "chaos", None) is None:
+        return _COMMANDS[args.command](args)
+    # _apply_chaos exports --chaos for the command's forked workers; the
+    # variable gets its previous value back when the command returns.
+    import os
+
+    from repro.core.chaos import CHAOS_ENV_VAR
+
+    previous = os.environ.get(CHAOS_ENV_VAR)
+    try:
+        return _COMMANDS[args.command](args)
+    finally:
+        if previous is None:
+            os.environ.pop(CHAOS_ENV_VAR, None)
+        else:
+            os.environ[CHAOS_ENV_VAR] = previous
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

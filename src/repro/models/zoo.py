@@ -10,6 +10,7 @@ the paper's workflow.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -49,44 +50,76 @@ class ZooConfig:
 
 @dataclass
 class PretrainedBundle:
-    """A trained model together with its data splits and clean accuracy."""
+    """A trained model together with its clean accuracy and data splits.
+
+    ``train_set``, ``val_set`` and ``test_set`` are generated on first
+    read, each from its own ``split/<name>`` stream of
+    :class:`~repro.data.synthetic.SyntheticCIFAR10`, so a split's bytes
+    do not depend on which other splits were read, or when.  Each split
+    is memoized on the bundle and generated at most once, under a lock,
+    even when threads (the daemon's slots) share one bundle.
+    """
 
     model: nn.Module
     config: ZooConfig
     clean_accuracy: float
-    train_set: ArrayDataset = field(repr=False)
-    val_set: ArrayDataset = field(repr=False)
-    test_set: ArrayDataset = field(repr=False)
     from_cache: bool = False
+    _splits: dict[str, ArrayDataset] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _splits_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
         """Architecture name of the bundled model."""
         return self.config.model
 
+    @property
+    def train_set(self) -> ArrayDataset:
+        """The ``config.n_train``-image training split."""
+        return self._split("train")
 
-def _make_splits(config: ZooConfig) -> tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
-    generator = SyntheticCIFAR10(
-        num_classes=config.num_classes,
-        noise_std=config.noise_std,
-        seed=config.seed,
-    )
-    return generator.splits(config.n_train, config.n_val, config.n_test)
+    @property
+    def val_set(self) -> ArrayDataset:
+        """The ``config.n_val``-image validation split."""
+        return self._split("val")
+
+    @property
+    def test_set(self) -> ArrayDataset:
+        """The ``config.n_test``-image test split."""
+        return self._split("test")
+
+    def _split(self, name: str) -> ArrayDataset:
+        with self._splits_lock:
+            if name not in self._splits:
+                config = self.config
+                generator = SyntheticCIFAR10(
+                    num_classes=config.num_classes,
+                    noise_std=config.noise_std,
+                    seed=config.seed,
+                )
+                self._splits[name] = generator.dataset(
+                    getattr(config, f"n_{name}"), name
+                )
+            return self._splits[name]
 
 
 def train_model(config: ZooConfig, verbose: bool = False) -> PretrainedBundle:
     """Train a model from scratch according to ``config`` (no cache)."""
-    train_set, val_set, test_set = _make_splits(config)
     model = build_model(
         config.model,
         num_classes=config.num_classes,
         width_mult=config.width_mult,
         seed=config.seed,
     )
+    # The accuracy is filled in below; the bundle first serves the splits.
+    bundle = PretrainedBundle(model=model, config=config, clean_accuracy=float("nan"))
     train_loader = DataLoader(
-        train_set, batch_size=config.batch_size, shuffle=True, seed=config.seed
+        bundle.train_set, batch_size=config.batch_size, shuffle=True, seed=config.seed
     )
-    val_loader = DataLoader(val_set, batch_size=config.batch_size)
+    val_loader = DataLoader(bundle.val_set, batch_size=config.batch_size)
     optimizer = Adam(model.parameters(), lr=config.lr)
     trainer = Trainer(model, optimizer, grad_clip=5.0)
     trainer.fit(
@@ -96,17 +129,9 @@ def train_model(config: ZooConfig, verbose: bool = False) -> PretrainedBundle:
         patience=max(3, config.epochs // 2),
         verbose=verbose,
     )
-    test_loader = DataLoader(test_set, batch_size=config.batch_size)
-    clean_accuracy = evaluate_accuracy(model, test_loader)
-    return PretrainedBundle(
-        model=model,
-        config=config,
-        clean_accuracy=clean_accuracy,
-        train_set=train_set,
-        val_set=val_set,
-        test_set=test_set,
-        from_cache=False,
-    )
+    test_loader = DataLoader(bundle.test_set, batch_size=config.batch_size)
+    bundle.clean_accuracy = evaluate_accuracy(model, test_loader)
+    return bundle
 
 
 def get_pretrained(
@@ -150,13 +175,13 @@ def get_pretrained(
     )
     model.load_state_dict(state)
     model.eval()
-    train_set, val_set, test_set = _make_splits(config)
-    return PretrainedBundle(
+    bundle = PretrainedBundle(
         model=model,
         config=config,
         clean_accuracy=float(metadata["clean_accuracy"]),
-        train_set=train_set,
-        val_set=val_set,
-        test_set=test_set,
         from_cache=from_cache,
     )
+    if not from_cache:
+        # Training generated every split already; keep them.
+        bundle._splits.update(trained._splits)
+    return bundle

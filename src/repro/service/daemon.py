@@ -121,12 +121,14 @@ class RunEntry:
 class _SlotContext:
     """A per-slot view of the service's shared ScenarioContext.
 
-    Trained bundles are read-only sources (cloned before every campaign)
-    and safe to share across slots, so ``bundle`` delegates to the one
-    service-wide memo under the service's artifact lock — warm traffic
-    trains each model exactly once per daemon.  Prepared mitigation
-    clones are *live* models that serial execution runs in-thread, so
-    each slot memoizes its own clones instead of sharing mutable state.
+    Trained bundles are safe to share across slots: their models are
+    cloned before every campaign, and each data split is generated on
+    first read and memoized once, under the bundle's own lock.  So
+    ``bundle`` delegates to the one service-wide memo under the
+    service's artifact lock — warm traffic trains each model exactly
+    once per daemon.  Prepared mitigation clones are *live* models that
+    serial execution runs in-thread, so each slot memoizes its own
+    clones instead of sharing mutable state.
     """
 
     def __init__(self, shared: "ScenarioContext", lock: threading.RLock):

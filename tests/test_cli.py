@@ -5,6 +5,7 @@ configs (monkeypatched EXPERIMENT_CONFIGS) so no full-size training runs.
 """
 
 import json
+import os
 
 import pytest
 
@@ -258,10 +259,7 @@ class TestCampaignCommand:
         table = [line for line in first if not line.startswith("[")]
         assert table == [line for line in second if not line.startswith("[")]
 
-    def test_chaos_quarantine_prints_the_failed_cells(self, capsys, monkeypatch):
-        from repro.core.chaos import CHAOS_ENV_VAR
-
-        monkeypatch.setenv(CHAOS_ENV_VAR, "")  # restored after --chaos sets it
+    def test_chaos_quarantine_prints_the_failed_cells(self, capsys):
         argv = CAMPAIGN_ARGS + ["--chaos", "raise=0.5,seed=3",
                                 "--on-cell-error", "quarantine"]
         assert main(argv) == 0
@@ -274,6 +272,20 @@ class TestCampaignCommand:
             for row in rows
         )
         assert "AUC = nan" in out
+
+    def test_chaos_does_not_outlive_its_command(self, capsys):
+        from repro.core.chaos import CHAOS_ENV_VAR
+
+        before = os.environ.get(CHAOS_ENV_VAR)
+        # Two workers: the policy must still reach the forked pool.
+        argv = CAMPAIGN_ARGS + ["--workers", "2", "--chaos", "raise=1.0,seed=1",
+                                "--on-cell-error", "quarantine"]
+        assert main(argv) == 0
+        assert "AUC = nan" in capsys.readouterr().out
+        assert os.environ.get(CHAOS_ENV_VAR) == before
+        assert main(CAMPAIGN_ARGS) == 0
+        out = capsys.readouterr().out
+        assert "quarantined" not in out and "AUC = nan" not in out
 
     @pytest.mark.parametrize("mode", ["exact", "adaptive"])
     @pytest.mark.parametrize(
@@ -332,6 +344,17 @@ class TestScenariosCommand:
         path.write_text(json.dumps([{"name": "x", "campaign": "voltage"}]))
         assert main(["scenarios", str(path)]) == 2
         assert "unknown campaign" in capsys.readouterr().err
+
+    def test_spec_its_split_cannot_serve_errors_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([{"name": "big", "eval_images": 500}]))
+        assert main(["scenarios", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'big' wants 500 eval images but the test split "
+            "holds 80\n"
+        )
 
     def test_runs_spec_file_and_writes_results(self, capsys, tmp_path):
         spec = {

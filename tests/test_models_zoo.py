@@ -1,8 +1,13 @@
 """Tests for the pre-trained model zoo (train-once, cache, reload)."""
 
+import threading
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.data.synthetic import SyntheticCIFAR10
 from repro.models import ZooConfig, get_pretrained, train_model
 from repro.utils.cache import ArtifactCache
 from repro.utils.shm import pack_object
@@ -44,6 +49,100 @@ def test_cache_miss_returns_the_model_a_hit_builds(tmp_path):
     assert not cold.model.training
     assert pack_object(cold.model).crc32() == pack_object(warm.model).crc32()
     assert cold.clean_accuracy == warm.clean_accuracy
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """An artifact cache already holding MINI's trained weights."""
+    cache = ArtifactCache(tmp_path_factory.mktemp("zoo-warm"))
+    get_pretrained(MINI, cache=cache)
+    return cache
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Counts ``SyntheticCIFAR10.generate`` calls by split name."""
+    counts = Counter()
+    generate = SyntheticCIFAR10.generate
+
+    def counting(self, n, split="train"):
+        counts[split] += 1
+        return generate(self, n, split)
+
+    monkeypatch.setattr(SyntheticCIFAR10, "generate", counting)
+    return counts
+
+
+class TestLazySplits:
+    """A bundle generates each data split on its first read, and once."""
+
+    def test_warm_load_generates_nothing(self, warm_cache, generated):
+        bundle = get_pretrained(MINI, cache=warm_cache)
+        assert bundle.from_cache and not generated
+        first = bundle.test_set
+        assert bundle.test_set is first
+        assert generated == {"test": 1}
+
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_a_suite_generates_only_its_split(self, warm_cache, generated, split):
+        from repro.scenarios import CampaignSpec, ScenarioContext, run_scenarios
+
+        spec = CampaignSpec(
+            name="one", trials=1, eval_images=16, batch_size=16,
+            rates=(1e-4,), split=split,
+        )
+        context = ScenarioContext(cache=warm_cache, bundle_overrides=MINI.to_dict())
+        (result,) = run_scenarios([spec], workers=1, context=context)
+        assert result.curve.accuracies.shape == (1, 1)
+        assert generated == {split: 1}
+
+    def test_cold_load_generates_each_split_once(self, tmp_path, generated):
+        bundle = get_pretrained(MINI, cache=ArtifactCache(tmp_path))
+        assert not bundle.from_cache
+        assert generated == {"train": 1, "val": 1, "test": 1}
+        bundle.train_set, bundle.val_set, bundle.test_set
+        assert generated == {"train": 1, "val": 1, "test": 1}
+
+    def test_split_bytes_equal_a_fresh_generator(self, warm_cache, tmp_path):
+        generator = SyntheticCIFAR10(
+            num_classes=MINI.num_classes, noise_std=MINI.noise_std, seed=MINI.seed
+        )
+        cold = get_pretrained(MINI, cache=ArtifactCache(tmp_path))
+        warm = get_pretrained(MINI, cache=warm_cache)
+        # The warm bundle reads its splits in reverse order.
+        for name in ("test", "val", "train"):
+            images, labels = generator.generate(getattr(MINI, f"n_{name}"), name)
+            for bundle in (cold, warm):
+                split = getattr(bundle, f"{name}_set")
+                np.testing.assert_array_equal(split.images, images)
+                np.testing.assert_array_equal(split.labels, labels)
+
+    def test_concurrent_first_reads_generate_once(
+        self, warm_cache, generated, monkeypatch
+    ):
+        counting = SyntheticCIFAR10.generate
+
+        def slow(self, n, split="train"):
+            time.sleep(0.02)  # widen the window a missing lock would race in
+            return counting(self, n, split)
+
+        monkeypatch.setattr(SyntheticCIFAR10, "generate", slow)
+        bundle = get_pretrained(MINI, cache=warm_cache)
+        barrier = threading.Barrier(8, timeout=30)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(bundle.test_set.images)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert generated == {"test": 1}
+        assert len(seen) == 8 and all(images is seen[0] for images in seen)
 
 
 @pytest.mark.slow  # every test below trains (or retrains) a network
