@@ -472,6 +472,16 @@ class AdaptiveCampaignTask:
 
         return payload_state(self)
 
+    def absorb_clean_logits(self, logits_batches) -> None:
+        """Seed the base task's clean accuracy from its runner's clean pass.
+
+        The family runner's engine is the base runner's, so its clean
+        logits are exactly what the base task would recompute.
+        """
+        absorb = getattr(self.base, "absorb_clean_logits", None)
+        if absorb is not None:
+            absorb(logits_batches)
+
     def make_runner(self) -> "_AdaptiveFamilyRunner":
         return _AdaptiveFamilyRunner(self)
 

@@ -119,6 +119,7 @@ from repro.utils.validation import env_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.campaign import CampaignConfig, FaultSampler
+    from repro.core.suffix import SharedSuffixCache
 
 __all__ = [
     "CellResult",
@@ -692,8 +693,10 @@ class _InProcessLane:
             )
         if self.task_index != task_index:
             self.shutdown()
-            self.runner = self.tasks[task_index].make_runner()
+            task = self.tasks[task_index]
+            self.runner = task.make_runner()
             self.task_index = task_index
+            _absorb_clean_pass(task, self.runner)
         return [
             (task_index, rate_index, trial, self.runner.run_cell(rate_index, trial))
             for rate_index, trial, _ in cells
@@ -755,19 +758,30 @@ def _export_suffix_caches(
             continue
         runner = task.make_runner()
         try:
-            engine = getattr(runner, "engine", None)
-            cache = engine.export_cache() if engine is not None else None
+            cache = _absorb_clean_pass(task, runner)
         finally:
             runner.close()
         if cache is not None:
-            # The cache's clean logits double as the task's clean
-            # accuracy (bit-identical argmax), sparing build_result a
-            # second full forward over the evaluation set.
-            absorb = getattr(task, "absorb_clean_logits", None)
-            if absorb is not None:
-                absorb(cache.clean_logits)
             caches[index] = pack_object(cache)
     return caches
+
+
+def _absorb_clean_pass(
+    task: CampaignCellTask, runner: CellRunner
+) -> "SharedSuffixCache | None":
+    """Export ``runner``'s clean pass and seed ``task``'s clean accuracy.
+
+    The engine's clean logits double as the task's clean accuracy
+    (bit-identical argmax), sparing ``build_result`` a second full
+    forward over the evaluation set.  Returns the exported cache, or
+    ``None`` when the runner has no engine.
+    """
+    engine = getattr(runner, "engine", None)
+    cache = engine.export_cache() if engine is not None else None
+    absorb = getattr(task, "absorb_clean_logits", None)
+    if cache is not None and absorb is not None:
+        absorb(cache.clean_logits)
+    return cache
 
 
 class _Journal:

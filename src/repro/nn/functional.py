@@ -1,8 +1,10 @@
 """Low-level array operations shared by the NN layers.
 
-The convolution layers use the classic im2col/col2im lowering: convolution
-becomes one large matrix multiply, which is the only way to get acceptable
-throughput out of pure numpy on a CPU.
+The layers use the classic im2col/col2im lowering: convolution becomes one
+large matrix multiply, which is the only way to get acceptable throughput
+out of pure numpy on a CPU.  Eval-mode stride-1 convolutions over large
+planes lower one image at a time instead (:func:`conv2d_per_image`), so no
+batch-sized patch matrix is ever built.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ __all__ = [
     "pad_nchw",
     "im2col",
     "col2im",
+    "conv2d_per_image",
     "softmax",
     "log_softmax",
     "one_hot",
@@ -53,7 +56,9 @@ def im2col(
 
     Returns ``(cols, (out_h, out_w))`` where ``cols`` has shape
     ``(N * out_h * out_w, C * kh * kw)``: one row per output pixel, one
-    column per weight of the receptive field.
+    column per weight of the receptive field.  It serves pooling, conv
+    training (backward reuses ``cols``) and the eval convolutions that
+    :func:`conv2d_per_image` leaves out: strided layers and small planes.
 
     Each kernel row (``kw`` values, contiguous in the padded input) is
     copied as one opaque ``kw * itemsize``-byte element instead of ``kw``
@@ -80,6 +85,69 @@ def im2col(
     cols[...] = windows
     cols = cols.view(padded.dtype).reshape(n * out_h * out_w, c * kh * kw)
     return cols, (out_h, out_w)
+
+
+def conv2d_per_image(
+    x: np.ndarray,
+    flat_weight: np.ndarray,
+    kernel: tuple[int, int],
+    padding: tuple[int, int],
+) -> np.ndarray:
+    """Stride-1 convolution of an NCHW batch, lowered one image at a time.
+
+    ``flat_weight`` is ``(C_out, C * kh * kw)``; the result is
+    ``(N, C_out, out_h, out_w)`` without bias.  For each image, the
+    ``C * kh * kw`` shifted runs of its padded planes, each one
+    contiguous stretch of ``L = (out_h - 1) * Wp + out_w`` floats, are
+    copied into one reused ``(K, L)`` buffer, and one GEMM
+    ``buf.T @ flat_weight.T`` yields an ``(L, C_out)`` block.  Row
+    ``i * Wp + j`` of the block is output pixel ``(i, j)``; the
+    ``kw - 1`` rows per output row that wrap into the next padded row are
+    computed and dropped.
+
+    The GEMM keeps :func:`im2col`'s operands in their roles (patch rows
+    times the transposed weight); only the rows per call and the storage
+    order of the patch operand change.  Each image's result is
+    independent of the rest of its batch.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, 1, ph)
+    out_w = conv_output_size(w, kw, 1, pw)
+    hp, wp = h + 2 * ph, w + 2 * pw
+    rows = (out_h - 1) * wp + out_w
+    c_out = flat_weight.shape[0]
+    item = x.itemsize
+
+    x = np.ascontiguousarray(x)
+    plane = np.zeros((c, hp, wp), dtype=x.dtype) if ph or pw else None
+    buf = np.empty((c, kh, kw, rows), dtype=x.dtype)
+    patches = buf.reshape(c * kh * kw, rows).T
+    weight_t = flat_weight.T
+    block = np.empty((rows, c_out), dtype=x.dtype)
+    # The valid pixels of ``block``, (out_h, out_w, C_out), no copy.
+    pixels = np.ndarray(
+        (out_h, out_w, c_out),
+        dtype=x.dtype,
+        buffer=block,
+        strides=(wp * c_out * item, c_out * item, item),
+    )
+    out = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
+    for index in range(n):
+        source = x[index]
+        if plane is not None:
+            plane[:, ph : ph + h, pw : pw + w] = source
+            source = plane
+        buf[...] = np.ndarray(
+            buf.shape,
+            dtype=x.dtype,
+            buffer=source,
+            strides=(hp * wp * item, wp * item, item, item),
+        )
+        np.matmul(patches, weight_t, out=block)
+        out[index] = pixels.transpose(2, 0, 1)
+    return out
 
 
 def col2im(

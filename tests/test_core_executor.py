@@ -1348,3 +1348,51 @@ class TestBlasBudget:
             pooled = run_campaign(model, memory, images, labels, config, workers=2)
         assert not [w for w in caught if "degrading" in str(w.message)]
         np.testing.assert_array_equal(serial.accuracies, pooled.accuracies)
+
+
+class TestCleanAccuracyFromCleanPass:
+    """A task's clean accuracy comes from the clean pass its runner's
+    suffix engine already ran, so the parent runs no further full
+    forward (``nn.Sequential.forward``) for ``build_result``."""
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        from repro import nn
+
+        calls = []
+        forward = nn.Sequential.forward
+
+        def counting(module, x):
+            calls.append(x.shape[0])
+            return forward(module, x)
+
+        monkeypatch.setattr(nn.Sequential, "forward", counting)
+        return calls
+
+    def test_serial_run_absorbs_the_lane_runners_clean_pass(
+        self, campaign_parts, forwards
+    ):
+        from repro.core.metrics import evaluate_accuracy_arrays
+
+        model, memory, images, labels, config = campaign_parts
+        task = WeightFaultCellTask(model, memory, images, labels, config=config)
+        curve = CampaignExecutor(workers=1).run_tasks([task])[0]
+        assert forwards == []
+        assert curve.clean_accuracy == evaluate_accuracy_arrays(
+            model, images, labels, config.batch_size
+        )
+
+    def test_pooled_adaptive_run_absorbs_the_exported_clean_pass(
+        self, campaign_parts, forwards
+    ):
+        from repro.core.batched import AdaptiveCampaignTask
+        from repro.core.metrics import evaluate_accuracy_arrays
+
+        model, memory, images, labels, config = campaign_parts
+        base = WeightFaultCellTask(model, memory, images, labels, config=config)
+        task = AdaptiveCampaignTask(base, ci_halfwidth=0.08, batch_k=2)
+        result = CampaignExecutor(workers=2).run_tasks([task])[0]
+        assert forwards == []
+        assert result.clean_accuracy == evaluate_accuracy_arrays(
+            model, images, labels, config.batch_size
+        )

@@ -1,11 +1,20 @@
 """Tests for Conv2d: forward against a naive reference, backward against
-numerical gradients."""
+numerical gradients, and the eval-mode per-image lowering against the
+training-mode im2col path, bit for bit."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.nn.conv as conv_module
 from repro import nn
+from repro.experiments import EXPERIMENT_CONFIGS
+from repro.models.registry import build_model
+from repro.utils.blas import set_blas_threads
 from tests.conftest import numerical_gradient
+from tests.test_nn_pooling import _WORDS, _bits
 
 
 def naive_conv2d(x, weight, bias, stride, padding):
@@ -143,3 +152,156 @@ class TestConvValidation:
     def test_extra_repr(self):
         text = repr(nn.Conv2d(3, 8, 3, stride=2, seed=0))
         assert "stride=(2, 2)" in text
+
+
+def _engaged_zoo_layers():
+    """``(name, conv, input CHW)`` for every zoo conv that eval lowers per image."""
+    engaged = []
+    for model_name, config in sorted(EXPERIMENT_CONFIGS.items()):
+        model = build_model(config.model, width_mult=config.width_mult).eval()
+        x = np.zeros((1, 3, 32, 32), dtype=np.float32)
+        convs = 0
+        for layer in model:
+            if isinstance(layer, nn.Conv2d):
+                convs += 1
+                if layer._per_image_rows(x.shape) >= conv_module.PER_IMAGE_MIN_ROWS:
+                    engaged.append((f"{model_name}/CONV-{convs}", layer, x.shape[1:]))
+            x = layer(x)
+    return engaged
+
+
+ENGAGED = _engaged_zoo_layers()
+
+
+def _scatter_words(rng, shape, words, density):
+    """Normal float32 values with ``density`` of them replaced by ``words``."""
+    values = rng.standard_normal(shape).astype(np.float32)
+    hits = rng.random(shape) < density
+    values.view(np.uint32)[hits] = rng.choice(
+        np.asarray(words, dtype=np.uint32), int(hits.sum())
+    )
+    return values
+
+
+@st.composite
+def _engaged_cases(draw):
+    """An engaged zoo geometry, a batch size, and special-word inputs."""
+    _name, layer, chw = draw(st.sampled_from(ENGAGED))
+    n = draw(st.sampled_from((1, 3, 32, 129)))
+    words = draw(st.lists(_WORDS, min_size=1, max_size=24))
+    density = draw(st.sampled_from((0.0, 1e-4, 1e-2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conv = nn.Conv2d(
+        layer.in_channels, layer.out_channels, layer.kernel_size,
+        padding=layer.padding, seed=0,
+    )
+    conv.weight.data = _scatter_words(rng, conv.weight.data.shape, words, density)
+    conv.bias.data = _scatter_words(rng, conv.bias.data.shape, words, density)
+    x = _scatter_words(rng, (n, *chw), words, density)
+    return conv, x
+
+
+def _both_paths(conv, x):
+    with np.errstate(all="ignore"):
+        trained = conv.train()(x)
+        evaluated = conv.eval()(x)
+    return trained, evaluated
+
+
+class TestPerImageLowering:
+    """Eval lowers each image of an engaged layer separately; training
+    and strided or small-plane layers keep the batched im2col GEMM."""
+
+    def test_engages_on_the_large_zoo_planes(self):
+        assert [name for name, _layer, _chw in ENGAGED] == [
+            "alexnet/CONV-1", "alexnet/CONV-2",
+            "lenet5/CONV-1", "lenet5/CONV-2",
+            "vgg16/CONV-1", "vgg16/CONV-2", "vgg16/CONV-3", "vgg16/CONV-4",
+        ]
+
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 1), (0, 2)])
+    def test_eval_matches_naive(self, padding):
+        conv = nn.Conv2d(3, 4, (3, 5), padding=padding, seed=1).eval()
+        x = np.random.default_rng(0).standard_normal((2, 3, 14, 17)).astype(np.float32)
+        assert conv._per_image_rows(x.shape) >= conv_module.PER_IMAGE_MIN_ROWS
+        want = naive_conv2d(
+            x, conv.weight.data, conv.bias.data, conv.stride, conv.padding
+        )
+        np.testing.assert_allclose(conv(x), want, rtol=1e-4, atol=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_engaged_cases())
+    def test_eval_equals_training_bitwise(self, case):
+        """Finite values and zero signs match bit for bit; NaN lands in
+        the same places (its payload may differ)."""
+        trained, evaluated = _both_paths(*case)
+        nan = np.isnan(trained)
+        np.testing.assert_array_equal(np.isnan(evaluated), nan)
+        np.testing.assert_array_equal(_bits(evaluated)[~nan], _bits(trained)[~nan])
+
+    @pytest.mark.parametrize("index", range(len(ENGAGED)))
+    def test_bytes_equal_at_one_and_two_blas_threads(self, index):
+        _name, layer, chw = ENGAGED[index]
+        rng = np.random.default_rng(index)
+        words = [0x7FC0BEEF, 0xFFC01234, 0x7F800001, 0x80000000, 0x7F800000]
+        x = _scatter_words(rng, (32, *chw), words, 1e-3)
+        previous = set_blas_threads(1)
+        if previous is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        try:
+            with np.errstate(all="ignore"):
+                one = layer(x)
+                set_blas_threads(2)
+                two = layer(x)
+        finally:
+            set_blas_threads(previous)
+        assert np.isnan(one).any()
+        assert one.tobytes() == two.tobytes()
+
+    def test_lenet_conv1_peak_memory_is_one_images_buffer(self):
+        """The batched patch matrix of LeNet-5 conv1 at 128 images is
+        30.1 MB; the per-image lowering peaks far below it."""
+        layer = next(layer for name, layer, _ in ENGAGED if name == "lenet5/CONV-1")
+        x = np.zeros((128, 3, 32, 32), dtype=np.float32)
+        matrix_bytes = 128 * 28 * 28 * 3 * 5 * 5 * 4
+        tracemalloc.start()
+        try:
+            layer(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes / 4
+
+    @pytest.mark.parametrize(
+        "conv,shape,training",
+        [
+            (nn.Conv2d(3, 8, 3, stride=2, padding=1, seed=0), (2, 3, 32, 32), False),
+            (nn.Conv2d(8, 8, 3, padding=1, seed=0), (2, 8, 4, 4), False),
+            (nn.Conv2d(3, 1, 3, padding=1, seed=0), (2, 3, 32, 32), False),
+            (nn.Conv2d(3, 8, 3, padding=1, seed=0), (2, 3, 32, 32), True),
+        ],
+        ids=["stride-2", "4x4-plane", "one-output-channel", "training"],
+    )
+    def test_routes_through_im2col(self, conv, shape, training, monkeypatch):
+        calls = []
+        im2col = conv_module.im2col
+        monkeypatch.setattr(
+            conv_module, "im2col", lambda *args: calls.append(1) or im2col(*args)
+        )
+        monkeypatch.setattr(conv_module, "conv2d_per_image", None)
+        conv.train(training)
+        conv(np.ones(shape, dtype=np.float32))
+        assert calls == [1]
+
+    def test_eval_of_a_large_plane_skips_im2col(self, monkeypatch):
+        monkeypatch.setattr(conv_module, "im2col", None)
+        conv = nn.Conv2d(3, 8, 3, padding=1, seed=0).eval()
+        assert conv(np.ones((2, 3, 32, 32), dtype=np.float32)).shape == (2, 8, 32, 32)
+
+    def test_an_images_output_does_not_depend_on_its_batch(self):
+        conv = nn.Conv2d(3, 6, 5, seed=0).eval()
+        x = np.random.default_rng(1).standard_normal((5, 3, 32, 32)).astype(np.float32)
+        batched = conv(x)
+        for index in range(x.shape[0]):
+            alone = conv(x[index : index + 1])
+            assert alone.tobytes() == batched[index : index + 1].tobytes()
