@@ -201,13 +201,6 @@ def _engaged_cases(draw):
     return conv, x
 
 
-def _both_paths(conv, x):
-    with np.errstate(all="ignore"):
-        trained = conv.train()(x)
-        evaluated = conv.eval()(x)
-    return trained, evaluated
-
-
 class TestPerImageLowering:
     """Eval lowers each image of an engaged layer separately; training
     and strided or small-plane layers keep the batched im2col GEMM."""
@@ -234,7 +227,10 @@ class TestPerImageLowering:
     def test_eval_equals_training_bitwise(self, case):
         """Finite values and zero signs match bit for bit; NaN lands in
         the same places (its payload may differ)."""
-        trained, evaluated = _both_paths(*case)
+        conv, x = case
+        with np.errstate(all="ignore"):
+            trained = conv.train()(x)
+            evaluated = conv.eval()(x)
         nan = np.isnan(trained)
         np.testing.assert_array_equal(np.isnan(evaluated), nan)
         np.testing.assert_array_equal(_bits(evaluated)[~nan], _bits(trained)[~nan])
