@@ -122,15 +122,40 @@ def vgg16_hardened(vgg16_bundle):
     return hardened_clone(vgg16_bundle, default_harden_config())
 
 
+def write_tracked(path: Path, text: str) -> bool:
+    """Write a timing result file, but only from a clean commit.
+
+    ``BENCH_*`` files are tracked history: numbers measured on a dirty
+    tree (or outside git) time code that no SHA names, so they are
+    printed and the file is left alone.  Returns whether it was written.
+    """
+    sha = git_sha()
+    if sha == "unknown" or sha.endswith("-dirty"):
+        print(f"\n[{sha}] not writing {path.name}: commit first to record")
+        return False
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    return True
+
+
+def record(name: str, text: str) -> None:
+    """Print a report and persist it to benchmarks/results/<name>.txt.
+
+    Deterministic figure tables are always written; ``BENCH_*`` timing
+    reports go through :func:`write_tracked`.
+    """
+    print(f"\n{text}\n")
+    path = RESULTS_DIR / f"{name}.txt"
+    if name.startswith("BENCH_"):
+        write_tracked(path, text + "\n")
+    else:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        path.write_text(text + "\n")
+
+
 @pytest.fixture(scope="session")
 def record_result():
-    """Print a report and persist it to benchmarks/results/<name>.txt."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def record(name: str, text: str) -> None:
-        print(f"\n{text}\n")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
+    """The :func:`record` sink for benchmark reports."""
     return record
 
 

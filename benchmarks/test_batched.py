@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import RESULTS_DIR, git_sha
+from benchmarks.conftest import RESULTS_DIR, git_sha, write_tracked
 from repro.scenarios import load_bundled
 from repro.scenarios.compile import run_scenarios, smoke_context
 
@@ -130,8 +130,7 @@ def test_bench_adaptive_vs_exact_grid(record_result):
     }
     path = RESULTS_DIR / "BENCH_batched.json"
     payload = _append_history(path, entry)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_tracked(path, json.dumps(payload, indent=2) + "\n")
 
     lines = [
         "Batched adaptive stopping vs exact grid (bundled fig1b spec, smoke context)",

@@ -55,7 +55,7 @@ from repro.models import LeNet5
 from repro.utils.blas import blas_threads
 from repro.utils.shm import pack_object, ship_units, shared_memory_available
 
-from .conftest import RESULTS_DIR, git_sha
+from .conftest import RESULTS_DIR, git_sha, write_tracked
 
 # Fixed workload: a full-size LeNet-5 on 32x32 images, heavy enough that
 # per-cell evaluation dominates pool overhead on a multi-core box, small
@@ -273,10 +273,9 @@ def test_bench_campaign_serial_vs_two_workers(record_result, bench_workers):
             **entry
         )
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_campaign.json"
     payload = _append_history(path, entry)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_tracked(path, json.dumps(payload, indent=2) + "\n")
     zc_note = ""
     if zero_copy is not None:
         zc_note = (

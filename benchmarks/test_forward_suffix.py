@@ -42,7 +42,7 @@ from repro.hw.memory import WeightMemory
 from repro.models.registry import MODEL_BUILDERS, layer_names
 from repro.nn.activations import Activation
 
-from .conftest import RESULTS_DIR, git_sha
+from .conftest import RESULTS_DIR, git_sha, write_tracked
 
 # Weight training is irrelevant to throughput: freshly-initialised
 # networks at the zoo's default width keep the benchmark in CPU-seconds.
@@ -202,7 +202,6 @@ def test_bench_forward_suffix(record_result):
             + ", ".join(f"{kind} {value:.4f}s" for kind, value in layer_seconds.items())
         )
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_forward.json"
     layer_row = {
         "sha": git_sha(),
@@ -211,7 +210,7 @@ def test_bench_forward_suffix(record_result):
         },
     }
     payload["layer_history"] = _layer_history(path, layer_row)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_tracked(path, json.dumps(payload, indent=2) + "\n")
     record_result("BENCH_forward", "\n".join(lines))
 
     # Acceptance bar: >= 2x on the deepest layer of the deepest zoo model.

@@ -482,6 +482,11 @@ class AdaptiveCampaignTask:
         if absorb is not None:
             absorb(logits_batches)
 
+    def clean_pass_key(self) -> "tuple | None":
+        """The base task's key: the family runner's engine is the base runner's."""
+        key = getattr(self.base, "clean_pass_key", None)
+        return key() if key is not None else None
+
     def make_runner(self) -> "_AdaptiveFamilyRunner":
         return _AdaptiveFamilyRunner(self)
 

@@ -516,6 +516,13 @@ class WeightFaultCellTask:
             self._clean, logits_batches, self.labels
         )
 
+    def clean_pass_key(self) -> tuple:
+        """The runner's clean pass: the model as-is, scoped to the memory."""
+        return clean_pass_key(
+            "float", self.model, self.images, self.config.batch_size,
+            self.memory.layer_names(),
+        )
+
     def measure(self, forward=None) -> float:
         """Accuracy of the (currently fault-injected) model."""
         return evaluate_accuracy_arrays(
@@ -733,37 +740,89 @@ def _pack_task(task: CampaignCellTask) -> PackedUnit:
         ) from error
 
 
+def clean_pass_key(prepare: Any, model, images: np.ndarray, batch_size: int,
+                   scope: Sequence[Any]) -> tuple:
+    """The identity of a task's clean pass, as ``(forward, scope)``.
+
+    ``forward`` fixes the clean logits: how the runner prepares the
+    model (``prepare``), the model object, the eval array's memory
+    (address, shape, strides, dtype) and the batch size.  ``scope``
+    names what the runner's engine is built for, which fixes its cached
+    boundaries.  Tasks with equal keys share one exported
+    :class:`~repro.core.suffix.SharedSuffixCache`; tasks with equal
+    ``forward`` share clean logits.  An identity key is sound only
+    inside one executor call, whose tasks hold their models and images.
+    """
+    memory = (
+        images.__array_interface__["data"][0],
+        images.shape,
+        images.strides,
+        images.dtype.str,
+    )
+    return (prepare, id(model), memory, int(batch_size)), tuple(scope)
+
+
 def _export_suffix_caches(
     tasks: Sequence[CampaignCellTask],
     pending: "list[list[tuple[int, int]]]",
 ) -> "dict[int, PackedUnit]":
-    """Run each pending task's clean pass once and pack its cache.
+    """Run one clean pass per distinct clean forward and pack its cache.
 
-    Builds (and immediately closes) a parent-side runner per task to
-    populate its :class:`~repro.core.suffix.SuffixForwardEngine`; the
-    exported :class:`~repro.core.suffix.SharedSuffixCache` ships in the
-    tensor plane, so workers attach the activations instead of
-    recomputing them — one clean pass per host per task.  Tasks whose
-    engine declines to build publish nothing, and their workers run
-    their own (bit-identical) clean pass.  A runner's ``close()``
-    restores the live model exactly, so building one here is safe.
+    Builds (and immediately closes) a parent-side runner to populate its
+    :class:`~repro.core.suffix.SuffixForwardEngine`; the exported
+    :class:`~repro.core.suffix.SharedSuffixCache` ships in the tensor
+    plane, so workers attach the activations instead of recomputing
+    them.  A task whose :func:`clean_pass_key` equals an earlier task's
+    reuses that task's cache (one unit, whose buffers the plane places
+    once) instead of building a runner; a task kind without a key never
+    shares.  A task whose runner builds no engine still takes the clean
+    logits of any task with the same clean forward.  Tasks without a
+    cache publish nothing, and their workers run their own
+    (bit-identical) clean pass.  A runner's ``close()`` restores the
+    live model exactly, so building one here is safe.
     """
     from repro.core.suffix import suffix_globally_disabled
 
     caches: "dict[int, PackedUnit]" = {}
     if suffix_globally_disabled():
         return caches
+    keys = [
+        task.clean_pass_key() if hasattr(task, "clean_pass_key") else None
+        for task in tasks
+    ]
+    exported: "dict[tuple, tuple[SharedSuffixCache | None, PackedUnit | None]]" = {}
+    clean: "dict[tuple, Sequence[np.ndarray]]" = {}
     for index, task in enumerate(tasks):
+        key = keys[index]
         if not pending[index]:
             continue
-        runner = task.make_runner()
-        try:
-            cache = _absorb_clean_pass(task, runner)
-        finally:
-            runner.close()
+        if key in exported:
+            cache, unit = exported[key]
+        else:
+            runner = task.make_runner()
+            try:
+                cache = _absorb_clean_pass(task, runner)
+            finally:
+                runner.close()
+            unit = None if cache is None else pack_object(cache)
+            if key is not None:
+                exported[key] = (cache, unit)
         if cache is not None:
-            caches[index] = pack_object(cache)
+            caches[index] = unit
+            if key is not None:
+                clean.setdefault(key[0], cache.clean_logits)
+    for index, task in enumerate(tasks):
+        key = keys[index]
+        if pending[index] and key is not None and key[0] in clean:
+            _absorb_logits(task, clean[key[0]])
     return caches
+
+
+def _absorb_logits(task: CampaignCellTask, logits_batches) -> None:
+    """Seed ``task``'s clean accuracy from clean logits, if it takes them."""
+    absorb = getattr(task, "absorb_clean_logits", None)
+    if absorb is not None:
+        absorb(logits_batches)
 
 
 def _absorb_clean_pass(
@@ -778,9 +837,8 @@ def _absorb_clean_pass(
     """
     engine = getattr(runner, "engine", None)
     cache = engine.export_cache() if engine is not None else None
-    absorb = getattr(task, "absorb_clean_logits", None)
-    if cache is not None and absorb is not None:
-        absorb(cache.clean_logits)
+    if cache is not None:
+        _absorb_logits(task, cache.clean_logits)
     return cache
 
 

@@ -29,7 +29,12 @@ import numpy as np
 
 from repro import nn
 from repro.core.campaign import CampaignConfig
-from repro.core.executor import CampaignExecutor, cell_seed_path, payload_state
+from repro.core.executor import (
+    CampaignExecutor,
+    cell_seed_path,
+    clean_pass_key,
+    payload_state,
+)
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
 from repro.hw.memory import WeightMemory
 from repro.hw.quant import QuantizedWeightMemory
@@ -103,6 +108,14 @@ class QuantizedCellTask:
 
         self._clean = _accuracy_from_logits(
             self._clean, logits_batches, self.labels
+        )
+
+    def clean_pass_key(self) -> tuple:
+        """The runner's clean pass: the model int8-deployed over the memory."""
+        layers = tuple(self.memory.layer_names())
+        return clean_pass_key(
+            ("int8", layers), self.model, self.images,
+            self.config.batch_size, layers,
         )
 
     def make_runner(self) -> "_QuantizedCellRunner":

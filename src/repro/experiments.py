@@ -189,13 +189,8 @@ def prepare_campaign_variant(
     for that step (the scenario compiler's smoke mode shrinks both);
     both are ignored by every other variant.
     """
-    from repro.core.baselines import (
-        apply_relu6,
-        dmr_sampler,
-        ecc_sampler,
-        tmr_sampler,
-    )
-    from repro.scenarios.spec import MITIGATION_VARIANTS
+    from repro.core.baselines import MITIGATION_SAMPLERS, apply_relu6
+    from repro.scenarios.spec import MITIGATION_VARIANTS, REDUNDANCY_VARIANTS
 
     if variant not in MITIGATION_VARIANTS:
         raise ValueError(
@@ -214,12 +209,8 @@ def prepare_campaign_variant(
         model = clone_model(bundle)
         if variant == "relu6":
             apply_relu6(model)
-        elif variant == "ecc":
-            sampler = ecc_sampler()
-        elif variant == "tmr":
-            sampler = tmr_sampler()
-        elif variant == "dmr":
-            sampler = dmr_sampler()
+        elif variant in REDUNDANCY_VARIANTS:
+            sampler = MITIGATION_SAMPLERS[variant]()
     return model, sampler
 
 

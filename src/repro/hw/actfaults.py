@@ -212,6 +212,22 @@ class ActivationFaultCellTask:
             self._clean, logits_batches, self.labels
         )
 
+    def clean_pass_key(self) -> tuple:
+        """The runner's clean pass: the model as-is (hooks dormant).
+
+        Its forward matches a float weight task's on the same model and
+        images, so it takes their clean logits even when its own runner
+        builds no engine; its scope (the hooked layers, no empty-fault
+        shortcut) never matches theirs, so it never takes their cache.
+        """
+        from repro.core.executor import clean_pass_key
+
+        layers = None if self.layers is None else tuple(self.layers)
+        return clean_pass_key(
+            "float", self.model, self.images, self.config.batch_size,
+            ("activation", layers),
+        )
+
     def make_runner(self) -> "_ActivationCellRunner":
         return _ActivationCellRunner(self)
 

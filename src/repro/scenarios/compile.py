@@ -18,8 +18,9 @@ bit-identical to calling each scenario's direct API
 
 A :class:`ScenarioContext` owns the expensive shared artifacts: trained
 bundles are produced once per model and prepared mitigation clones once
-per ``(model, variant)`` pair, so a 20-scenario matrix over three
-variants of one model trains and hardens exactly once each.  The
+per ``(model, variant)`` pair — the redundancy variants (ecc, tmr, dmr)
+sampling over the unprotected clone — so a 20-scenario matrix over
+three variants of one model trains and hardens exactly once each.  The
 context also carries the override knobs (zoo config overrides, a small
 FT-ClipAct config) that :func:`smoke_context` uses to run every bundled
 spec on tiny synthetic data inside the fast test tier.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -72,7 +74,8 @@ class ScenarioContext:
     hardening campaigns when no explicit config is given (hardening is
     bit-identical at any worker count).  Bundles and prepared variant
     clones are memoised, so every scenario sharing a ``(model,
-    variant)`` pair reuses one artifact.
+    variant)`` pair reuses one artifact, and the redundancy variants
+    reuse the unprotected clone (:func:`memoized_variant`).
     """
 
     cache: "ArtifactCache | None" = None
@@ -96,18 +99,43 @@ class ScenarioContext:
 
     def prepared(self, model: str, variant: str) -> tuple[Any, Any]:
         """The (cached) ``(model, sampler)`` pair for one mitigation variant."""
-        key = (model, variant)
-        if key not in self._prepared:
-            from repro.experiments import prepare_campaign_variant
+        return memoized_variant(self, self._prepared, model, variant)
 
-            self._prepared[key] = prepare_campaign_variant(
-                self.bundle(model),
-                variant,
-                workers=self.harden_workers,
-                harden_config=self.harden_config,
-                cache=self.cache,
-            )
-        return self._prepared[key]
+
+def memoized_variant(
+    context: Any,
+    memo: "dict[tuple[str, str], tuple[Any, Any]]",
+    model: str,
+    variant: str,
+    lock: "Any | None" = None,
+) -> tuple[Any, Any]:
+    """``context``'s ``(model, sampler)`` for one variant, memoized in ``memo``.
+
+    Redundancy variants (``ecc``, ``tmr``, ``dmr``) never modify the
+    model: each compiles onto the memoized unprotected clone with its
+    own protection sampler, so their weights ship once and their tasks
+    share the unprotected task's clean pass.  ``lock``, if given, is
+    held while a variant is prepared (the daemon's artifact lock).
+    """
+    key = (model, variant)
+    if key not in memo:
+        from repro.core.baselines import MITIGATION_SAMPLERS
+        from repro.experiments import prepare_campaign_variant
+
+        if variant in REDUNDANCY_VARIANTS:
+            clone, _ = memoized_variant(context, memo, model, "unprotected", lock)
+            memo[key] = (clone, MITIGATION_SAMPLERS[variant]())
+        else:
+            bundle = context.bundle(model)
+            with lock if lock is not None else nullcontext():
+                memo[key] = prepare_campaign_variant(
+                    bundle,
+                    variant,
+                    workers=context.harden_workers,
+                    harden_config=context.harden_config,
+                    cache=context.cache,
+                )
+    return memo[key]
 
 
 def smoke_context() -> ScenarioContext:

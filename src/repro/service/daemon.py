@@ -145,22 +145,11 @@ class _SlotContext:
             return self._shared.bundle(model)
 
     def prepared(self, model: str, variant: str) -> tuple[Any, Any]:
-        key = (model, variant)
-        if key not in self._prepared:
-            from repro.experiments import prepare_campaign_variant
+        from repro.scenarios.compile import memoized_variant
 
-            bundle = self.bundle(model)
-            with self._lock:
-                # Hardening itself is cached on disk (hardened_clone), so
-                # the lock serializes only the first, cache-filling call.
-                self._prepared[key] = prepare_campaign_variant(
-                    bundle,
-                    variant,
-                    workers=self.harden_workers,
-                    harden_config=self.harden_config,
-                    cache=self.cache,
-                )
-        return self._prepared[key]
+        # Hardening itself is cached on disk (hardened_clone), so the
+        # lock serializes only the first, cache-filling call.
+        return memoized_variant(self, self._prepared, model, variant, self._lock)
 
 
 class CampaignService:

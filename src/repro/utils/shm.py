@@ -20,8 +20,9 @@ The mechanism is pickle protocol 5's out-of-band buffers:
   reference the caller's live arrays (no copy yet).
 * :func:`ship_units` lays all packed units out in one segment — the
   *region table* maps each unit's stream and each of its tensor buffers
-  to an ``(offset, size)`` span — and returns a picklable
-  :class:`ShippedPlane` address.
+  to an ``(offset, size)`` span, placing each distinct buffer once and
+  64-byte aligned — and returns a picklable :class:`ShippedPlane`
+  address.
 * :meth:`ShippedPlane.open` attaches (once per worker per generation)
   and :meth:`PlaneView.load` reconstructs a unit with
   ``pickle.loads(stream, buffers=...)`` where each buffer is a
@@ -53,6 +54,8 @@ import pickle
 import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "ShippedBytes",
@@ -411,40 +414,67 @@ class PlaneShipment:
         self.release()
 
 
+def _buffer_address(raw: memoryview) -> int:
+    """Start address of a contiguous buffer (read-only buffers included)."""
+    return np.frombuffer(raw, dtype=np.uint8).__array_interface__["data"][0]
+
+
+# Every tensor-buffer span starts at a multiple of this many bytes, so
+# numpy rebuilds each array aligned: the segment mapping is page-aligned
+# and the inline bytearray malloc-aligned.  A misaligned float operand
+# sends a GEMM down another kernel path that rounds differently.
+_BUFFER_ALIGNMENT = 64
+
+
 def ship_units(units: "Iterable[tuple[str, PackedUnit]]") -> PlaneShipment:
     """Lay packed units out in one per-host segment and return its address.
 
     Builds the region table (one :class:`UnitSpan` per unit: the in-band
-    stream span followed by each tensor-buffer span), concatenates the
-    bytes once into a shared-memory segment — or inline bytes on the
-    fallback transport — and returns the parent-side owner.  The caller
-    must :meth:`~PlaneShipment.release` it exactly once, in a ``finally``.
+    stream span followed by each tensor-buffer span), copies the bytes
+    once into a shared-memory segment — or inline bytes on the fallback
+    transport — and returns the parent-side owner.  The caller must
+    :meth:`~PlaneShipment.release` it exactly once, in a ``finally``.
+
+    Each distinct buffer is placed once: a buffer whose memory (start
+    address and byte length) is already in the plane reuses that span,
+    so units packed from the same arrays share their tensor regions.
+    Address identity is exact here because every unit holds its
+    buffers' arrays for the length of the call.  Each unit keeps its
+    own stream, and every buffer span starts at a multiple of
+    :data:`_BUFFER_ALIGNMENT` bytes, zero padding in between.
     """
-    chunks: "list[Any]" = []
+    chunks: "list[tuple[int, Any]]" = []
     spans: "list[UnitSpan]" = []
+    placed: "dict[tuple[int, int], tuple[int, int]]" = {}
     offset = 0
 
-    def place(chunk) -> "tuple[int, int]":
+    def place(chunk, align: int = 1) -> "tuple[int, int]":
         nonlocal offset
-        chunks.append(chunk)
+        start = -(-offset // align) * align
         size = chunk.nbytes if isinstance(chunk, memoryview) else len(chunk)
-        span = (offset, offset + size)
-        offset += size
-        return span
+        chunks.append((start, chunk))
+        offset = start + size
+        return (start, offset)
+
+    def place_buffer(raw: memoryview) -> "tuple[int, int]":
+        key = (_buffer_address(raw), raw.nbytes)
+        if key not in placed:
+            placed[key] = place(raw, _BUFFER_ALIGNMENT)
+        return placed[key]
 
     for name, unit in units:
         stream_span = place(unit.stream)
         buffer_spans = tuple(
-            place(buffer.raw().cast("B")) for buffer in unit.buffers
+            place_buffer(buffer.raw().cast("B")) for buffer in unit.buffers
         )
         spans.append(UnitSpan(name=name, stream=stream_span, buffers=buffer_spans))
 
     def write_into(target) -> None:
-        cursor = 0
-        for chunk in chunks:
+        # Fresh segments and bytearrays are zero-filled, so the
+        # alignment padding between chunks is zero without a write.
+        for start, chunk in chunks:
             size = chunk.nbytes if isinstance(chunk, memoryview) else len(chunk)
-            target[cursor : cursor + size] = chunk
-            cursor += size
+            target[start : start + size] = chunk
 
     # Write each chunk straight into the segment: the plane's only full
     # copy is the mapped one (a multi-GB sweep would not survive the

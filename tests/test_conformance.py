@@ -1,7 +1,7 @@
 """One conformance matrix: how a suite runs never changes its store bytes.
 
 The bit-identity contract in one place.  A bundled smoke suite, extended
-with an adaptive variant, must write ``store/cells.rcs`` with the same
+with an adaptive variant and an ECC variant of its first spec, must write ``store/cells.rcs`` with the same
 sha256 as the plain single-process run across
 
 * workers {1, 2};
@@ -41,7 +41,7 @@ STORE = "store/cells.rcs"
 
 
 def _suite():
-    from repro.scenarios import ScenarioSuite, load_bundled
+    from repro.scenarios import FaultModelSpec, ScenarioSuite, load_bundled
 
     base = load_bundled(SUITE)
     specs = tuple(spec.shrunk() for spec in base.specs)
@@ -51,7 +51,18 @@ def _suite():
         mode="adaptive",
         ci_halfwidth=0.2,
     )
-    return ScenarioSuite(name=f"{SUITE}-conformance", specs=specs + (adaptive,))
+    # ECC samples over the unprotected clone the first spec runs on, so
+    # the shared clone, its one clean pass and its once-placed plane
+    # buffers go through every axis.
+    ecc = dataclasses.replace(
+        specs[0],
+        name=f"{specs[0].name}-ecc",
+        variant="ecc",
+        fault_model=FaultModelSpec(),
+    )
+    return ScenarioSuite(
+        name=f"{SUITE}-conformance", specs=specs + (adaptive, ecc)
+    )
 
 
 def _output_digests(run_dir) -> "dict[str, str]":

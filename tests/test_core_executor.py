@@ -1396,3 +1396,96 @@ class TestCleanAccuracyFromCleanPass:
         assert result.clean_accuracy == evaluate_accuracy_arrays(
             model, images, labels, config.batch_size
         )
+
+
+class TestOneCleanPassPerDistinctForward:
+    """Pooled tasks with the same clean forward share one parent-side
+    clean pass and one set of plane buffers; the bytes do not move."""
+
+    BATCHES = 2  # eval_images 32 at batch_size 16
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        from repro.scenarios import smoke_context
+
+        return smoke_context()
+
+    @staticmethod
+    def _specs(*extra):
+        from repro.scenarios import CampaignSpec
+
+        common = dict(
+            model="lenet5", rates=(1e-4, 1e-3), trials=2, eval_images=32,
+            batch_size=16,
+        )
+        return [
+            CampaignSpec(name="unprotected", seed=1, **common),
+            CampaignSpec(name="ecc", variant="ecc", seed=2, **common),
+            CampaignSpec(name="tmr", variant="tmr", seed=3, **common),
+            CampaignSpec(
+                name="burst", seed=4,
+                fault_model={"name": "burst", "burst_length": 8}, **common,
+            ),
+            CampaignSpec(name="int8", campaign="quantized", seed=5, **common),
+            CampaignSpec(name="relu6", variant="relu6", seed=6, **common),
+            *(CampaignSpec(seed=7, **common, **fields) for fields in extra),
+        ]
+
+    @staticmethod
+    def _count(monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    def test_shared_forwards_run_once_and_store_bytes_match(
+        self, ctx, tmp_path, monkeypatch
+    ):
+        from repro import nn
+        from repro.scenarios import run_scenarios
+
+        specs = self._specs()
+        run_scenarios(specs, workers=1, out_dir=tmp_path / "serial", context=ctx)
+        passes = self._count(monkeypatch, nn.Sequential, "forward_collect")
+        run_scenarios(specs, workers=2, out_dir=tmp_path / "pool", context=ctx)
+        # unprotected, ecc, tmr and burst share one forward; int8 and
+        # relu6 each run their own (the parent commit ran all six).
+        assert len(passes) == 3 * self.BATCHES
+        store = "store/cells.rcs"
+        assert (tmp_path / "pool" / store).read_bytes() == (
+            tmp_path / "serial" / store
+        ).read_bytes()
+
+    def test_activation_task_takes_the_float_tasks_clean_logits(
+        self, ctx, tmp_path, monkeypatch
+    ):
+        """LeNet-5's activation runner builds no engine (its first hooked
+        layer is CONV-1), so its clean accuracy used to cost one more
+        parent-side forward after the pool finished."""
+        from repro import nn
+        from repro.scenarios import run_scenarios
+
+        specs = self._specs({"name": "activation", "campaign": "activation"})
+        serial = run_scenarios(specs, workers=1, context=ctx)
+        forwards = self._count(monkeypatch, nn.Sequential, "forward")
+        at_dispatch_end = []
+        dispatch = CampaignExecutor._dispatch
+
+        def dispatching(self, *args):
+            dispatch(self, *args)
+            at_dispatch_end.append(len(forwards))
+
+        monkeypatch.setattr(CampaignExecutor, "_dispatch", dispatching)
+        pooled = run_scenarios(specs, workers=2, context=ctx)
+        assert len(at_dispatch_end) == 1
+        assert len(forwards) == at_dispatch_end[0]
+        for left, right in zip(serial, pooled):
+            assert left.curve.clean_accuracy == right.curve.clean_accuracy
+            np.testing.assert_array_equal(
+                left.curve.accuracies, right.curve.accuracies
+            )

@@ -516,6 +516,33 @@ class TestSpecRunsMatchDirectAPI:
             run_scenarios([spec, spec])
 
 
+class TestPreparedVariants:
+    """Redundancy variants never modify the model, so both context kinds
+    compile them onto the unprotected clone with their own sampler."""
+
+    @pytest.mark.parametrize("kind", ["scenario", "slot"])
+    def test_redundancy_variants_share_the_unprotected_clone(self, kind):
+        import threading
+
+        from repro.hw.ecc import ECCFilter
+        from repro.hw.tmr import DMRFilter, TMRFilter
+        from repro.scenarios import smoke_context
+        from repro.service.daemon import _SlotContext
+
+        context = smoke_context()
+        if kind == "slot":
+            context = _SlotContext(context, threading.RLock())
+        clone, sampler = context.prepared("lenet5", "unprotected")
+        assert sampler is None
+        filters = {"ecc": ECCFilter, "tmr": TMRFilter, "dmr": DMRFilter}
+        for variant, filter_type in filters.items():
+            model, sampler = context.prepared("lenet5", variant)
+            assert model is clone
+            assert type(sampler.filter) is filter_type
+        relu6, _ = context.prepared("lenet5", "relu6")
+        assert relu6 is not clone
+
+
 class TestBundledRegistry:
     def test_names_are_sorted_and_nonempty(self):
         names = bundled_spec_names()

@@ -338,3 +338,125 @@ class TestTensorPlane:
                 view.close()
         finally:
             shipment.release()
+
+
+def _load_all(ref, names):
+    """Open the plane once and load ``names`` (views stay valid while open)."""
+    view = ref.open()
+    return view, [view.load(name) for name in names]
+
+
+@pytest.fixture(params=["shared-memory", "inline"])
+def transport(request, monkeypatch):
+    if request.param == "inline":
+        monkeypatch.setattr(shm, "_shared_memory", None)
+    elif not shared_memory_available():  # pragma: no cover
+        pytest.skip("platform without shared memory")
+    return request.param
+
+
+class TestDistinctBuffersPlacedOnce:
+    def test_one_array_in_two_units_is_placed_once(self, transport):
+        array = np.random.default_rng(0).standard_normal(4096).astype(np.float32)
+        first = pack_object({"x": array, "name": "first"})
+        second = pack_object({"x": array, "name": "second"})
+        shipment = ship_units([("a", first), ("b", second)])
+        try:
+            ref = shipment.ref
+            assert ref.via_shared_memory == (transport == "shared-memory")
+            a_span, b_span = ref.units
+            assert a_span.buffers == b_span.buffers
+            assert a_span.stream != b_span.stream
+            assert ref.payload.size < (
+                len(first.stream) + len(second.stream) + array.nbytes
+                + shm._BUFFER_ALIGNMENT
+            )
+            view, (a, b) = _load_all(ref, ["a", "b"])
+            try:
+                assert (a["name"], b["name"]) == ("first", "second")
+                for loaded in (a["x"], b["x"]):
+                    np.testing.assert_array_equal(loaded, array)
+                    assert not loaded.flags.writeable
+                del a, b, loaded
+            finally:
+                view.close()
+        finally:
+            shipment.release()
+
+    def test_views_of_one_base_with_different_lengths_get_separate_spans(
+        self, transport
+    ):
+        base = np.arange(256, dtype=np.float32)
+        short = pack_object(base[:100])
+        long = pack_object(base[:200])
+        shipment = ship_units([("short", short), ("long", long)])
+        try:
+            short_span, long_span = shipment.ref.units
+            assert short_span.buffers != long_span.buffers
+            view, (a, b) = _load_all(shipment.ref, ["short", "long"])
+            try:
+                np.testing.assert_array_equal(a, base[:100])
+                np.testing.assert_array_equal(b, base[:200])
+                del a, b
+            finally:
+                view.close()
+        finally:
+            shipment.release()
+
+    def test_every_buffer_starts_aligned(self, transport):
+        units = [
+            ("odd", PackedUnit(b"\x01" * 3, ())),
+            *((f"u/{i}", pack_object(_sample_payload(seed=i))) for i in range(3)),
+        ]
+        shipment = ship_units(units)
+        try:
+            for unit in shipment.ref.units:
+                for start, _end in unit.buffers:
+                    assert start % shm._BUFFER_ALIGNMENT == 0
+        finally:
+            shipment.release()
+
+
+class TestAlignedLoadsKeepTheParentsBits:
+    """Misaligned float32 weights send ``x @ W.T`` down another BLAS path
+    that rounds differently, so pooled logits drifted from the parent's."""
+
+    def test_lenet_task_behind_an_odd_unit_loads_aligned_and_bit_equal(
+        self, transport
+    ):
+        from repro.core.executor import WeightFaultCellTask
+        from repro.hw.memory import WeightMemory
+        from repro.models import build_model
+
+        model = build_model("lenet5", seed=3)
+        model.eval()
+        rng = np.random.default_rng(4)
+        images = rng.standard_normal((72, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, 72)
+        task = WeightFaultCellTask(
+            model, WeightMemory.from_model(model), images, labels
+        )
+        unit = pack_object(task)
+        # Pad so the task's first buffer would start at an odd offset.
+        pad = 1 if len(unit.stream) % 2 == 0 else 2
+        shipment = ship_units(
+            [("pad", PackedUnit(b"\x00" * pad, ())), ("task/0", unit)]
+        )
+        try:
+            view, (loaded,) = _load_all(shipment.ref, ["task/0"])
+            try:
+                arrays = [loaded.images] + [
+                    parameter.data for parameter in loaded.model.parameters()
+                ]
+                assert len(arrays) == 11  # images + 10 LeNet-5 parameters
+                for array in arrays:
+                    assert array.dtype == np.float32
+                    assert array.ctypes.data % array.dtype.alignment == 0
+                expected = model(images)
+                actual = loaded.model(loaded.images)
+                assert actual.tobytes() == expected.tobytes()
+                del loaded, arrays, array, actual
+            finally:
+                view.close()
+        finally:
+            shipment.release()
