@@ -414,11 +414,6 @@ class PlaneShipment:
         self.release()
 
 
-def _buffer_address(raw: memoryview) -> int:
-    """Start address of a contiguous buffer (read-only buffers included)."""
-    return np.frombuffer(raw, dtype=np.uint8).__array_interface__["data"][0]
-
-
 # Every tensor-buffer span starts at a multiple of this many bytes, so
 # numpy rebuilds each array aligned: the segment mapping is page-aligned
 # and the inline bytearray malloc-aligned.  A misaligned float operand
@@ -457,7 +452,8 @@ def ship_units(units: "Iterable[tuple[str, PackedUnit]]") -> PlaneShipment:
         return (start, offset)
 
     def place_buffer(raw: memoryview) -> "tuple[int, int]":
-        key = (_buffer_address(raw), raw.nbytes)
+        address = np.frombuffer(raw, dtype=np.uint8).__array_interface__["data"][0]
+        key = (address, raw.nbytes)
         if key not in placed:
             placed[key] = place(raw, _BUFFER_ALIGNMENT)
         return placed[key]

@@ -1,8 +1,9 @@
 """One conformance matrix: how a suite runs never changes its store bytes.
 
 The bit-identity contract in one place.  A bundled smoke suite, extended
-with an adaptive variant and an ECC variant of its first spec, must write ``store/cells.rcs`` with the same
-sha256 as the plain single-process run across
+with an adaptive variant and an ECC variant of its first spec, must
+write ``store/cells.rcs`` with the same sha256 as the plain
+single-process run across
 
 * workers {1, 2};
 * chaos {off, ``kill=0.25,raise=0.25,seed=7,attempts=1`` under
