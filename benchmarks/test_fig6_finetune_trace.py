@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.core.campaign import CampaignConfig
-from repro.core.finetune import FineTuneConfig, fine_tune_threshold, make_layer_auc_evaluator
+from repro.core.finetune import FineTuneConfig, LayerAUCEvaluator, fine_tune_threshold
 from repro.core.swap import swap_activations
 from repro.experiments import clone_model
 from repro.hw.memory import WeightMemory
@@ -35,9 +35,7 @@ def test_fig6_interval_search_trace(
     config = CampaignConfig(
         fault_rates=tuple(np.logspace(-5, -3, 4)), trials=3, seed=6
     )
-    evaluator = make_layer_auc_evaluator(
-        model, LAYER, memory, images, labels, config
-    )
+    evaluator = LayerAUCEvaluator(model, LAYER, memory, images, labels, config)
 
     result = run_once(
         benchmark,

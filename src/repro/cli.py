@@ -67,22 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-retries",
             type=int,
             default=None,
-            help="retries per cell before quarantine/abort (default 2, or "
-            "REPRO_MAX_RETRIES); see docs/FAULT_TOLERANCE.md",
+            help="retries per cell before quarantine/abort (default 2); "
+            "see docs/FAULT_TOLERANCE.md",
         )
         p.add_argument(
             "--cell-timeout",
             type=float,
             default=None,
             help="wall-clock seconds per cell before its dispatch is killed "
-            "and retried (default: none, or REPRO_CELL_TIMEOUT)",
+            "and retried (default: none)",
         )
         p.add_argument(
             "--on-cell-error",
             default=None,
             choices=ON_CELL_ERROR_CHOICES,
-            help="what a cell exception does: abort re-raises (default, or "
-            "REPRO_ON_CELL_ERROR), retry retries then quarantines, "
+            help="what a cell exception does: abort re-raises (default), "
+            "retry retries then quarantines, "
             "quarantine gives up immediately; quarantined cells become "
             "failed outcomes in results instead of killing the run",
         )
@@ -416,6 +416,22 @@ def _apply_chaos(args: argparse.Namespace) -> "int | None":
     return None
 
 
+def _supervision(args: argparse.Namespace):
+    """The :class:`SupervisionPolicy` the supervision flags describe.
+
+    An unset flag keeps the policy's default; a bad value raises
+    ``ValueError`` here, before any work starts.
+    """
+    from repro.core.executor import SupervisionPolicy
+
+    fields = {
+        name: getattr(args, name)
+        for name in ("max_retries", "cell_timeout", "on_cell_error")
+        if getattr(args, name) is not None
+    }
+    return SupervisionPolicy(**fields)
+
+
 def _report_scenario_failures(results) -> None:
     """Print one line per quarantined cell (failed outcome) of each result."""
     records = [
@@ -552,9 +568,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             checkpoint=args.checkpoint,
             out_dir=None,
             context=ScenarioContext(harden_workers=args.workers),
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            on_cell_error=args.on_cell_error,
+            supervision=_supervision(args),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -656,9 +670,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 args.out,
                 workers=args.workers,
                 progress=progress,
-                max_retries=args.max_retries,
-                cell_timeout=args.cell_timeout,
-                on_cell_error=args.on_cell_error,
+                supervision=_supervision(args),
                 store=not args.no_store,
             )
         except ValueError as error:
@@ -678,9 +690,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             progress=progress,
             checkpoint=args.checkpoint,
             out_dir=args.out,
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            on_cell_error=args.on_cell_error,
+            supervision=_supervision(args),
             store=not args.no_store,
         )
     except ValueError as error:
@@ -863,16 +873,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.scenarios import smoke_context
 
         context = smoke_context()
-    service = CampaignService(
-        args.root,
-        context=context,
-        workers=args.workers,
-        slots=args.slots,
-        queue_limit=args.queue_limit,
-        max_retries=args.max_retries,
-        cell_timeout=args.cell_timeout,
-        on_cell_error=args.on_cell_error,
-    )
+    try:
+        service = CampaignService(
+            args.root,
+            context=context,
+            workers=args.workers,
+            slots=args.slots,
+            queue_limit=args.queue_limit,
+            supervision=_supervision(args),
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     server = serve(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     # Parsed by clients and the smoke harness; keep the format stable.

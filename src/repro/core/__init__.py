@@ -36,7 +36,6 @@ from repro.core.finetune import (
     LayerAUCEvaluator,
     ThresholdFineTuner,
     fine_tune_threshold,
-    make_layer_auc_evaluator,
 )
 from repro.core.metrics import (
     BoxStats,
@@ -104,7 +103,6 @@ __all__ = [
     "fine_tune_threshold",
     "get_thresholds",
     "harden_model",
-    "make_layer_auc_evaluator",
     "predict_labels",
     "profile_activations",
     "random_bitflip_sampler",

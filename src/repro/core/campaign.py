@@ -27,7 +27,6 @@ import numpy as np
 from repro import nn
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
 from repro.hw.faultmodels import FaultModel, FaultSet, RandomBitFlip
-from repro.hw.injector import FaultInjector
 from repro.hw.memory import WeightMemory
 from repro.utils.validation import check_positive
 
@@ -149,7 +148,6 @@ class FaultInjectionCampaign:
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("images and labels disagree on sample count")
         self.config = config if config is not None else CampaignConfig()
-        self.injector = FaultInjector(memory)
         self._clean_accuracy: "float | None" = None
 
     @property
@@ -186,18 +184,23 @@ class FaultInjectionCampaign:
         per completed cell and ``checkpoint`` names a JSONL journal enabling
         resume of an interrupted sweep — see
         :class:`~repro.core.executor.CampaignExecutor`.
+
+        The clean accuracy comes from the executor's own clean pass and
+        refills :attr:`clean_accuracy`'s cache, so a run costs no extra
+        fault-free forward over the evaluation set.
         """
         from repro.core.executor import CampaignExecutor, WeightFaultCellTask
 
         task = WeightFaultCellTask(
             self.model, self.memory, self.images, self.labels,
             config=self.config, sampler=sampler, label=label,
-            clean_accuracy=self.clean_accuracy,
         )
         executor = CampaignExecutor(
             workers=workers, progress=progress, checkpoint=checkpoint
         )
-        return executor.run_tasks([task])[0]
+        curve = executor.run_tasks([task])[0]
+        self._clean_accuracy = curve.clean_accuracy
+        return curve
 
 
 def run_campaign(

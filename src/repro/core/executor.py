@@ -70,9 +70,10 @@ and the in-process lane keep their count.
 **Dispatch.**  Cells are enumerated task-major, rate-major (the serial
 order) and fed to one supervised loop — retry, backoff, quarantine,
 timeouts and pool rebuilds exist once — through one of two *lanes*.
-The pool lane splits the cells into contiguous single-task chunks of
-``chunk_size`` (default: about four chunks per worker across all tasks)
-and keeps up to two chunks per worker in flight.  The in-process lane
+Its rules arrive as one :class:`SupervisionPolicy`.  The pool lane
+splits the cells into contiguous single-task chunks, about four per
+worker across all tasks, and keeps up to two chunks per worker in
+flight.  The in-process lane
 (``workers=1``, and the fallback after repeated pool losses) evaluates
 one cell per dispatch on the caller's live tasks, so its futures are
 already finished when the loop waits on them.  Results are written back
@@ -115,7 +116,6 @@ from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
 from repro.utils import blas
 from repro.utils.rng import SeedTree
 from repro.utils.shm import PackedUnit, ShippedPlane, pack_object, ship_units
-from repro.utils.validation import env_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.campaign import CampaignConfig, FaultSampler
@@ -214,6 +214,11 @@ class SupervisionPolicy:
     backoff (no jitter — determinism extends to scheduling decisions),
     and ``max_pool_rebuilds`` caps pool reconstructions before the
     executor swaps in the in-process lane.
+
+    The policy is the only way these rules reach the executor: callers
+    build and validate it where the settings enter (the CLI builds one
+    from ``--max-retries``, ``--cell-timeout`` and ``--on-cell-error``)
+    and pass it down as ``supervision=``.
     """
 
     max_retries: int = 2
@@ -247,37 +252,6 @@ class SupervisionPolicy:
             raise ValueError("max_pool_rebuilds must be >= 0")
         object.__setattr__(
             self, "max_pool_rebuilds", int(self.max_pool_rebuilds)
-        )
-
-    @classmethod
-    def from_env(
-        cls,
-        max_retries: "int | None" = None,
-        cell_timeout: "float | None" = None,
-        on_cell_error: "str | None" = None,
-    ) -> "SupervisionPolicy":
-        """Resolve a policy: explicit argument > environment > default.
-
-        The environment knobs (``REPRO_MAX_RETRIES``,
-        ``REPRO_CELL_TIMEOUT``, ``REPRO_ON_CELL_ERROR``) configure runs
-        whose call sites don't thread the parameters — benchmarks,
-        examples, hardening sub-campaigns.
-        """
-        if max_retries is None:
-            max_retries = env_number(
-                "REPRO_MAX_RETRIES", int, "an integer", cls.max_retries
-            )
-        if cell_timeout is None:
-            cell_timeout = env_number(
-                "REPRO_CELL_TIMEOUT", float, "a number of seconds"
-            )
-        if on_cell_error is None:
-            raw = os.environ.get("REPRO_ON_CELL_ERROR", "").strip()
-            on_cell_error = raw if raw else cls.on_cell_error
-        return cls(
-            max_retries=max_retries,
-            cell_timeout=cell_timeout,
-            on_cell_error=on_cell_error,
         )
 
     def backoff_seconds(self, failures: int) -> float:
@@ -481,7 +455,6 @@ class WeightFaultCellTask:
         config: "CampaignConfig | None" = None,
         sampler: "FaultSampler | None" = None,
         label: str = "",
-        clean_accuracy: "float | None" = None,
     ):
         from repro.core.campaign import CampaignConfig, random_bitflip_sampler
 
@@ -492,7 +465,7 @@ class WeightFaultCellTask:
         self.config = config if config is not None else CampaignConfig()
         self.sampler = sampler if sampler is not None else random_bitflip_sampler()
         self.label = label
-        self._clean = None if clean_accuracy is None else float(clean_accuracy)
+        self._clean: "float | None" = None
 
     def __getstate__(self) -> dict:
         return payload_state(self)
@@ -970,10 +943,6 @@ class CampaignExecutor:
         ``1`` (default) runs every cell in-process over the caller's
         live objects.  ``N > 1`` fans cells across ``N`` worker
         processes.  ``0`` means one worker per CPU core.
-    chunk_size:
-        Cells per dispatched task; ``0`` picks roughly four chunks per
-        worker.  Larger chunks amortize dispatch overhead, smaller chunks
-        stream progress sooner and balance load better.
     progress:
         Optional callback receiving a :class:`CellResult` per completed
         cell (checkpointed cells are replayed with
@@ -1002,15 +971,10 @@ class CampaignExecutor:
         done.  Idle workers keep the last sweep's runner (model copy
         plus suffix cache) until the next sweep or :meth:`close` — size
         ``REPRO_SUFFIX_BUDGET_MB`` accordingly on wide warm pools.
-    max_retries / cell_timeout / on_cell_error:
-        Shorthand for the matching :class:`SupervisionPolicy` fields;
-        unset knobs resolve through the ``REPRO_MAX_RETRIES`` /
-        ``REPRO_CELL_TIMEOUT`` / ``REPRO_ON_CELL_ERROR`` environment and
-        fall back to the policy defaults (2 retries, no timeout, abort).
     supervision:
-        A complete :class:`SupervisionPolicy` (mutually exclusive with
-        the shorthand knobs) for callers that also tune the backoff or
-        the pool-rebuild budget.
+        The :class:`SupervisionPolicy` (retries, timeouts, the cell-error
+        policy, backoff and the pool-rebuild budget); ``None`` means the
+        defaults: 2 retries, no timeout, abort.
     recorder:
         Optional :class:`CellRecorder` receiving every completed cell
         (``cell``) and every quarantined cell's failure record
@@ -1027,45 +991,23 @@ class CampaignExecutor:
     def __init__(
         self,
         workers: int = 1,
-        chunk_size: int = 0,
         progress: "ProgressCallback | None" = None,
         checkpoint: "str | Path | None" = None,
         mp_context: "str | None" = None,
         persistent: bool = False,
         checkpoint_extra: "dict | None" = None,
-        max_retries: "int | None" = None,
-        cell_timeout: "float | None" = None,
-        on_cell_error: "str | None" = None,
         supervision: "SupervisionPolicy | None" = None,
         recorder: "CellRecorder | None" = None,
     ):
         self.workers = resolve_workers(workers)
         self.recorder = recorder
-        if chunk_size < 0:
-            raise ValueError(f"chunk_size must be >= 0 (0 = auto), got {chunk_size}")
-        self.chunk_size = int(chunk_size)
         self.progress = progress
         self.checkpoint_path = checkpoint
         self.checkpoint_extra = dict(checkpoint_extra) if checkpoint_extra else None
         self.mp_context = mp_context
         self.persistent = bool(persistent)
-        if supervision is not None and (
-            max_retries is not None
-            or cell_timeout is not None
-            or on_cell_error is not None
-        ):
-            raise ValueError(
-                "pass either a SupervisionPolicy or the individual "
-                "max_retries/cell_timeout/on_cell_error knobs, not both"
-            )
         self.supervision = (
-            supervision
-            if supervision is not None
-            else SupervisionPolicy.from_env(
-                max_retries=max_retries,
-                cell_timeout=cell_timeout,
-                on_cell_error=on_cell_error,
-            )
+            supervision if supervision is not None else SupervisionPolicy()
         )
         # Failure records of the most recent run_grids pass, one dict
         # per quarantined cell (schema: FAILED_CELL_FIELDS).
@@ -1483,7 +1425,7 @@ class CampaignExecutor:
             workers = (
                 self.workers if self.persistent else min(self.workers, n_pending)
             )
-            chunk_size = self.chunk_size or max(1, n_pending // (workers * 4))
+            chunk_size = max(1, n_pending // (workers * 4))
             if not plane.via_shared_memory:
                 # Inline transport re-pickles the whole payload into
                 # every chunk's call item; coarsen to about one chunk per

@@ -29,7 +29,6 @@ __all__ = [
     "IterationTrace",
     "FineTuneResult",
     "fine_tune_threshold",
-    "make_layer_auc_evaluator",
     "LayerAUCEvaluator",
     "ThresholdFineTuner",
 ]
@@ -321,31 +320,6 @@ class LayerAUCEvaluator:
         ]
 
 
-def make_layer_auc_evaluator(
-    model: nn.Module,
-    layer_name: str,
-    memory: WeightMemory,
-    images: np.ndarray,
-    labels: np.ndarray,
-    campaign_config: CampaignConfig,
-    sampler: "FaultSampler | None" = None,
-    include_zero_rate: bool = True,
-    workers: int = 1,
-) -> AUCEvaluator:
-    """Build the :class:`LayerAUCEvaluator` Algorithm 1 calls for one layer."""
-    return LayerAUCEvaluator(
-        model,
-        layer_name,
-        memory,
-        images,
-        labels,
-        campaign_config,
-        sampler=sampler,
-        include_zero_rate=include_zero_rate,
-        workers=workers,
-    )
-
-
 class ThresholdFineTuner:
     """Step 3 driver: fine-tune every clipped layer of a model.
 
@@ -379,7 +353,7 @@ class ThresholdFineTuner:
     def tune_layer(self, layer_name: str, act_max: float) -> FineTuneResult:
         """Fine-tune one layer, restoring its initial threshold afterwards."""
         initial = get_thresholds(self.model)[layer_name]
-        evaluator = make_layer_auc_evaluator(
+        evaluator = LayerAUCEvaluator(
             self.model,
             layer_name,
             self.memory_factory(layer_name),

@@ -45,6 +45,7 @@ from repro.scenarios.spec import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executor import SupervisionPolicy
     from repro.core.metrics import ResilienceCurve
     from repro.core.pipeline import FTClipActConfig
     from repro.models.zoo import PretrainedBundle
@@ -291,10 +292,6 @@ class ScenarioResult:
     def name(self) -> str:
         return self.spec.name
 
-    def file_stem(self) -> str:
-        """A filesystem-safe stem for this scenario's result file."""
-        return re.sub(r"[^A-Za-z0-9._+=-]+", "-", self.spec.name)
-
     def to_dict(self) -> dict[str, Any]:
         payload = {
             "spec": self.spec.to_dict(),
@@ -318,9 +315,7 @@ def run_scenarios(
     checkpoint: "str | Path | None" = None,
     out_dir: "str | Path | None" = None,
     context: "ScenarioContext | None" = None,
-    max_retries: "int | None" = None,
-    cell_timeout: "float | None" = None,
-    on_cell_error: "str | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     store: bool = True,
     executor: "Any | None" = None,
 ) -> list[ScenarioResult]:
@@ -339,8 +334,8 @@ def run_scenarios(
     the canonical columnar ``store/cells.rcs`` is written with the
     results — the input to ``repro report``.
 
-    ``max_retries``/``cell_timeout``/``on_cell_error`` feed the
-    executor's :class:`~repro.core.executor.SupervisionPolicy` (see
+    ``supervision`` is the executor's
+    :class:`~repro.core.executor.SupervisionPolicy` (see
     ``docs/FAULT_TOLERANCE.md``); with ``on_cell_error != "abort"``,
     cells that exhaust their retry budget land on each result's
     ``failed`` tuple instead of aborting the suite.
@@ -349,21 +344,16 @@ def run_scenarios(
     :class:`~repro.core.executor.CampaignExecutor` instead of building a
     fresh one — the service reuses one warm pool per slot this way.  Its
     worker count and supervision policy are fixed at construction, so
-    combining it with ``workers``/``max_retries``/``cell_timeout``/
-    ``on_cell_error`` is an error; its per-run hooks are repointed via
-    ``reconfigure`` and the caller keeps responsibility for ``close()``.
+    combining it with ``workers`` or ``supervision`` is an error; its
+    per-run hooks are repointed via ``reconfigure`` and the caller keeps
+    responsibility for ``close()``.
     """
     from repro.core.executor import CampaignExecutor
 
-    if executor is not None and (
-        workers is not None
-        or max_retries is not None
-        or cell_timeout is not None
-        or on_cell_error is not None
-    ):
+    if executor is not None and (workers is not None or supervision is not None):
         raise ValueError(
             "pass either a caller-owned executor or the "
-            "workers/max_retries/cell_timeout/on_cell_error knobs, not both"
+            "workers/supervision settings, not both"
         )
     if isinstance(scenarios, ScenarioSuite):
         specs: Sequence[CampaignSpec] = scenarios.specs
@@ -393,8 +383,7 @@ def run_scenarios(
     if executor is None:
         executor = CampaignExecutor(
             workers=workers, progress=progress, checkpoint=checkpoint,
-            max_retries=max_retries, cell_timeout=cell_timeout,
-            on_cell_error=on_cell_error, recorder=recorder,
+            supervision=supervision, recorder=recorder,
         )
     else:
         executor.reconfigure(

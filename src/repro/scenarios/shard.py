@@ -43,7 +43,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.scenarios.compile import (
     ScenarioContext,
@@ -55,6 +55,9 @@ from repro.scenarios.compile import (
     write_results,
 )
 from repro.scenarios.spec import CampaignSpec, ScenarioSuite
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executor import SupervisionPolicy
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -310,9 +313,7 @@ def run_scenario_shard(
     workers: "int | None" = None,
     progress: "Callable | None" = None,
     context: "ScenarioContext | None" = None,
-    max_retries: "int | None" = None,
-    cell_timeout: "float | None" = None,
-    on_cell_error: "str | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     store: bool = True,
 ) -> Path:
     """Execute one shard of a suite into a segmented run directory.
@@ -324,8 +325,8 @@ def run_scenario_shard(
     resumes while any cross-shard or cross-suite resume is refused.
     Returns the shard directory.
 
-    ``max_retries``/``cell_timeout``/``on_cell_error`` feed the
-    executor's :class:`~repro.core.executor.SupervisionPolicy`; with
+    ``supervision`` is the executor's
+    :class:`~repro.core.executor.SupervisionPolicy`; with
     ``on_cell_error != "abort"`` a cell that exhausts its retry budget
     is recorded on the partial's ``failed`` list (and left out of
     ``cells``) instead of aborting the shard — ``merge_run`` surfaces
@@ -399,9 +400,7 @@ def run_scenario_shard(
                     "suite_hash": plan.suite_hash,
                 }
             },
-            max_retries=max_retries,
-            cell_timeout=cell_timeout,
-            on_cell_error=on_cell_error,
+            supervision=supervision,
             recorder=recorder,
         )
         try:

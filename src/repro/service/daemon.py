@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.service.keys import SERVICE_FORMAT, campaign_key, key_components
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executor import SupervisionPolicy
     from repro.scenarios.compile import ScenarioContext
     from repro.scenarios.spec import ScenarioSuite
 
@@ -157,10 +158,11 @@ class CampaignService:
 
     ``workers`` is each slot executor's process count, ``slots`` the
     number of campaigns executing concurrently, ``queue_limit`` the
-    backlog bound beyond the running campaigns (full → 503).  Supervision
-    knobs thread into every slot executor exactly as they do into
-    ``repro scenarios`` (``docs/FAULT_TOLERANCE.md``), so the daemon
-    inherits retry/timeout/quarantine and the ``REPRO_CHAOS`` harness.
+    backlog bound beyond the running campaigns (full → 503).  The
+    ``supervision`` policy goes to every slot executor exactly as it
+    does in ``repro scenarios`` (``docs/FAULT_TOLERANCE.md``), so the
+    daemon inherits retry/timeout/quarantine and the ``REPRO_CHAOS``
+    harness.  Every setting is validated here, before a slot starts.
 
     Construction is passive; :meth:`start` spawns the slot threads (the
     split keeps queue-bound behaviour deterministic under test).
@@ -173,12 +175,12 @@ class CampaignService:
         workers: int = 1,
         slots: int = 1,
         queue_limit: int = 8,
-        max_retries: "int | None" = None,
-        cell_timeout: "float | None" = None,
-        on_cell_error: "str | None" = None,
+        supervision: "SupervisionPolicy | None" = None,
     ):
+        from repro.core.executor import resolve_workers
         from repro.scenarios.compile import ScenarioContext
 
+        resolve_workers(workers)
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if queue_limit < 1:
@@ -187,11 +189,7 @@ class CampaignService:
         self.context = context if context is not None else ScenarioContext()
         self.workers = workers
         self.slots = slots
-        self.supervision = {
-            "max_retries": max_retries,
-            "cell_timeout": cell_timeout,
-            "on_cell_error": on_cell_error,
-        }
+        self.supervision = supervision
         self._lock = threading.RLock()
         self._artifact_lock = threading.RLock()
         self._entries: dict[str, RunEntry] = {}
@@ -370,7 +368,7 @@ class CampaignService:
         from repro.core.executor import CampaignExecutor
 
         executor = CampaignExecutor(
-            workers=self.workers, persistent=True, **self.supervision
+            workers=self.workers, persistent=True, supervision=self.supervision
         )
         slot_context = _SlotContext(self.context, self._artifact_lock)
         try:

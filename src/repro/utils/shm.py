@@ -1,9 +1,9 @@
 """Shared-memory tensor plane: zero-copy shipping of campaign state.
 
 This module is the transport layer of the parallel campaign executor
-(:mod:`repro.core.executor`).  It grew out of a bytes-shipping helper
-into a **tensor plane**: one :mod:`multiprocessing.shared_memory` segment
-per host holds, at known offsets, every large tensor a sweep needs —
+(:mod:`repro.core.executor`), and the **tensor plane** is its only
+transport: one :mod:`multiprocessing.shared_memory` segment per host
+holds, at known offsets, every large tensor a sweep needs —
 model weight arrays, evaluation arrays, and the suffix engine's cached
 clean activations — plus the (small) in-band pickle streams that tie
 them together.  Worker processes attach the segment by name and map each
@@ -33,15 +33,15 @@ Degradation is always graceful and bit-identical:
 
 * **Shared memory unavailable** (no ``/dev/shm``, permissions, missing
   ``_posixshmem``, segment creation fails): the plane's bytes travel
-  inline through the pickled task address instead — one private copy
-  per worker, exactly the pre-shared-memory transport.  Loads still
-  reconstruct read-only views (into the worker's private bytes), so the
-  copy-on-write discipline is exercised identically.
+  inline in the pickled :class:`ShippedPlane` instead — one private
+  copy per worker.  Loads still reconstruct read-only views (into the
+  worker's private bytes), so the copy-on-write discipline is exercised
+  identically.
 
 Lifecycle and cleanup: the creating process owns the segment and must
-call :meth:`Shipment.release` (close + unlink) exactly once;
+call :meth:`PlaneShipment.release` (close + unlink) exactly once;
 :class:`CampaignExecutor` does so in a ``finally`` even when a worker
-raises or the sweep is interrupted, and :class:`Shipment` carries a
+raises or the sweep is interrupted, and :class:`PlaneShipment` carries a
 best-effort ``__del__`` backstop.  Workers detach on generation change;
 a detach that would invalidate still-live views is skipped (the mapping
 then lives until process exit — the segment itself is already unlinked,
@@ -58,10 +58,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "ShippedBytes",
-    "ShippedBuffer",
-    "Shipment",
-    "ship_bytes",
     "shared_memory_available",
     "shared_memory_writable",
     "PackedUnit",
@@ -128,114 +124,11 @@ def _attach_segment(name: str):
 
 
 # Attachments whose detach was skipped because numpy views were still
-# live (see ShippedBuffer.close).  Keeping the handles referenced stops
+# live (see PlaneView.close).  Keeping the handles referenced stops
 # their __del__ from re-attempting the doomed unmap at GC time; the
 # mappings are reclaimed by the OS at process exit, and the segments
 # themselves are unlinked by their creating process regardless.
 _LEAKED_MAPPINGS: "list" = []
-
-
-class ShippedBuffer:
-    """A worker-side view of a shipped blob (attach/detach lifecycle)."""
-
-    def __init__(self, buffer, segment=None):
-        self._buffer = buffer
-        self._segment = segment
-
-    @property
-    def buffer(self):
-        """The blob as a sliceable read buffer (memoryview or bytes)."""
-        if self._buffer is None:
-            raise ValueError("shipped buffer is closed")
-        return self._buffer
-
-    def close(self) -> None:
-        """Detach from the segment (no-op for the inline transport).
-
-        If numpy views created over the segment are still alive the
-        unmap would invalidate them; the detach is then skipped (see the
-        module docstring: the parent has already unlinked the segment,
-        so the memory is reclaimed when the process exits).
-        """
-        self._buffer = None
-        if self._segment is not None:
-            segment, self._segment = self._segment, None
-            try:
-                segment.close()
-            except BufferError:
-                _LEAKED_MAPPINGS.append(segment)
-
-
-@dataclass(frozen=True)
-class ShippedBytes:
-    """Picklable address of a payload blob.
-
-    Either the name of a shared-memory segment (``segment``) or, when the
-    fallback transport is in use, the payload bytes themselves
-    (``inline`` — any picklable bytes-like object).
-    """
-
-    segment: "str | None"
-    size: int
-    inline: "bytes | bytearray | None" = None
-
-    @property
-    def via_shared_memory(self) -> bool:
-        """Whether the blob travels through a shared-memory segment."""
-        return self.segment is not None
-
-    def open(self) -> ShippedBuffer:
-        """Attach to the blob; the caller must :meth:`~ShippedBuffer.close` it."""
-        if self.segment is None:
-            return ShippedBuffer(self.inline)
-        handle = _attach_segment(self.segment)
-        return ShippedBuffer(memoryview(handle.buf)[: self.size], handle)
-
-
-class Shipment:
-    """Parent-side owner of a shipped blob; release() frees the segment."""
-
-    def __init__(self, ref: ShippedBytes, segment=None):
-        self.ref = ref
-        self._segment = segment
-
-    def release(self) -> None:
-        """Unlink the segment (idempotent; no-op for inline transport)."""
-        if self._segment is not None:
-            segment, self._segment = self._segment, None
-            segment.close()
-            segment.unlink()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
-        # Backstop only: owners release() deterministically (the executor
-        # does so in a finally); this catches abandoned shipments so an
-        # interrupted caller cannot leak a segment for the host's lifetime.
-        try:
-            self.release()
-        except Exception:
-            pass
-
-
-def ship_bytes(data: bytes) -> Shipment:
-    """Place ``data`` where worker processes can read it once per host.
-
-    Prefers one shared-memory segment (written once, attached by every
-    worker); falls back to inline bytes (copied to each worker through
-    the pool initializer's pickled arguments) when shared memory is
-    unavailable or segment creation fails.
-    """
-    segment = _create_segment(len(data))
-    if segment is not None:
-        try:
-            segment.buf[: len(data)] = data
-        except BaseException:  # pragma: no cover - partial-write cleanup
-            segment.close()
-            segment.unlink()
-            raise
-        return Shipment(
-            ShippedBytes(segment=segment.name, size=len(data)), segment
-        )
-    return Shipment(ShippedBytes(segment=None, size=len(data), inline=data))
 
 
 # --------------------------------------------------------------------- #
@@ -325,21 +218,24 @@ class UnitSpan:
 
 @dataclass(frozen=True)
 class ShippedPlane:
-    """Picklable address of a tensor plane: payload blob + region table.
+    """Picklable address of a tensor plane: its bytes + region table.
 
-    ``payload`` locates the single per-host segment (or carries the
-    bytes inline on the fallback transport); ``units`` is the region
+    ``segment`` names the single per-host shared-memory segment holding
+    the plane's ``size`` bytes; on the fallback transport it is ``None``
+    and ``inline`` carries the bytes themselves.  ``units`` is the region
     table, one :class:`UnitSpan` per packed unit, keyed by name (e.g.
     ``task/0``, ``suffix/0``).
     """
 
-    payload: ShippedBytes
     units: "tuple[UnitSpan, ...]"
+    segment: "str | None"
+    size: int
+    inline: "bytearray | None" = None
 
     @property
     def via_shared_memory(self) -> bool:
         """Whether the plane lives in a shared-memory segment."""
-        return self.payload.via_shared_memory
+        return self.segment is not None
 
     def names(self) -> "list[str]":
         """Region-table unit names, in layout order."""
@@ -347,7 +243,7 @@ class ShippedPlane:
 
     def open(self) -> "PlaneView":
         """Attach to the plane; the caller must :meth:`~PlaneView.close` it."""
-        return PlaneView(self, self.payload.open())
+        return PlaneView(self)
 
 
 class PlaneView:
@@ -359,12 +255,14 @@ class PlaneView:
     this attachment must not be used afterwards.
     """
 
-    def __init__(self, plane: ShippedPlane, shipped: ShippedBuffer):
-        self._plane = plane
-        self._shipped = shipped
+    def __init__(self, plane: ShippedPlane):
         self._spans = {unit.name: unit for unit in plane.units}
-        raw = shipped.buffer
-        self._memory = raw if isinstance(raw, memoryview) else memoryview(raw)
+        self._segment = None
+        if plane.segment is None:
+            self._memory = memoryview(plane.inline)
+        else:
+            self._segment = _attach_segment(plane.segment)
+            self._memory = memoryview(self._segment.buf)[: plane.size]
 
     def __contains__(self, name: str) -> bool:
         return name in self._spans
@@ -389,23 +287,44 @@ class PlaneView:
         return pickle.loads(stream, buffers=buffers)
 
     def close(self) -> None:
-        """Detach from the segment (idempotent; see :meth:`ShippedBuffer.close`)."""
+        """Detach from the segment (idempotent; no-op for the inline transport).
+
+        If numpy views created over the segment are still alive the
+        unmap would invalidate them; the detach is then skipped (see the
+        module docstring: the parent has already unlinked the segment,
+        so the memory is reclaimed when the process exits).
+        """
         self._memory = None
-        if self._shipped is not None:
-            shipped, self._shipped = self._shipped, None
-            shipped.close()
+        if self._segment is not None:
+            segment, self._segment = self._segment, None
+            try:
+                segment.close()
+            except BufferError:
+                _LEAKED_MAPPINGS.append(segment)
 
 
 class PlaneShipment:
     """Parent-side owner of a shipped plane; release() frees the segment."""
 
-    def __init__(self, ref: ShippedPlane, shipment: Shipment):
+    def __init__(self, ref: ShippedPlane, segment=None):
         self.ref = ref
-        self._shipment = shipment
+        self._segment = segment
 
     def release(self) -> None:
-        """Unlink the plane's segment (idempotent)."""
-        self._shipment.release()
+        """Unlink the plane's segment (idempotent; no-op for inline transport)."""
+        if self._segment is not None:
+            segment, self._segment = self._segment, None
+            segment.close()
+            segment.unlink()
+
+    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
+        # Backstop only: owners release() deterministically (the executor
+        # does so in a finally); this catches abandoned shipments so an
+        # interrupted caller cannot leak a segment for the host's lifetime.
+        try:
+            self.release()
+        except Exception:
+            pass
 
     def __enter__(self) -> "PlaneShipment":
         return self
@@ -473,8 +392,8 @@ def ship_units(units: "Iterable[tuple[str, PackedUnit]]") -> PlaneShipment:
             target[start : start + size] = chunk
 
     # Write each chunk straight into the segment: the plane's only full
-    # copy is the mapped one (a multi-GB sweep would not survive the
-    # transient join-then-copy the byte transport would need).
+    # copy is the mapped one (a multi-GB sweep would not survive a
+    # transient join-then-copy).
     segment = _create_segment(offset)
     if segment is not None:
         try:
@@ -483,10 +402,9 @@ def ship_units(units: "Iterable[tuple[str, PackedUnit]]") -> PlaneShipment:
             segment.close()
             segment.unlink()
             raise
-        shipment = Shipment(
-            ShippedBytes(segment=segment.name, size=offset), segment
+        return PlaneShipment(
+            ShippedPlane(tuple(spans), segment.name, offset), segment
         )
-        return PlaneShipment(ShippedPlane(shipment.ref, tuple(spans)), shipment)
 
     data = bytearray(offset)
     write_into(data)
@@ -494,5 +412,4 @@ def ship_units(units: "Iterable[tuple[str, PackedUnit]]") -> PlaneShipment:
     # bytes() conversion would transiently double the degraded path's
     # peak memory for nothing.  Loads stay read-only regardless —
     # PlaneView hands out .toreadonly() views in zero-copy mode.
-    shipment = Shipment(ShippedBytes(segment=None, size=offset, inline=data))
-    return PlaneShipment(ShippedPlane(shipment.ref, tuple(spans)), shipment)
+    return PlaneShipment(ShippedPlane(tuple(spans), None, offset, inline=data))

@@ -76,13 +76,14 @@ def test_chaos_spec_disturbs_this_suite():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chaos_run_is_byte_identical(ctx, reference, tmp_path, monkeypatch, workers):
+    from repro.core.executor import SupervisionPolicy
     from repro.scenarios import run_scenarios
 
     monkeypatch.setenv("REPRO_CHAOS", CHAOS)
     out = tmp_path / "out"
     results = run_scenarios(
         _smoke_suite(), workers=workers, out_dir=out, context=ctx,
-        on_cell_error="retry",
+        supervision=SupervisionPolicy(on_cell_error="retry"),
     )
     # Completed without aborting, and recovery left nothing quarantined.
     assert [result.name for result in results] == [

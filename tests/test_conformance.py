@@ -1,9 +1,11 @@
-"""One conformance matrix: how a suite runs never changes its store bytes.
+"""One conformance matrix: how a suite runs never changes an output byte.
 
 The bit-identity contract in one place.  A bundled smoke suite, extended
 with an adaptive variant and an ECC variant of its first spec, must
-write ``store/cells.rcs`` with the same sha256 as the plain
-single-process run across
+write every output with the same sha256 as the plain single-process
+run: ``store/cells.rcs``, ``summary.json``, every scenario JSON and the
+``report.html`` that :func:`repro.results.write_report` renders from
+the run directory.  That holds across
 
 * workers {1, 2};
 * chaos {off, ``kill=0.25,raise=0.25,seed=7,attempts=1`` under
@@ -18,10 +20,15 @@ BLAS thread count, and the workers-2 runs at the pool's budget
 (``max(1, cpus // 2)`` threads per worker), so on hosts with more than
 one CPU the BLAS thread count is an axis of every pooled case too.
 
-With scipy blocked from import, at workers 1 and 2, every scenario JSON
-and ``summary.json`` must match the reference too, not just the store:
-scipy is a dev extra, and the adaptive scenario's ``ci_halfwidths`` are
-where an install-dependent quantile would show.
+With scipy blocked from import, at workers 1 and 2, the outputs must
+match the reference too: scipy is a dev extra, and the adaptive
+scenario's ``ci_halfwidths`` are where an install-dependent quantile
+would show.
+
+Left out of the comparison: a sharded run's ``shards/`` tree (manifests,
+partials, per-shard checkpoints and segments), which records how the
+run was split rather than what it computed, and the unsharded store's
+``segment.jsonl``, whose line order follows cell completion order.
 """
 
 from __future__ import annotations
@@ -67,8 +74,14 @@ def _suite():
 
 
 def _output_digests(run_dir) -> "dict[str, str]":
-    """sha256 of the store, ``summary.json`` and every scenario JSON."""
-    paths = [run_dir / STORE, *sorted(run_dir.glob("*.json"))]
+    """sha256 of the store, every JSON and the rendered ``report.html``."""
+    from repro.results import write_report
+
+    paths = [
+        run_dir / STORE,
+        *sorted(run_dir.glob("*.json")),
+        write_report(run_dir),
+    ]
     return {
         path.relative_to(run_dir).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
@@ -99,25 +112,27 @@ def reference(ctx, tmp_path_factory) -> "dict[str, str]":
 def test_store_digest_is_invariant(
     ctx, reference, tmp_path, monkeypatch, workers, chaos, shards
 ):
+    from repro.core.executor import SupervisionPolicy
     from repro.scenarios import merge_run, run_scenario_shard, run_scenarios
 
     if chaos:
         monkeypatch.setenv("REPRO_CHAOS", CHAOS)
+    retry = SupervisionPolicy(on_cell_error="retry")
     out = tmp_path / "out"
     if shards == 1:
         results = run_scenarios(
             _suite(), workers=workers, out_dir=out, context=ctx,
-            on_cell_error="retry",
+            supervision=retry,
         )
     else:
         for index in range(1, shards + 1):
             run_scenario_shard(
                 _suite(), f"{index}/{shards}", out, workers=workers,
-                context=ctx, on_cell_error="retry",
+                context=ctx, supervision=retry,
             )
         results = merge_run(out)
     assert all(not result.failed for result in results)
-    assert _output_digests(out)[STORE] == reference[STORE]
+    assert _output_digests(out) == reference
 
 
 @pytest.mark.parametrize(
@@ -143,7 +158,7 @@ def test_store_digest_is_invariant_to_blas_and_suffix(
     finally:
         if restore is not None:
             set_blas_threads(restore)
-    assert _output_digests(out)[STORE] == reference[STORE]
+    assert _output_digests(out) == reference
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -170,7 +185,7 @@ def test_killed_run_resumes_from_journal(ctx, reference, tmp_path, workers):
         _suite(), workers=workers, out_dir=out, context=ctx,
         checkpoint=journal,
     )
-    assert _output_digests(out)[STORE] == reference[STORE]
+    assert _output_digests(out) == reference
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -80,11 +80,12 @@ class TestParallelDeterminism:
         np.testing.assert_array_equal(serial.fault_rates, parallel.fault_rates)
 
     def test_three_workers_and_chunk_size_one(self, campaign_parts):
-        """Extreme chunking (one cell per task) must not change anything."""
+        """Extreme chunking (one cell per task) must not change anything:
+        12 cells over 3 workers make one-cell chunks."""
         model, memory, images, labels, config = campaign_parts
         campaign = FaultInjectionCampaign(model, memory, images, labels, config)
         serial = campaign.run()
-        executor = CampaignExecutor(workers=3, chunk_size=1)
+        executor = CampaignExecutor(workers=3)
         task = WeightFaultCellTask(model, memory, images, labels, config=config)
         parallel = executor.run_tasks([task])[0]
         np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
@@ -421,7 +422,7 @@ class TestCrossCampaignScheduling:
 
     def test_shared_pool_bit_identical_to_serial(self, campaign_parts):
         serial = CampaignExecutor(workers=1).run_tasks(self._tasks(campaign_parts))
-        pooled = CampaignExecutor(workers=2, chunk_size=2).run_tasks(
+        pooled = CampaignExecutor(workers=2).run_tasks(
             self._tasks(campaign_parts)
         )
         for a, b in zip(serial, pooled):
@@ -629,10 +630,6 @@ class TestWarmPool:
 
 
 class TestExecutorValidation:
-    def test_negative_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignExecutor(chunk_size=-1)
-
     def test_sampler_classes_are_picklable(self):
         import pickle
 
@@ -847,29 +844,6 @@ class TestSupervisionPolicy:
         with pytest.raises(ValueError, match="max_pool_rebuilds"):
             SupervisionPolicy(max_pool_rebuilds=-1)
 
-    def test_from_env_and_explicit_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1.5")
-        monkeypatch.setenv("REPRO_ON_CELL_ERROR", "quarantine")
-        policy = SupervisionPolicy.from_env()
-        assert policy.max_retries == 5
-        assert policy.cell_timeout == 1.5
-        assert policy.on_cell_error == "quarantine"
-        # Explicit arguments beat the environment, knob by knob.
-        mixed = SupervisionPolicy.from_env(max_retries=1, on_cell_error="retry")
-        assert mixed.max_retries == 1
-        assert mixed.cell_timeout == 1.5
-        assert mixed.on_cell_error == "retry"
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [("REPRO_MAX_RETRIES", "two"), ("REPRO_CELL_TIMEOUT", "5s")],
-    )
-    def test_env_misparse_names_variable(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ValueError, match=f"{name} must be .*'{value}'"):
-            SupervisionPolicy.from_env()
-
     def test_backoff_is_deterministic_and_capped(self):
         policy = SupervisionPolicy(retry_backoff=0.1)
         assert policy.backoff_seconds(0) == 0.0
@@ -878,18 +852,6 @@ class TestSupervisionPolicy:
         assert policy.backoff_seconds(3) == pytest.approx(0.4)
         assert policy.backoff_seconds(7) == policy.backoff_seconds(50)
         assert SupervisionPolicy(retry_backoff=0.0).backoff_seconds(3) == 0.0
-
-    def test_policy_and_shorthand_knobs_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            CampaignExecutor(supervision=SupervisionPolicy(), max_retries=1)
-
-    def test_executor_shorthand_resolves_policy(self):
-        executor = CampaignExecutor(
-            max_retries=7, cell_timeout=2.0, on_cell_error="quarantine"
-        )
-        assert executor.supervision.max_retries == 7
-        assert executor.supervision.cell_timeout == 2.0
-        assert executor.supervision.on_cell_error == "quarantine"
 
 
 class TestChaosSupervision:
@@ -918,7 +880,8 @@ class TestChaosSupervision:
         recovered grid is bit-identical to the undisturbed run."""
         monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=1")
         result, executor = self._run(
-            campaign_parts, workers, on_cell_error="retry"
+            campaign_parts, workers,
+            supervision=SupervisionPolicy(on_cell_error="retry"),
         )
         np.testing.assert_array_equal(result.accuracies, baseline.accuracies)
         assert executor.quarantined == []
@@ -936,7 +899,8 @@ class TestChaosSupervision:
         created, unlinked = _tracking_shm(monkeypatch)
         monkeypatch.setenv(CHAOS_ENV_VAR, "kill=1,attempts=1,cell=0:1")
         result, executor = self._run(
-            campaign_parts, 2, on_cell_error="retry"
+            campaign_parts, 2,
+            supervision=SupervisionPolicy(on_cell_error="retry"),
         )
         np.testing.assert_array_equal(result.accuracies, baseline.accuracies)
         assert executor.quarantined == []
@@ -960,7 +924,8 @@ class TestChaosSupervision:
         completes bit-identically."""
         monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=99,cell=0:1")
         result, executor = self._run(
-            campaign_parts, workers, on_cell_error="retry", max_retries=1
+            campaign_parts, workers,
+            supervision=SupervisionPolicy(on_cell_error="retry", max_retries=1),
         )
         assert len(executor.quarantined) == 1
         record = executor.quarantined[0]
@@ -1107,11 +1072,12 @@ class TestChaosCheckpointResume:
         with pytest.raises(KeyboardInterrupt):
             CampaignExecutor(
                 workers=2, progress=interrupt, checkpoint=str(path),
-                on_cell_error="retry",
+                supervision=SupervisionPolicy(on_cell_error="retry"),
             ).run_tasks([task])
         assert journal_cells(path)
         resumed = CampaignExecutor(
-            workers=2, checkpoint=str(path), on_cell_error="retry"
+            workers=2, checkpoint=str(path),
+            supervision=SupervisionPolicy(on_cell_error="retry"),
         ).run_tasks([task])[0]
         np.testing.assert_array_equal(
             resumed.accuracies, undisturbed.accuracies
@@ -1141,11 +1107,12 @@ class TestChaosCheckpointResume:
         with pytest.raises(KeyboardInterrupt):
             CampaignExecutor(
                 workers=2, progress=interrupt, checkpoint=str(path),
-                on_cell_error="retry",
+                supervision=SupervisionPolicy(on_cell_error="retry"),
             ).run_tasks([adaptive_task()])
         assert journal_cells(path)
         resumed = CampaignExecutor(
-            workers=2, checkpoint=str(path), on_cell_error="retry"
+            workers=2, checkpoint=str(path),
+            supervision=SupervisionPolicy(on_cell_error="retry"),
         ).run_tasks([adaptive_task()])[0]
         np.testing.assert_array_equal(resumed.executed, undisturbed.executed)
         np.testing.assert_array_equal(
@@ -1250,7 +1217,10 @@ class TestCheckpointJournal:
     ):
         path = tmp_path / "sweep.jsonl"
         monkeypatch.setenv(CHAOS_ENV_VAR, "raise=1,attempts=99,cell=0:1")
-        self._run(campaign_parts, path, on_cell_error="quarantine")
+        self._run(
+            campaign_parts, path,
+            supervision=SupervisionPolicy(on_cell_error="quarantine"),
+        )
         assert (0, 0, 1) not in journal_cells(path)
         monkeypatch.delenv(CHAOS_ENV_VAR)
         recomputed: list[CellResult] = []
@@ -1378,6 +1348,34 @@ class TestCleanAccuracyFromCleanPass:
         task = WeightFaultCellTask(model, memory, images, labels, config=config)
         curve = CampaignExecutor(workers=1).run_tasks([task])[0]
         assert forwards == []
+        assert curve.clean_accuracy == evaluate_accuracy_arrays(
+            model, images, labels, config.batch_size
+        )
+
+    def test_run_campaign_runs_no_extra_clean_forward(
+        self, campaign_parts, forwards, monkeypatch
+    ):
+        """The campaign's clean accuracy is the engine's clean pass too:
+        the parent commit ran one more full forward over the eval set
+        before the sweep started."""
+        from repro import nn
+        from repro.core.metrics import evaluate_accuracy_arrays
+
+        model, memory, images, labels, _ = campaign_parts
+        images, labels = images[:64], labels[:64]
+        config = CampaignConfig(fault_rates=RATES, trials=2, seed=11, batch_size=32)
+        collected = []
+        collect = nn.Sequential.forward_collect
+
+        def counting(module, x, *args, **kwargs):
+            collected.append(x.shape[0])
+            return collect(module, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Sequential, "forward_collect", counting)
+        campaign = FaultInjectionCampaign(model, memory, images, labels, config)
+        curve = campaign.run()
+        assert campaign.clean_accuracy == curve.clean_accuracy
+        assert (forwards, collected) == ([], [32, 32])
         assert curve.clean_accuracy == evaluate_accuracy_arrays(
             model, images, labels, config.batch_size
         )

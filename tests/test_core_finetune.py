@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.campaign import CampaignConfig
 from repro.core.finetune import (
     FineTuneConfig,
+    LayerAUCEvaluator,
     ThresholdFineTuner,
     fine_tune_threshold,
-    make_layer_auc_evaluator,
 )
 from repro.core.swap import get_thresholds, swap_activations
 from repro.hw.memory import WeightMemory
@@ -124,7 +124,7 @@ class TestLayerEvaluator:
         swap_activations(model, 100.0)
         memory = WeightMemory.from_model(model, layers=["FC-1"])
         config = CampaignConfig(fault_rates=(1e-4, 1e-3), trials=2, seed=0)
-        evaluator = make_layer_auc_evaluator(
+        evaluator = LayerAUCEvaluator(
             model, "FC-1", memory, images, labels, config
         )
         auc_tight = evaluator(20.0)
@@ -145,14 +145,14 @@ class TestLayerEvaluator:
         swap_activations(model, 100.0)
         memory = WeightMemory.from_model(model, layers=["FC-1"])
         sequential = [
-            make_layer_auc_evaluator(model, "FC-1", memory, images, labels, config)(t)
+            LayerAUCEvaluator(model, "FC-1", memory, images, labels, config)(t)
             for t in thresholds
         ]
 
         model = _clone_mlp(trained_mlp)
         swap_activations(model, 100.0)
         memory = WeightMemory.from_model(model, layers=["FC-1"])
-        batch_evaluator = make_layer_auc_evaluator(
+        batch_evaluator = LayerAUCEvaluator(
             model, "FC-1", memory, images, labels, config, workers=2
         )
         initial = get_thresholds(model)["FC-1"]
@@ -179,7 +179,7 @@ class TestLayerEvaluator:
             model = _clone_mlp(trained_mlp)
             swap_activations(model, 100.0)
             memory = WeightMemory.from_model(model, layers=["FC-1"])
-            evaluator = make_layer_auc_evaluator(
+            evaluator = LayerAUCEvaluator(
                 model, "FC-1", memory, images, labels, config, workers=workers
             )
             return fine_tune_threshold(
@@ -216,7 +216,7 @@ class TestLayerEvaluator:
         swap_activations(model, 100.0)
         memory = WeightMemory.from_model(model, layers=["FC-1"])
         config = CampaignConfig(fault_rates=(1e-4, 1e-3), trials=2, seed=3)
-        evaluator = make_layer_auc_evaluator(
+        evaluator = LayerAUCEvaluator(
             model, "FC-1", memory, images, labels, config, workers=2
         )
         result = fine_tune_threshold(
@@ -260,7 +260,7 @@ class TestLayerEvaluator:
         swap_activations(model, 100.0)
         memory = WeightMemory.from_model(model, layers=["FC-1"])
         config = CampaignConfig(fault_rates=(1e-4, 1e-3), trials=2, seed=0)
-        evaluator = make_layer_auc_evaluator(
+        evaluator = LayerAUCEvaluator(
             model, "FC-1", memory, images, labels, config, workers=2
         )
         thresholds = [5.0, 15.0, 40.0]

@@ -21,6 +21,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core.executor import SupervisionPolicy
 from repro.scenarios import (
     CampaignSpec,
     ScenarioContext,
@@ -443,7 +444,7 @@ class TestQuarantineSurfacing:
         out = tmp_path / "out"
         results = run_scenarios(
             suite, workers=1, out_dir=out, context=ctx,
-            on_cell_error="quarantine",
+            supervision=SupervisionPolicy(on_cell_error="quarantine"),
         )
         by_name = {r.name: r for r in results}
         assert len(by_name["exact"].failed) == 1
@@ -469,7 +470,7 @@ class TestQuarantineSurfacing:
         for index in (1, 2):
             run_scenario_shard(
                 suite, f"{index}/2", run_dir, context=ctx,
-                on_cell_error="quarantine",
+                supervision=SupervisionPolicy(on_cell_error="quarantine"),
             )
         partials = [
             json.loads(path.read_text())

@@ -193,3 +193,26 @@ def test_daemon_memoizes_and_shuts_down_clean(tmp_path):
         pytest.skip("/dev/shm not available on this platform")
     leaked = after - before
     assert not leaked, f"daemon leaked shm segments: {sorted(leaked)}"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-retries", "-1"), ("--workers", "-1"), ("--cell-timeout", "0")],
+)
+def test_invalid_executor_setting_exits_before_serving(tmp_path, flags):
+    """A bad setting is refused before the port binds, not inside a slot
+    thread after ``serving on …`` (where it would accept work it never
+    runs).  The timeout turns a daemon that keeps running into a failure."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--root", str(tmp_path / "svc"), *flags,
+        ],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "serving on" not in proc.stdout
+    assert proc.stderr.startswith("error: "), proc.stderr

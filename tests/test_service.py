@@ -153,6 +153,11 @@ class TestSingleFlight:
 
 
 class TestErrors:
+    def test_invalid_workers_refused_at_construction(self, ctx, tmp_path):
+        """A slot thread never meets a setting construction did not check."""
+        with pytest.raises(ValueError, match="workers"):
+            _service(tmp_path / "svc", ctx, workers=-1)
+
     def test_malformed_submissions_are_400(self, ctx, tmp_path):
         from repro.service import ServiceClient, ServiceClientError, serve
 
@@ -272,8 +277,11 @@ class TestChaos:
     ):
         monkeypatch.setenv("REPRO_CHAOS", CHAOS)
         payload = _payload(_smoke_suite())
+        from repro.core.executor import SupervisionPolicy
+
         with _service(
-            tmp_path / "svc", ctx, workers=workers, on_cell_error="retry"
+            tmp_path / "svc", ctx, workers=workers,
+            supervision=SupervisionPolicy(on_cell_error="retry"),
         ) as service:
             run_id = service.submit(payload)["id"]
             entry = _wait(service, run_id)

@@ -1,11 +1,11 @@
 """Property tests for the shared-memory tensor plane (hypothesis).
 
 The executor ships campaign state through one shared-memory segment per
-host (see :mod:`repro.utils.shm`).  Two contracts are pinned here: the
-byte transport's round-trip is the exact identity for arbitrary
-payloads — any dtype, any shape — with an inline fallback when shared
-memory is unavailable; and the *tensor plane* reconstructs packed
-objects as zero-copy read-only views (writable private copies on
+host, the *tensor plane* (see :mod:`repro.utils.shm`).  Two contracts
+are pinned here: the plane's round-trip is the exact identity for
+arbitrary bytes, in its streams and in its buffers, with an inline
+fallback when shared memory is unavailable; and the plane reconstructs
+packed objects as zero-copy read-only views (writable private copies on
 request), bit-equal to the originals in every mode.
 """
 
@@ -18,9 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.utils import shm
 from repro.utils.shm import (
     PackedUnit,
-    ShippedBytes,
     pack_object,
-    ship_bytes,
     ship_units,
     shared_memory_available,
 )
@@ -39,16 +37,24 @@ DTYPES = (
 )
 
 
-def _roundtrip(blob: bytes) -> bytes:
-    """Parent ships the blob; a "worker" opens the address and reads it."""
-    shipment = ship_bytes(blob)
+def _raw_unit(data: bytes) -> PackedUnit:
+    """``data`` packed twice: in the stream and as an out-of-band buffer."""
+    return pack_object({"stream": data, "buffer": pickle.PickleBuffer(data)})
+
+
+def _roundtrip(data: bytes) -> "tuple[bytes, bytes]":
+    """Parent ships ``data``; a "worker" opens the address and loads it."""
+    shipment = ship_units([("raw", _raw_unit(data))])
     try:
         # The address must survive pickling: it travels to workers
-        # through the pool initializer's arguments.
+        # inside every chunk call.
         ref = pickle.loads(pickle.dumps(shipment.ref))
         view = ref.open()
         try:
-            return bytes(view.buffer)
+            loaded = view.load("raw")
+            raw = loaded["stream"], bytes(loaded["buffer"])
+            del loaded  # views must die before the detach
+            return raw
         finally:
             view.close()
     finally:
@@ -56,79 +62,34 @@ def _roundtrip(blob: bytes) -> bytes:
 
 
 class TestSharedMemoryRoundTrip:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        dtype_index=st.integers(0, len(DTYPES) - 1),
-        shape=st.lists(st.integers(0, 7), min_size=0, max_size=4),
-    )
-    def test_arbitrary_arrays_survive_attach_detach(self, seed, dtype_index, shape):
-        """Any dtype/shape pickles through the segment unchanged."""
-        rng = np.random.default_rng(seed)
-        dtype = DTYPES[dtype_index]
-        array = (rng.standard_normal(shape) * 64).astype(dtype)
-        blob = pickle.dumps(array)
-        restored = pickle.loads(_roundtrip(blob))
-        assert restored.dtype == array.dtype
-        assert restored.shape == array.shape
-        np.testing.assert_array_equal(restored, array)
-
     @settings(max_examples=25, deadline=None)
     @given(data=st.binary(min_size=0, max_size=4096))
     def test_raw_bytes_identity(self, data):
-        assert _roundtrip(data) == data
-
-    def test_sliced_reads_match_offsets(self):
-        """The executor concatenates per-task blobs and reads by span."""
-        blobs = [pickle.dumps(np.arange(n, dtype=np.int64)) for n in (3, 0, 17)]
-        spans, offset = [], 0
-        for blob in blobs:
-            spans.append((offset, offset + len(blob)))
-            offset += len(blob)
-        shipment = ship_bytes(b"".join(blobs))
-        try:
-            view = shipment.ref.open()
-            try:
-                for (start, end), blob in zip(spans, blobs):
-                    restored = pickle.loads(view.buffer[start:end])
-                    np.testing.assert_array_equal(restored, pickle.loads(blob))
-            finally:
-                view.close()
-        finally:
-            shipment.release()
+        assert _roundtrip(data) == (data, data)
 
     def test_nonempty_payload_prefers_shared_memory(self):
         if not shared_memory_available():  # pragma: no cover - always true on Linux
             pytest.skip("platform without shared memory")
-        shipment = ship_bytes(b"x" * 128)
+        unit = PackedUnit(b"x" * 128, ())
+        shipment = ship_units([("raw", unit)])
         try:
             assert shipment.ref.via_shared_memory
             assert shipment.ref.inline is None
-            assert shipment.ref.size == 128
+            assert shipment.ref.size == unit.nbytes == 128
         finally:
             shipment.release()
 
     def test_release_is_idempotent(self):
-        shipment = ship_bytes(b"payload")
+        shipment = ship_units([("raw", _raw_unit(b"payload"))])
         shipment.release()
         shipment.release()  # second release must not raise
-
-    def test_closed_buffer_rejects_reads(self):
-        shipment = ship_bytes(b"payload")
-        try:
-            view = shipment.ref.open()
-            view.close()
-            with pytest.raises(ValueError):
-                view.buffer
-        finally:
-            shipment.release()
 
 
 class TestInlineFallback:
     @settings(max_examples=15, deadline=None)
     @given(data=st.binary(min_size=0, max_size=1024))
     def test_fallback_when_shared_memory_missing(self, data):
-        """With shared memory patched away, bytes travel inline.
+        """With shared memory patched away, the plane travels inline.
 
         Patched by hand (not the monkeypatch fixture): hypothesis runs
         many examples per test call and function-scoped fixtures would
@@ -137,13 +98,12 @@ class TestInlineFallback:
         original = shm._shared_memory
         shm._shared_memory = None
         try:
-            shipment = ship_bytes(data)
+            shipment = ship_units([("raw", _raw_unit(data))])
             assert not shipment.ref.via_shared_memory
-            assert shipment.ref.inline == data
-            view = shipment.ref.open()
-            assert bytes(view.buffer) == data
-            view.close()
+            assert shipment.ref.segment is None
+            assert len(shipment.ref.inline) == shipment.ref.size
             shipment.release()
+            assert _roundtrip(data) == (data, data)
         finally:
             shm._shared_memory = original
 
@@ -156,14 +116,16 @@ class TestInlineFallback:
             SharedMemory = _FailingSharedMemory
 
         monkeypatch.setattr(shm, "_shared_memory", _Module)
-        shipment = ship_bytes(b"payload")
+        shipment = ship_units([("raw", _raw_unit(b"payload"))])
         assert not shipment.ref.via_shared_memory
-        assert bytes(shipment.ref.open().buffer) == b"payload"
+        assert _roundtrip(b"payload") == (b"payload", b"payload")
 
     def test_empty_payload_ships_inline(self):
-        shipment = ship_bytes(b"")
-        assert not shipment.ref.via_shared_memory
-        assert bytes(shipment.ref.open().buffer) == b""
+        for units in ([], [("empty", PackedUnit(b"", ()))]):
+            shipment = ship_units(units)
+            assert not shipment.ref.via_shared_memory
+            assert shipment.ref.size == 0
+            assert bytes(shipment.ref.inline) == b""
 
     def test_parallel_campaign_bit_identical_without_shared_memory(
         self, monkeypatch
@@ -188,11 +150,20 @@ class TestInlineFallback:
 
 
 class TestShippedBytesContract:
-    def test_inline_ref_roundtrips_through_pickle(self):
-        ref = ShippedBytes(segment=None, size=3, inline=b"abc")
-        clone = pickle.loads(pickle.dumps(ref))
-        assert clone == ref
-        assert bytes(clone.open().buffer) == b"abc"
+    """The plane's address, carrying its bytes inline."""
+
+    def test_inline_ref_roundtrips_through_pickle(self, monkeypatch):
+        monkeypatch.setattr(shm, "_shared_memory", None)
+        shipment = ship_units([("raw", _raw_unit(b"abc"))])
+        clone = pickle.loads(pickle.dumps(shipment.ref))
+        assert clone == shipment.ref
+        view = clone.open()
+        try:
+            loaded = view.load("raw")
+            assert (loaded["stream"], bytes(loaded["buffer"])) == (b"abc", b"abc")
+            del loaded
+        finally:
+            view.close()
 
 
 def _sample_payload(seed: int = 0) -> dict:
@@ -367,7 +338,7 @@ class TestDistinctBuffersPlacedOnce:
             a_span, b_span = ref.units
             assert a_span.buffers == b_span.buffers
             assert a_span.stream != b_span.stream
-            assert ref.payload.size < (
+            assert ref.size < (
                 len(first.stream) + len(second.stream) + array.nbytes
                 + shm._BUFFER_ALIGNMENT
             )
