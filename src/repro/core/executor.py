@@ -73,12 +73,11 @@ timeouts and pool rebuilds exist once — through one of two *lanes*.
 Its rules arrive as one :class:`SupervisionPolicy`.  The pool lane
 splits the cells into contiguous single-task chunks, about four per
 worker across all tasks, and keeps up to two chunks per worker in
-flight.  The in-process lane
-(``workers=1``, and the fallback after repeated pool losses) evaluates
-one cell per dispatch on the caller's live tasks, so its futures are
-already finished when the loop waits on them.  Results are written back
-into each task's ``(n_rates, n_trials)`` value grid by index, so
-completion order is irrelevant.
+flight.  The in-process lane (``workers=1``, and the fallback after
+repeated pool losses) evaluates one cell per dispatch on the caller's
+live tasks, so its futures are already finished when the loop waits on
+them.  Results are written back into each task's ``(n_rates,
+n_trials)`` value grid by index, so completion order is irrelevant.
 
 **Streaming and resume.**  An optional per-cell ``progress`` callback
 receives a :class:`CellResult` as each value lands, and an optional

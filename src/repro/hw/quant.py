@@ -25,6 +25,7 @@ variants" of any weight-memory fault scenario.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -55,6 +56,13 @@ def quantize_symmetric(values: np.ndarray) -> tuple[np.ndarray, float]:
     values = np.asarray(values, dtype=np.float32)
     max_abs = float(np.abs(values).max()) if values.size else 0.0
     scale = max_abs / _QMAX if max_abs > 0 else 1.0
+    float32 = np.finfo(np.float32)
+    if scale < float32.tiny:
+        # The codes divide in float32, which holds a subnormal scale only
+        # as a multiple of its smallest step (below one step it would be
+        # 0): round up to one, so every code stays within [-127, 127].
+        step = float(float32.smallest_subnormal)
+        scale = math.ceil(scale / step) * step
     codes = np.clip(np.rint(values / scale), -_QMAX, _QMAX).astype(np.int8)
     return codes, scale
 

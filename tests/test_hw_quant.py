@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import nn
 from repro.hw.memory import WeightMemory
@@ -40,6 +40,10 @@ class TestSymmetricQuantization:
             st.floats(-1e3, 1e3, width=32, allow_nan=False), min_size=1, max_size=50
         )
     )
+    # Subnormal maxima: float32 holds their scale only as a multiple of
+    # 2**-149 (the first one's scale used to round to 0 there).
+    @example(values=[2.0**-149])
+    @example(values=[190 * 2.0**-149, -(2.0**-149)])
     def test_property_error_within_half_step(self, values):
         array = np.asarray(values, dtype=np.float32)
         codes, scale = quantize_symmetric(array)

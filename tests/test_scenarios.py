@@ -516,6 +516,18 @@ class TestSpecRunsMatchDirectAPI:
             run_scenarios([spec, spec])
 
 
+@pytest.mark.parametrize("setting", ["workers", "supervision"])
+def test_caller_owned_executor_refuses_its_own_settings(setting):
+    """A caller-owned executor fixed its worker count and policy when it
+    was built; a second value for either is refused, not ignored."""
+    from repro.core.executor import CampaignExecutor, SupervisionPolicy
+
+    value = {"workers": 1, "supervision": SupervisionPolicy()}[setting]
+    spec = CampaignSpec(name="w", model="lenet5")
+    with pytest.raises(ValueError, match="not both"):
+        run_scenarios([spec], executor=CampaignExecutor(), **{setting: value})
+
+
 class TestPreparedVariants:
     """Redundancy variants never modify the model, so both context kinds
     compile them onto the unprotected clone with their own sampler."""
