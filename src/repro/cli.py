@@ -455,13 +455,13 @@ def _eval_arrays(bundle, args: argparse.Namespace):
     Asking for more images than the split holds is an error, as in
     ``compile_spec``, never a silently shorter evaluation set.
     """
-    images, labels = bundle.test_set.arrays()
-    if not 0 < args.eval_images <= images.shape[0]:
+    held = bundle.split_size("test")
+    if not 0 < args.eval_images <= held:
         raise ValueError(
             f"{args.command!r} wants {args.eval_images} eval images but "
-            f"the test split holds {images.shape[0]}"
+            f"the test split holds {held}"
         )
-    return images[: args.eval_images], labels[: args.eval_images]
+    return bundle.prefix("test", args.eval_images)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -482,13 +482,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import format_table
     from repro.core.profiling import profile_activations
-    from repro.data.dataset import Subset
+    from repro.data.dataset import ArrayDataset
     from repro.data.loader import DataLoader
     from repro.experiments import clone_model, experiment_bundle
 
     bundle = experiment_bundle(args.model)
+    held = bundle.split_size("val")
+    if not 0 < args.images <= held:
+        print(
+            f"error: 'profile' wants {args.images} images but the val split "
+            f"holds {held}",
+            file=sys.stderr,
+        )
+        return 2
     model = clone_model(bundle)
-    subset = Subset(bundle.val_set, range(min(args.images, len(bundle.val_set))))
+    subset = ArrayDataset(*bundle.prefix("val", args.images))
     profile = profile_activations(model, DataLoader(subset, batch_size=128))
     rows = [
         [layer, f"{s.mean:.4f}", f"{s.std:.4f}", f"{s.percentile(99):.4f}", f"{s.act_max:.4f}"]

@@ -642,12 +642,17 @@ class _InProcessLane:
     evaluates on the caller's live tasks with one runner live — built on
     a task's first cell, closed on task switch and by :meth:`shutdown` —
     and runs chaos ``in_process`` (a ``kill`` would end the campaign).
+    Runners are built through :class:`_CleanPasses`, so tasks with the
+    same clean forward share one clean pass here as in the pool.
     """
 
     def __init__(
-        self, tasks: Sequence[CampaignCellTask], chaos: "ChaosPolicy | None"
+        self,
+        tasks: Sequence[CampaignCellTask],
+        pending: "Sequence[Sequence[tuple[int, int]]]",
+        chaos: "ChaosPolicy | None",
     ):
-        self.tasks = tasks
+        self.passes = _CleanPasses(tasks, pending)
         self.chaos = chaos
         self.task_index: "int | None" = None
         self.runner: "CellRunner | None" = None
@@ -672,10 +677,8 @@ class _InProcessLane:
             )
         if self.task_index != task_index:
             self.shutdown()
-            task = self.tasks[task_index]
-            self.runner = task.make_runner()
+            self.runner = self.passes.make_runner(task_index)
             self.task_index = task_index
-            _absorb_clean_pass(task, self.runner)
         return [
             (task_index, rate_index, trial, self.runner.run_cell(rate_index, trial))
             for rate_index, trial, _ in cells
@@ -734,59 +737,104 @@ def clean_pass_key(prepare: Any, model, images: np.ndarray, batch_size: int,
     return (prepare, id(model), memory, int(batch_size)), tuple(scope)
 
 
+class _CleanPasses:
+    """One clean pass per distinct clean forward, for either lane.
+
+    Tasks with equal :func:`clean_pass_key` share one
+    :class:`~repro.core.suffix.SharedSuffixCache`: the first pending one
+    runs its runner's clean pass, and the cache is kept only while a
+    later pending task with the same key still needs it.  A task kind
+    without a key never shares.  Every pending task with the same clean
+    forward takes the first cache's clean logits as its clean accuracy,
+    a task whose own runner builds no engine included.  A runner's
+    ``close()`` restores the live model exactly, so building one over it
+    is safe.
+    """
+
+    def __init__(
+        self,
+        tasks: Sequence[CampaignCellTask],
+        pending: "Sequence[Sequence[tuple[int, int]]]",
+    ):
+        self.tasks = tasks
+        self.pending = pending
+        self.keys = [
+            task.clean_pass_key() if hasattr(task, "clean_pass_key") else None
+            for task in tasks
+        ]
+        self._last = {
+            key: index
+            for index, key in enumerate(self.keys)
+            if key is not None and pending[index]
+        }
+        self._kept: "dict[tuple, SharedSuffixCache | None]" = {}
+
+    def make_runner(self, index: int) -> CellRunner:
+        """Task ``index``'s runner, attached to a kept same-key clean pass."""
+        from repro.core.suffix import shared_cache
+
+        task = self.tasks[index]
+        with shared_cache(self._kept.get(self.keys[index])):
+            runner = task.make_runner()
+        self._share(index, _absorb_clean_pass(task, runner))
+        return runner
+
+    def export(self, index: int) -> "SharedSuffixCache | None":
+        """Task ``index``'s clean pass: a kept one, else a closed runner's."""
+        key = self.keys[index]
+        if key in self._kept:
+            return self._share(index, self._kept[key])
+        task = self.tasks[index]
+        runner = task.make_runner()
+        try:
+            return self._share(index, _absorb_clean_pass(task, runner))
+        finally:
+            runner.close()
+
+    def _share(
+        self, index: int, cache: "SharedSuffixCache | None"
+    ) -> "SharedSuffixCache | None":
+        key = self.keys[index]
+        if key is None:
+            return cache
+        if self._last.get(key, index) > index:
+            self._kept[key] = cache
+        else:
+            self._kept.pop(key, None)
+        if cache is not None:
+            for other, other_key in enumerate(self.keys):
+                same_forward = other_key is not None and other_key[0] == key[0]
+                if same_forward and self.pending[other]:
+                    _absorb_logits(self.tasks[other], cache.clean_logits)
+        return cache
+
+
 def _export_suffix_caches(
     tasks: Sequence[CampaignCellTask],
     pending: "list[list[tuple[int, int]]]",
 ) -> "dict[int, PackedUnit]":
     """Run one clean pass per distinct clean forward and pack its cache.
 
-    Builds (and immediately closes) a parent-side runner to populate its
-    :class:`~repro.core.suffix.SuffixForwardEngine`; the exported
-    :class:`~repro.core.suffix.SharedSuffixCache` ships in the tensor
+    Each pending task's :class:`_CleanPasses` export ships in the tensor
     plane, so workers attach the activations instead of recomputing
-    them.  A task whose :func:`clean_pass_key` equals an earlier task's
-    reuses that task's cache (one unit, whose buffers the plane places
-    once) instead of building a runner; a task kind without a key never
-    shares.  A task whose runner builds no engine still takes the clean
-    logits of any task with the same clean forward.  Tasks without a
-    cache publish nothing, and their workers run their own
-    (bit-identical) clean pass.  A runner's ``close()`` restores the
-    live model exactly, so building one here is safe.
+    them.  Tasks sharing a cache share one unit, whose buffers the plane
+    places once.  Tasks without a cache publish nothing, and their
+    workers run their own (bit-identical) clean pass.
     """
     from repro.core.suffix import suffix_globally_disabled
 
     caches: "dict[int, PackedUnit]" = {}
     if suffix_globally_disabled():
         return caches
-    keys = [
-        task.clean_pass_key() if hasattr(task, "clean_pass_key") else None
-        for task in tasks
-    ]
-    exported: "dict[tuple, tuple[SharedSuffixCache | None, PackedUnit | None]]" = {}
-    clean: "dict[tuple, Sequence[np.ndarray]]" = {}
-    for index, task in enumerate(tasks):
-        key = keys[index]
-        if not pending[index]:
-            continue
-        if key in exported:
-            cache, unit = exported[key]
-        else:
-            runner = task.make_runner()
-            try:
-                cache = _absorb_clean_pass(task, runner)
-            finally:
-                runner.close()
-            unit = None if cache is None else pack_object(cache)
-            if key is not None:
-                exported[key] = (cache, unit)
+    passes = _CleanPasses(tasks, pending)
+    units: "dict[tuple | None, PackedUnit]" = {}
+    for index in range(len(tasks)):
+        cache = passes.export(index) if pending[index] else None
         if cache is not None:
-            caches[index] = unit
-            if key is not None:
-                clean.setdefault(key[0], cache.clean_logits)
-    for index, task in enumerate(tasks):
-        key = keys[index]
-        if pending[index] and key is not None and key[0] in clean:
-            _absorb_logits(task, clean[key[0]])
+            key = passes.keys[index]
+            if key is None or key not in units:
+                units[key] = pack_object(cache)
+            caches[index] = units[key]
     return caches
 
 
@@ -1404,7 +1452,7 @@ class CampaignExecutor:
 
         def in_process(chaos: "ChaosPolicy | None") -> None:
             nonlocal lane, call, capacity, cell_timeout
-            lane = _InProcessLane(tasks, chaos)
+            lane = _InProcessLane(tasks, pending, chaos)
             call, capacity, cell_timeout = lane.run_cells, 1, None
 
         def pool_lane() -> None:

@@ -28,7 +28,7 @@ from repro.data.dataset import ArrayDataset
 from repro.utils.rng import SeedTree
 from repro.utils.validation import check_positive
 
-__all__ = ["ClassPrototype", "SyntheticCIFAR10", "CIFAR10_CLASS_NAMES"]
+__all__ = ["CIFAR10_CLASS_NAMES", "ClassPrototype", "SplitStream", "SyntheticCIFAR10"]
 
 # CIFAR-10's class names, kept for readable reports even though our images
 # are procedural rather than photographic.
@@ -187,14 +187,7 @@ class SyntheticCIFAR10:
         Different ``split`` names draw from independent random streams, so
         train/val/test never overlap.
         """
-        check_positive("n", n)
-        rng = self._tree.generator(f"split/{split}")
-        labels = np.arange(n, dtype=np.int64) % self.num_classes
-        rng.shuffle(labels)
-        images = np.stack(
-            [self.generate_sample(int(label), rng) for label in labels]
-        )
-        return images, labels
+        return SplitStream(self, n, split).take(n)
 
     def dataset(self, n: int, split: str = "train") -> ArrayDataset:
         """Materialise a split as an :class:`ArrayDataset`."""
@@ -210,6 +203,51 @@ class SyntheticCIFAR10:
             self.dataset(n_val, "val"),
             self.dataset(n_test, "test"),
         )
+
+
+class SplitStream:
+    """One split of :class:`SyntheticCIFAR10`, generated only as far as read.
+
+    The split is one random stream, ``split/<name>``: all ``n`` labels are
+    shuffled first (a balanced label cycle), then samples are drawn in
+    order.  :meth:`take` fills one ``n``-image buffer from that stream up
+    to the count asked, so the first ``k`` images are the first ``k`` rows
+    of the whole split whatever was read before.  They are never a
+    ``k``-image split, whose shuffle draws over ``k`` labels.
+    """
+
+    def __init__(self, source: SyntheticCIFAR10, n: int, split: str):
+        check_positive("n", n)
+        self.split = split
+        self._source = source
+        self._rng = source._tree.generator(f"split/{split}")
+        self._labels = np.arange(n, dtype=np.int64) % source.num_classes
+        self._rng.shuffle(self._labels)
+        size = source.image_size
+        self._images = np.empty((n, 3, size, size), dtype=np.float32)
+        self._filled = 0
+
+    def __len__(self) -> int:
+        return self._labels.shape[0]
+
+    def take(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``k`` images and labels, generating only rows not drawn yet.
+
+        Both are views of the split's buffers, so every ``take(k)`` returns
+        arrays at the same address.  Not thread-safe: a shared stream is
+        read under its owner's lock.
+        """
+        if not 0 < k <= len(self):
+            raise ValueError(
+                f"cannot take {k} images from the {len(self)}-image "
+                f"{self.split} split"
+            )
+        for index in range(self._filled, k):
+            self._images[index] = self._source.generate_sample(
+                int(self._labels[index]), self._rng
+            )
+        self._filled = max(self._filled, k)
+        return self._images[:k], self._labels[:k]
 
 
 def _hsv_to_rgb(hue: float, saturation: float, value: float) -> np.ndarray:

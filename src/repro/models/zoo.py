@@ -14,10 +14,12 @@ import threading
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro import nn
 from repro.data.dataset import ArrayDataset
 from repro.data.loader import DataLoader
-from repro.data.synthetic import SyntheticCIFAR10
+from repro.data.synthetic import SplitStream, SyntheticCIFAR10
 from repro.models.registry import build_model
 from repro.optim.adam import Adam
 from repro.optim.trainer import Trainer, evaluate_accuracy
@@ -52,19 +54,25 @@ class ZooConfig:
 class PretrainedBundle:
     """A trained model together with its clean accuracy and data splits.
 
-    ``train_set``, ``val_set`` and ``test_set`` are generated on first
-    read, each from its own ``split/<name>`` stream of
-    :class:`~repro.data.synthetic.SyntheticCIFAR10`, so a split's bytes
-    do not depend on which other splits were read, or when.  Each split
-    is memoized on the bundle and generated at most once, under a lock,
-    even when threads (the daemon's slots) share one bundle.
+    Each data split is one :class:`~repro.data.synthetic.SplitStream` of
+    :class:`~repro.data.synthetic.SyntheticCIFAR10` (stream
+    ``split/<name>``), so a split's bytes do not depend on which other
+    splits were read, or when.  A split is synthesized on demand and
+    only as far as read: :meth:`prefix` generates the first ``count``
+    images, and ``train_set``, ``val_set`` and ``test_set`` the whole
+    split.  Each sample is generated at most once, into one buffer per
+    split, under a lock, even when threads (the daemon's slots) share
+    one bundle.
     """
 
     model: nn.Module
     config: ZooConfig
     clean_accuracy: float
     from_cache: bool = False
-    _splits: dict[str, ArrayDataset] = field(
+    _splits: dict[str, SplitStream] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _datasets: dict[str, ArrayDataset] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _splits_lock: threading.Lock = field(
@@ -91,19 +99,38 @@ class PretrainedBundle:
         """The ``config.n_test``-image test split."""
         return self._split("test")
 
+    def split_size(self, name: str) -> int:
+        """How many images split ``name`` holds (``config.n_<name>``)."""
+        return getattr(self.config, f"n_{name}")
+
+    def prefix(self, name: str, count: int) -> "tuple[np.ndarray, np.ndarray]":
+        """The first ``count`` images and labels of split ``name``.
+
+        The rows are the whole split's; only they are synthesized.  The
+        same count returns arrays at the same address (views of the
+        split's one buffer), so tasks over it share one clean pass.
+        """
+        with self._splits_lock:
+            return self._stream(name).take(count)
+
     def _split(self, name: str) -> ArrayDataset:
         with self._splits_lock:
-            if name not in self._splits:
-                config = self.config
-                generator = SyntheticCIFAR10(
-                    num_classes=config.num_classes,
-                    noise_std=config.noise_std,
-                    seed=config.seed,
-                )
-                self._splits[name] = generator.dataset(
-                    getattr(config, f"n_{name}"), name
-                )
-            return self._splits[name]
+            if name not in self._datasets:
+                stream = self._stream(name)
+                self._datasets[name] = ArrayDataset(*stream.take(len(stream)))
+            return self._datasets[name]
+
+    def _stream(self, name: str) -> SplitStream:
+        # The caller holds _splits_lock.
+        if name not in self._splits:
+            config = self.config
+            generator = SyntheticCIFAR10(
+                num_classes=config.num_classes,
+                noise_std=config.noise_std,
+                seed=config.seed,
+            )
+            self._splits[name] = SplitStream(generator, self.split_size(name), name)
+        return self._splits[name]
 
 
 def train_model(config: ZooConfig, verbose: bool = False) -> PretrainedBundle:
@@ -182,6 +209,6 @@ def get_pretrained(
         from_cache=from_cache,
     )
     if not from_cache:
-        # Training generated every split already; keep them.
+        # Training generated every split already; serve prefixes from them.
         bundle._splits.update(trained._splits)
     return bundle

@@ -181,15 +181,13 @@ def compile_spec(
 
     context = context if context is not None else ScenarioContext()
     bundle = context.bundle(spec.model)
-    split = bundle.test_set if spec.split == "test" else bundle.val_set
-    images, labels = split.arrays()
-    if spec.eval_images > images.shape[0]:
+    held = bundle.split_size(spec.split)
+    if spec.eval_images > held:
         raise ValueError(
             f"scenario {spec.name!r} wants {spec.eval_images} eval images "
-            f"but the {spec.split} split holds {images.shape[0]}"
+            f"but the {spec.split} split holds {held}"
         )
-    images = images[: spec.eval_images]
-    labels = labels[: spec.eval_images]
+    images, labels = bundle.prefix(spec.split, spec.eval_images)
     config = CampaignConfig(
         fault_rates=spec.rates,
         trials=spec.trials,

@@ -41,3 +41,22 @@ def test_clean_commit_writes_history(tmp_path, monkeypatch):
     assert history.read_text() == '{"history": ["clean"]}\n'
     bench.record("BENCH_campaign", "campaign executor [abc1234]")
     assert (tmp_path / "BENCH_campaign.txt").exists()
+
+
+def test_no_tracked_history_row_times_a_dirty_tree():
+    """A ``<sha>-dirty`` row timed an uncommitted tree that no SHA names."""
+    import json
+    from pathlib import Path
+
+    results = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+    files = sorted(results.glob("BENCH_*.json"))
+    assert files
+    dirty = [
+        (path.name, key, index)
+        for path in files
+        for key, rows in json.loads(path.read_text()).items()
+        if isinstance(rows, list)
+        for index, row in enumerate(rows)
+        if isinstance(row, dict) and str(row.get("sha", "")).endswith("-dirty")
+    ]
+    assert dirty == []

@@ -54,6 +54,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ACT_max" in out and "CONV-1" in out
 
+    @pytest.mark.parametrize("images", ["0", "-3", "101"])
+    def test_profile_images_outside_the_val_split_is_an_error(self, capsys, images):
+        """TINY's val split holds 100 images: an empty or oversize
+        profile set must not crash or silently profile fewer."""
+        assert main(["profile", "--model", "lenet5", "--images", images]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"wants {images} images but the val split holds 100" in captured.err
+
     def test_campaign_unprotected(self, capsys):
         assert (
             main(

@@ -1459,6 +1459,23 @@ class TestOneCleanPassPerDistinctForward:
             tmp_path / "serial" / store
         ).read_bytes()
 
+    def test_serial_tasks_on_one_clone_run_one_clean_pass(self, ctx, monkeypatch):
+        """The in-process lane attaches the first runner's clean pass to
+        later runners with the same key (the parent commit ran three)."""
+        from repro import nn
+        from repro.scenarios import run_scenarios
+
+        specs = self._specs()[:3]  # unprotected, ecc and tmr
+        alone = [run_scenarios([spec], workers=1, context=ctx)[0] for spec in specs]
+        passes = self._count(monkeypatch, nn.Sequential, "forward_collect")
+        shared = run_scenarios(specs, workers=1, context=ctx)
+        assert len(passes) == self.BATCHES
+        for left, right in zip(alone, shared):
+            assert left.curve.clean_accuracy == right.curve.clean_accuracy
+            np.testing.assert_array_equal(
+                left.curve.accuracies, right.curve.accuracies
+            )
+
     def test_activation_task_takes_the_float_tasks_clean_logits(
         self, ctx, tmp_path, monkeypatch
     ):

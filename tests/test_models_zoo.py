@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.data.synthetic import SyntheticCIFAR10
+from repro.data.synthetic import SplitStream, SyntheticCIFAR10
 from repro.models import ZooConfig, get_pretrained, train_model
 from repro.utils.cache import ArtifactCache
 from repro.utils.shm import pack_object
@@ -61,16 +61,34 @@ def warm_cache(tmp_path_factory):
 
 @pytest.fixture
 def generated(monkeypatch):
-    """Counts ``SyntheticCIFAR10.generate`` calls by split name."""
+    """Counts split streams opened (``SplitStream``) by split name.
+
+    Every split is read through its stream, whether whole
+    (``generate``, ``train_set``) or as a prefix (``bundle.prefix``).
+    """
     counts = Counter()
-    generate = SyntheticCIFAR10.generate
+    init = SplitStream.__init__
 
-    def counting(self, n, split="train"):
+    def counting(self, source, n, split):
         counts[split] += 1
-        return generate(self, n, split)
+        init(self, source, n, split)
 
-    monkeypatch.setattr(SyntheticCIFAR10, "generate", counting)
+    monkeypatch.setattr(SplitStream, "__init__", counting)
     return counts
+
+
+@pytest.fixture
+def samples(monkeypatch):
+    """Counts ``SyntheticCIFAR10.generate_sample`` calls (images drawn)."""
+    calls = []
+    generate_sample = SyntheticCIFAR10.generate_sample
+
+    def counting(self, label, rng):
+        calls.append(label)
+        return generate_sample(self, label, rng)
+
+    monkeypatch.setattr(SyntheticCIFAR10, "generate_sample", counting)
+    return calls
 
 
 class TestLazySplits:
@@ -118,31 +136,157 @@ class TestLazySplits:
                 np.testing.assert_array_equal(split.labels, labels)
 
     def test_concurrent_first_reads_generate_once(
-        self, warm_cache, generated, monkeypatch
+        self, warm_cache, generated, samples, monkeypatch
     ):
-        counting = SyntheticCIFAR10.generate
+        """Eight threads read different prefix counts of one shared
+        split: each sample is drawn once and every thread sees the
+        whole split's rows."""
+        counting = SyntheticCIFAR10.generate_sample
 
-        def slow(self, n, split="train"):
-            time.sleep(0.02)  # widen the window a missing lock would race in
-            return counting(self, n, split)
+        def slow(self, label, rng):
+            time.sleep(0.002)  # widen the window a missing lock would race in
+            return counting(self, label, rng)
 
-        monkeypatch.setattr(SyntheticCIFAR10, "generate", slow)
+        monkeypatch.setattr(SyntheticCIFAR10, "generate_sample", slow)
         bundle = get_pretrained(MINI, cache=warm_cache)
-        barrier = threading.Barrier(8, timeout=30)
-        seen = []
+        counts = [5, 16, 3, 9, 1, 12, 16, 7]
+        barrier = threading.Barrier(len(counts), timeout=30)
+        seen = {}
 
-        def read():
+        def read(count):
             barrier.wait()
-            seen.append(bundle.test_set.images)
+            seen[count] = [array.copy() for array in bundle.prefix("test", count)]
 
-        threads = [threading.Thread(target=read) for _ in range(8)]
+        threads = [threading.Thread(target=read, args=(k,)) for k in counts]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in threads)
         assert generated == {"test": 1}
-        assert len(seen) == 8 and all(images is seen[0] for images in seen)
+        assert len(samples) == MINI.n_test  # before the reference below
+        images, labels = _fresh_split("test", MINI.n_test)
+        assert sorted(seen) == sorted(set(counts))
+        for count, (prefix_images, prefix_labels) in seen.items():
+            np.testing.assert_array_equal(prefix_images, images[:count])
+            np.testing.assert_array_equal(prefix_labels, labels[:count])
+        assert bundle.test_set.images.__array_interface__["data"] == (
+            bundle.prefix("test", 3)[0].__array_interface__["data"]
+        )
+
+
+def _fresh_split(split, n, config=MINI):
+    generator = SyntheticCIFAR10(
+        num_classes=config.num_classes, noise_std=config.noise_std,
+        seed=config.seed,
+    )
+    return generator.generate(n, split)
+
+
+class TestSplitPrefixes:
+    """A run synthesizes only the images it reads, and they are the
+    whole split's first rows."""
+
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_every_prefix_is_the_whole_splits_first_rows(self, split):
+        generator = SyntheticCIFAR10(image_size=8, seed=3)
+        n = 12
+        images, labels = generator.generate(n, split)
+        # The reference: the whole split drawn in one loop, stacked.
+        rng = generator._tree.generator(f"split/{split}")
+        reference = np.arange(n, dtype=np.int64) % generator.num_classes
+        rng.shuffle(reference)
+        stacked = np.stack([generator.generate_sample(int(y), rng) for y in reference])
+        assert images.tobytes() == stacked.tobytes()
+        np.testing.assert_array_equal(labels, reference)
+        for k in range(1, n + 1):
+            prefix_images, prefix_labels = SplitStream(generator, n, split).take(k)
+            assert prefix_images.tobytes() == images[:k].tobytes()
+            np.testing.assert_array_equal(prefix_labels, labels[:k])
+        # A k-image split shuffles k labels: a different dataset.
+        assert generator.generate(5, split)[1].tolist() != labels[:5].tolist()
+
+    def test_counts_read_out_of_order_give_the_same_bytes(self):
+        generator = SyntheticCIFAR10(image_size=8, seed=3)
+        images, labels = generator.generate(12, "val")
+        stream = SplitStream(generator, 12, "val")
+        for k in (5, 3, 12, 7, 5):
+            prefix_images, prefix_labels = stream.take(k)
+            assert prefix_images.tobytes() == images[:k].tobytes()
+            np.testing.assert_array_equal(prefix_labels, labels[:k])
+
+    @pytest.mark.parametrize("k", [0, -1, 13])
+    def test_a_count_outside_the_split_is_refused(self, k):
+        stream = SplitStream(SyntheticCIFAR10(image_size=8, seed=3), 12, "val")
+        with pytest.raises(ValueError, match="12-image val split"):
+            stream.take(k)
+
+    def test_a_spec_synthesizes_only_its_eval_images(self, tmp_path, samples):
+        from repro.scenarios import CampaignSpec, ScenarioContext
+        from repro.scenarios.compile import compile_spec
+
+        config = dict(MINI.to_dict(), n_test=64)
+        get_pretrained(ZooConfig(**config), cache=ArtifactCache(tmp_path))
+        samples.clear()
+        context = ScenarioContext(
+            cache=ArtifactCache(tmp_path), bundle_overrides=config
+        )
+        spec = CampaignSpec(
+            name="one", trials=1, eval_images=16, batch_size=16, rates=(1e-4,)
+        )
+        task = compile_spec(spec, context)
+        assert len(samples) == 16
+        images, labels = _fresh_split("test", 64, ZooConfig(**config))
+        assert task.images.tobytes() == images[:16].tobytes()
+        np.testing.assert_array_equal(task.labels, labels[:16])
+
+    def test_equal_counts_share_one_images_array(self, warm_cache):
+        from repro.scenarios import CampaignSpec, ScenarioContext
+        from repro.scenarios.compile import compile_spec
+
+        context = ScenarioContext(cache=warm_cache, bundle_overrides=MINI.to_dict())
+        specs = [
+            CampaignSpec(
+                name=f"s{index}", trials=1, eval_images=count, batch_size=8,
+                rates=(1e-4,), seed=index,
+            )
+            for index, count in enumerate((8, 16, 8))
+        ]
+        first, whole, again = (compile_spec(spec, context) for spec in specs)
+        assert first.clean_pass_key() == again.clean_pass_key()
+        assert first.clean_pass_key() != whole.clean_pass_key()
+        assert np.shares_memory(first.images, whole.images)
+
+    def test_a_mixed_count_pooled_suite_exports_one_cache_per_count(
+        self, warm_cache, monkeypatch
+    ):
+        from repro import nn
+        from repro.scenarios import CampaignSpec, ScenarioContext, run_scenarios
+
+        context = ScenarioContext(cache=warm_cache, bundle_overrides=MINI.to_dict())
+        specs = [
+            CampaignSpec(
+                name=f"s{index}", trials=2, eval_images=count, batch_size=8,
+                rates=(1e-4, 1e-3), seed=index,
+            )
+            for index, count in enumerate((8, 16, 8))
+        ]
+        serial = run_scenarios(specs, workers=1, context=context)
+        collected = []
+        collect = nn.Sequential.forward_collect
+
+        def counting(module, x, *args, **kwargs):
+            collected.append(x.shape[0])
+            return collect(module, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Sequential, "forward_collect", counting)
+        pooled = run_scenarios(specs, workers=2, context=context)
+        # One 8-image pass (1 batch) and one 16-image pass (2 batches).
+        assert collected == [8, 8, 8]
+        for left, right in zip(serial, pooled):
+            np.testing.assert_array_equal(
+                left.curve.accuracies, right.curve.accuracies
+            )
 
 
 @pytest.mark.slow  # every test below trains (or retrains) a network
