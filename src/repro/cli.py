@@ -455,13 +455,10 @@ def _eval_arrays(bundle, args: argparse.Namespace):
     Asking for more images than the split holds is an error, as in
     ``compile_spec``, never a silently shorter evaluation set.
     """
-    held = bundle.split_size("test")
-    if not 0 < args.eval_images <= held:
-        raise ValueError(
-            f"{args.command!r} wants {args.eval_images} eval images but "
-            f"the test split holds {held}"
-        )
-    return bundle.prefix("test", args.eval_images)
+    try:
+        return bundle.prefix("test", args.eval_images)
+    except ValueError as error:
+        raise ValueError(f"{args.command!r} {error}") from None
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -487,16 +484,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments import clone_model, experiment_bundle
 
     bundle = experiment_bundle(args.model)
-    held = bundle.split_size("val")
-    if not 0 < args.images <= held:
-        print(
-            f"error: 'profile' wants {args.images} images but the val split "
-            f"holds {held}",
-            file=sys.stderr,
-        )
+    try:
+        subset = ArrayDataset(*bundle.prefix("val", args.images))
+    except ValueError as error:
+        print(f"error: 'profile' {error}", file=sys.stderr)
         return 2
     model = clone_model(bundle)
-    subset = ArrayDataset(*bundle.prefix("val", args.images))
     profile = profile_activations(model, DataLoader(subset, batch_size=128))
     rows = [
         [layer, f"{s.mean:.4f}", f"{s.std:.4f}", f"{s.percentile(99):.4f}", f"{s.act_max:.4f}"]

@@ -106,7 +106,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -649,10 +649,10 @@ class _InProcessLane:
     def __init__(
         self,
         tasks: Sequence[CampaignCellTask],
-        pending: "Sequence[Sequence[tuple[int, int]]]",
+        queued: "Iterable[int]",
         chaos: "ChaosPolicy | None",
     ):
-        self.passes = _CleanPasses(tasks, pending)
+        self.passes = _CleanPasses(tasks, queued)
         self.chaos = chaos
         self.task_index: "int | None" = None
         self.runner: "CellRunner | None" = None
@@ -740,56 +740,55 @@ def clean_pass_key(prepare: Any, model, images: np.ndarray, batch_size: int,
 class _CleanPasses:
     """One clean pass per distinct clean forward, for either lane.
 
-    Tasks with equal :func:`clean_pass_key` share one
-    :class:`~repro.core.suffix.SharedSuffixCache`: the first pending one
-    runs its runner's clean pass, and the cache is kept only while a
-    later pending task with the same key still needs it.  A task kind
-    without a key never shares.  Every pending task with the same clean
-    forward takes the first cache's clean logits as its clean accuracy,
-    a task whose own runner builds no engine included.  A runner's
-    ``close()`` restores the live model exactly, so building one over it
-    is safe.
+    ``queued`` names the tasks with cells queued for the lane.  Tasks
+    with equal :func:`clean_pass_key` share one
+    :class:`~repro.core.suffix.SharedSuffixCache`: the first one built
+    runs its runner's clean pass, and the cache is kept only until every
+    queued task with that key has been built, so a task rebuilt later (a
+    retried cell) runs its own.  A task kind without a key never shares.
+    Every queued task with the same clean forward takes the first
+    cache's clean logits as its clean accuracy, a task whose own runner
+    builds no engine included.  A runner's ``close()`` restores the live
+    model exactly, so building one over it is safe.
     """
 
-    def __init__(
-        self,
-        tasks: Sequence[CampaignCellTask],
-        pending: "Sequence[Sequence[tuple[int, int]]]",
-    ):
+    def __init__(self, tasks: Sequence[CampaignCellTask], queued: "Iterable[int]"):
         self.tasks = tasks
-        self.pending = pending
         self.keys = [
             task.clean_pass_key() if hasattr(task, "clean_pass_key") else None
             for task in tasks
         ]
-        self._last = {
-            key: index
-            for index, key in enumerate(self.keys)
-            if key is not None and pending[index]
-        }
+        self.queued = sorted(set(queued))
+        self._unbuilt: "dict[tuple, set[int]]" = {}
+        for index in self.queued:
+            if self.keys[index] is not None:
+                self._unbuilt.setdefault(self.keys[index], set()).add(index)
         self._kept: "dict[tuple, SharedSuffixCache | None]" = {}
 
     def make_runner(self, index: int) -> CellRunner:
         """Task ``index``'s runner, attached to a kept same-key clean pass."""
-        from repro.core.suffix import shared_cache
-
-        task = self.tasks[index]
-        with shared_cache(self._kept.get(self.keys[index])):
-            runner = task.make_runner()
-        self._share(index, _absorb_clean_pass(task, runner))
-        return runner
+        return self._build(index)[0]
 
     def export(self, index: int) -> "SharedSuffixCache | None":
         """Task ``index``'s clean pass: a kept one, else a closed runner's."""
         key = self.keys[index]
         if key in self._kept:
             return self._share(index, self._kept[key])
+        runner, cache = self._build(index)
+        runner.close()
+        return cache
+
+    def _build(self, index: int) -> "tuple[CellRunner, SharedSuffixCache | None]":
+        from repro.core.suffix import shared_cache
+
         task = self.tasks[index]
-        runner = task.make_runner()
+        with shared_cache(self._kept.get(self.keys[index])):
+            runner = task.make_runner()
         try:
-            return self._share(index, _absorb_clean_pass(task, runner))
-        finally:
+            return runner, self._share(index, _absorb_clean_pass(task, runner))
+        except BaseException:
             runner.close()
+            raise
 
     def _share(
         self, index: int, cache: "SharedSuffixCache | None"
@@ -797,14 +796,16 @@ class _CleanPasses:
         key = self.keys[index]
         if key is None:
             return cache
-        if self._last.get(key, index) > index:
+        unbuilt = self._unbuilt.get(key, set())
+        unbuilt.discard(index)
+        if unbuilt:
             self._kept[key] = cache
         else:
             self._kept.pop(key, None)
         if cache is not None:
-            for other, other_key in enumerate(self.keys):
-                same_forward = other_key is not None and other_key[0] == key[0]
-                if same_forward and self.pending[other]:
+            for other in self.queued:
+                other_key = self.keys[other]
+                if other_key is not None and other_key[0] == key[0]:
                     _absorb_logits(self.tasks[other], cache.clean_logits)
         return cache
 
@@ -826,10 +827,12 @@ def _export_suffix_caches(
     caches: "dict[int, PackedUnit]" = {}
     if suffix_globally_disabled():
         return caches
-    passes = _CleanPasses(tasks, pending)
+    passes = _CleanPasses(
+        tasks, (index for index, cells in enumerate(pending) if cells)
+    )
     units: "dict[tuple | None, PackedUnit]" = {}
-    for index in range(len(tasks)):
-        cache = passes.export(index) if pending[index] else None
+    for index in passes.queued:
+        cache = passes.export(index)
         if cache is not None:
             key = passes.keys[index]
             if key is None or key not in units:
@@ -1450,9 +1453,9 @@ class CampaignExecutor:
         lane: "ProcessPoolExecutor | _InProcessLane"
         call: Callable
 
-        def in_process(chaos: "ChaosPolicy | None") -> None:
+        def in_process(chaos: "ChaosPolicy | None", queued: "Iterable[int]") -> None:
             nonlocal lane, call, capacity, cell_timeout
-            lane = _InProcessLane(tasks, pending, chaos)
+            lane = _InProcessLane(tasks, queued, chaos)
             call, capacity, cell_timeout = lane.run_cells, 1, None
 
         def pool_lane() -> None:
@@ -1467,7 +1470,10 @@ class CampaignExecutor:
         n_pending = sum(len(cells) for cells in pending)
         if plane is None:
             chunk_size = 1
-            in_process(ChaosPolicy.from_env())
+            in_process(
+                ChaosPolicy.from_env(),
+                (index for index, cells in enumerate(pending) if cells),
+            )
         else:
             workers = (
                 self.workers if self.persistent else min(self.workers, n_pending)
@@ -1619,7 +1625,7 @@ class CampaignExecutor:
             normal.extend(
                 (task_index, [cell]) for task_index, cells in queued for cell in cells
             )
-            in_process(None)
+            in_process(None, (task_index for task_index, _ in normal))
 
         try:
             while normal or probe or in_flight:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -116,30 +117,31 @@ class SharedSuffixCache:
     clean_logits: "tuple[np.ndarray, ...]"
 
 
-# The cache offered to the next engine build in this process, if any.
-# Set by the executor's worker loop around ``task.make_runner()`` — the
-# runner's engine then attaches shared activations instead of running
-# its own clean pass.  A plain module global: workers are single-threaded
-# and exactly one runner is built per context.
-_SHARED_CACHE: "SharedSuffixCache | None" = None
+# The cache offered to the next engine build in this thread, if any.
+# Set by the executor around ``task.make_runner()`` (a worker's task
+# switch, a same-key task in the parent) — the runner's engine then
+# attaches shared activations instead of running its own clean pass.  A
+# context variable, so threads of one process (the daemon's slots) never
+# see each other's offers.
+_SHARED_CACHE: "ContextVar[SharedSuffixCache | None]" = ContextVar(
+    "shared_suffix_cache", default=None
+)
 
 
 @contextmanager
 def shared_cache(cache: "SharedSuffixCache | None") -> Iterator[None]:
-    """Offer ``cache`` to engines built inside the block.
+    """Offer ``cache`` to engines built inside the block, in this thread.
 
-    The executor wraps ``task.make_runner()`` in this context on the
-    worker side; :meth:`SuffixForwardEngine.build` consumes the offer if
-    (and only if) the cache matches its evaluation set.  ``None`` is a
-    no-op, so call sites need no conditional.
+    The executor wraps ``task.make_runner()`` in this context;
+    :meth:`SuffixForwardEngine.build` consumes the offer if (and only
+    if) the cache matches its evaluation set.  ``None`` withdraws any
+    outer offer, so call sites need no conditional.
     """
-    global _SHARED_CACHE
-    previous = _SHARED_CACHE
-    _SHARED_CACHE = cache
+    token = _SHARED_CACHE.set(cache)
     try:
         yield
     finally:
-        _SHARED_CACHE = previous
+        _SHARED_CACHE.reset(token)
 
 
 def _top_level_index_map(model: nn.Sequential) -> "dict[str, int] | None":
@@ -308,7 +310,7 @@ class SuffixForwardEngine:
         if not candidates and not clean_shortcut:
             return None
         budget = suffix_budget_bytes() if budget_bytes is None else int(budget_bytes)
-        shared = _SHARED_CACHE
+        shared = _SHARED_CACHE.get()
         if shared is not None and not cls._cache_compatible(
             shared, images, int(batch_size), candidates
         ):

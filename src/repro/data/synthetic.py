@@ -234,13 +234,15 @@ class SplitStream:
         """The first ``k`` images and labels, generating only rows not drawn yet.
 
         Both are views of the split's buffers, so every ``take(k)`` returns
-        arrays at the same address.  Not thread-safe: a shared stream is
-        read under its owner's lock.
+        arrays at the same address.  A ``k`` outside ``[1, n]`` raises
+        ``ValueError("wants k eval images but the <split> split holds
+        n")``, which a reader prefixes with its own name.  Not
+        thread-safe: a shared stream is read under its owner's lock.
         """
         if not 0 < k <= len(self):
             raise ValueError(
-                f"cannot take {k} images from the {len(self)}-image "
-                f"{self.split} split"
+                f"wants {k} eval images but the {self.split} split holds "
+                f"{len(self)}"
             )
         for index in range(self._filled, k):
             self._images[index] = self._source.generate_sample(

@@ -99,16 +99,14 @@ class PretrainedBundle:
         """The ``config.n_test``-image test split."""
         return self._split("test")
 
-    def split_size(self, name: str) -> int:
-        """How many images split ``name`` holds (``config.n_<name>``)."""
-        return getattr(self.config, f"n_{name}")
-
     def prefix(self, name: str, count: int) -> "tuple[np.ndarray, np.ndarray]":
         """The first ``count`` images and labels of split ``name``.
 
         The rows are the whole split's; only they are synthesized.  The
         same count returns arrays at the same address (views of the
-        split's one buffer), so tasks over it share one clean pass.
+        split's one buffer), so tasks over it share one clean pass.  A
+        count outside ``[1, config.n_<name>]`` raises ``ValueError``
+        naming the split and its size.
         """
         with self._splits_lock:
             return self._stream(name).take(count)
@@ -129,7 +127,8 @@ class PretrainedBundle:
                 noise_std=config.noise_std,
                 seed=config.seed,
             )
-            self._splits[name] = SplitStream(generator, self.split_size(name), name)
+            size = getattr(config, f"n_{name}")
+            self._splits[name] = SplitStream(generator, size, name)
         return self._splits[name]
 
 

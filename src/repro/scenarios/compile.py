@@ -181,13 +181,10 @@ def compile_spec(
 
     context = context if context is not None else ScenarioContext()
     bundle = context.bundle(spec.model)
-    held = bundle.split_size(spec.split)
-    if spec.eval_images > held:
-        raise ValueError(
-            f"scenario {spec.name!r} wants {spec.eval_images} eval images "
-            f"but the {spec.split} split holds {held}"
-        )
-    images, labels = bundle.prefix(spec.split, spec.eval_images)
+    try:
+        images, labels = bundle.prefix(spec.split, spec.eval_images)
+    except ValueError as error:
+        raise ValueError(f"scenario {spec.name!r} {error}") from None
     config = CampaignConfig(
         fault_rates=spec.rates,
         trials=spec.trials,

@@ -61,7 +61,10 @@ class TestCommands:
         assert main(["profile", "--model", "lenet5", "--images", images]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"wants {images} images but the val split holds 100" in captured.err
+        assert captured.err == (
+            f"error: 'profile' wants {images} eval images but the val split "
+            "holds 100\n"
+        )
 
     def test_campaign_unprotected(self, capsys):
         assert (

@@ -1476,6 +1476,28 @@ class TestOneCleanPassPerDistinctForward:
                 left.curve.accuracies, right.curve.accuracies
             )
 
+    def test_a_cache_is_kept_only_for_unbuilt_queued_tasks(self, ctx):
+        """A same-key cache is dropped once every queued task with the
+        key is built: a task rebuilt later (a retried cell) or a lane
+        that resumes after the pool finished the others keeps none."""
+        from repro.core.executor import _CleanPasses
+        from repro.scenarios.compile import compile_spec
+
+        tasks = [compile_spec(spec, ctx) for spec in self._specs()[:3]]
+        assert len({task.clean_pass_key() for task in tasks}) == 1
+
+        def build(passes, index):
+            passes.make_runner(index).close()
+            return passes._kept
+
+        passes = _CleanPasses(tasks, [0, 1, 2])
+        assert build(passes, 0)
+        assert build(passes, 1)
+        assert not build(passes, 2)
+        assert not build(passes, 0)  # a retried cell of task 0
+        # Degraded after the pool ran tasks 1 and 2: nothing waits.
+        assert not build(_CleanPasses(tasks, [0]), 0)
+
     def test_activation_task_takes_the_float_tasks_clean_logits(
         self, ctx, tmp_path, monkeypatch
     ):

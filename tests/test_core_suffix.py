@@ -405,6 +405,80 @@ class TestSharedSuffixCache:
             )
         assert engine.stats["from_shared_cache"] is False
 
+    def test_an_offer_stays_in_its_thread(self):
+        """The daemon's slots build runners on threads of one process: an
+        offer held in one thread must not reach an engine that another
+        thread builds for a different model of the same shape."""
+        import threading
+
+        from repro.core.suffix import shared_cache
+
+        model, images, memory = self._engine_parts()
+        offered = SuffixForwardEngine.build(
+            model, images, 16, scope_layers=memory.layer_names()
+        ).export_cache()
+        other = LeNet5(seed=1)
+        other.eval()
+        held = threading.Barrier(2, timeout=30)
+        built = threading.Barrier(2, timeout=30)
+
+        def hold_offer():
+            with shared_cache(offered):
+                held.wait()
+                built.wait()
+
+        thread = threading.Thread(target=hold_offer)
+        thread.start()
+        try:
+            held.wait()
+            engine = SuffixForwardEngine.build(
+                other, images, 16, scope_layers=memory.layer_names()
+            )
+        finally:
+            built.wait()
+            thread.join()
+        assert engine.stats["from_shared_cache"] is False
+        for start in range(0, images.shape[0], 16):
+            batch = images[start : start + 16]
+            np.testing.assert_array_equal(
+                engine.forward_fn([])(batch, start), other(batch)
+            )
+
+    def test_interleaved_offers_leave_no_offer_behind(self):
+        """Thread A offers, B offers, A leaves, B leaves: each restores
+        only its own thread's offer, so none is left for a later build."""
+        import threading
+
+        from repro.core.suffix import shared_cache
+
+        model, images, memory = self._engine_parts()
+        offered = SuffixForwardEngine.build(
+            model, images, 16, scope_layers=memory.layer_names()
+        ).export_cache()
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+
+        def first():
+            with shared_cache(offered):
+                a_in.set()
+                assert b_in.wait(30)
+            a_out.set()
+
+        def second():
+            assert a_in.wait(30)
+            with shared_cache(offered):
+                b_in.set()
+                assert a_out.wait(30)
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        engine = SuffixForwardEngine.build(
+            model, images, 16, scope_layers=memory.layer_names()
+        )
+        assert engine.stats["from_shared_cache"] is False
+
     def test_closed_engine_exports_nothing(self):
         model, images, memory = self._engine_parts()
         engine = SuffixForwardEngine.build(
