@@ -21,7 +21,6 @@ from repro.analysis.reporting import (
     format_box_table,
     format_comparison_table,
     format_curve_table,
-    format_histogram,
     format_rate,
     format_table,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "format_box_table",
     "format_comparison_table",
     "format_curve_table",
-    "format_histogram",
     "format_rate",
     "format_table",
     "run_bit_position_study",

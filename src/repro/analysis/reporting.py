@@ -23,7 +23,6 @@ __all__ = [
     "format_curve_table",
     "format_comparison_table",
     "format_box_table",
-    "format_histogram",
     "format_rate",
     "format_scenario_table",
     "html_table",
@@ -346,21 +345,3 @@ def svg_resilience_figure(
             )
     out.append("</svg>")
     return "".join(out)
-
-
-def format_histogram(
-    counts: np.ndarray, edges: np.ndarray, width: int = 40, title: str = ""
-) -> str:
-    """ASCII histogram (used for the Fig. 3 activation distributions)."""
-    counts = np.asarray(counts)
-    edges = np.asarray(edges)
-    if counts.size + 1 != edges.size:
-        raise ValueError("edges must have one more element than counts")
-    peak = counts.max() if counts.size else 0
-    lines = [title] if title else []
-    for index, count in enumerate(counts):
-        bar = "#" * (int(round(width * count / peak)) if peak else 0)
-        lines.append(
-            f"[{edges[index]:>8.2f}, {edges[index + 1]:>8.2f})  {count:>8d}  {bar}"
-        )
-    return "\n".join(lines)

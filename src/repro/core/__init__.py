@@ -3,8 +3,6 @@ threshold fine-tuning (Algorithm 1) and the end-to-end pipeline."""
 
 from repro.core.baselines import (
     MITIGATION_SAMPLERS,
-    apply_actmax_clipping,
-    apply_clamping,
     apply_relu6,
     dmr_sampler,
     ecc_sampler,
@@ -16,7 +14,6 @@ from repro.core.campaign import (
     FaultInjectionCampaign,
     FaultSampler,
     default_fault_rates,
-    fault_model_sampler,
     random_bitflip_sampler,
     run_campaign,
 )
@@ -27,7 +24,6 @@ from repro.core.executor import (
     WeightFaultCellTask,
     resolve_workers,
 )
-from repro.core.fat import FaultAwareTrainer
 from repro.core.quantized import QuantizedCellTask, run_quantized_campaign
 from repro.core.finetune import (
     FineTuneConfig,
@@ -75,7 +71,6 @@ __all__ = [
     "FTClipAct",
     "FTClipActConfig",
     "FaultInjectionCampaign",
-    "FaultAwareTrainer",
     "FaultSampler",
     "FineTuneConfig",
     "FineTuneResult",
@@ -90,15 +85,12 @@ __all__ = [
     "SuffixForwardEngine",
     "ThresholdFineTuner",
     "WeightFaultCellTask",
-    "apply_actmax_clipping",
-    "apply_clamping",
     "apply_relu6",
     "auc_resilience",
     "default_fault_rates",
     "dmr_sampler",
     "ecc_sampler",
     "evaluate_accuracy_arrays",
-    "fault_model_sampler",
     "find_activation_sites",
     "fine_tune_threshold",
     "get_thresholds",

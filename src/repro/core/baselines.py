@@ -21,7 +21,6 @@ import numpy as np
 
 from repro import nn
 from repro.core.campaign import FaultSampler, random_bitflip_sampler
-from repro.core.swap import swap_activations
 from repro.hw.ecc import ECCFilter
 from repro.hw.faultmodels import FaultSet
 from repro.hw.memory import WeightMemory
@@ -33,8 +32,6 @@ __all__ = [
     "apply_relu6",
     "FilterSampler",
     "range_check_sampler",
-    "apply_actmax_clipping",
-    "apply_clamping",
     "ecc_sampler",
     "tmr_sampler",
     "dmr_sampler",
@@ -59,16 +56,6 @@ def apply_relu6(model: nn.Module, cap: float = 6.0) -> int:
         replacement.train(model.training)
         setattr(site.parent, site.attribute, replacement)
     return len(sites)
-
-
-def apply_actmax_clipping(model: nn.Module, act_max: Mapping[str, float]) -> None:
-    """Steps 1+2 without Step 3: clip at the profiled ACT_max values."""
-    swap_activations(model, act_max, variant="clip")
-
-
-def apply_clamping(model: nn.Module, thresholds: Mapping[str, float]) -> None:
-    """The clamp ablation: saturate at T instead of zeroing."""
-    swap_activations(model, thresholds, variant="clamp")
 
 
 class FilterSampler:

@@ -26,16 +26,14 @@ import numpy as np
 
 from repro import nn
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
-from repro.hw.faultmodels import FaultModel, FaultSet, RandomBitFlip
+from repro.hw.faultmodels import FaultSet, RandomBitFlip
 from repro.hw.memory import WeightMemory
 from repro.utils.validation import check_positive
 
 __all__ = [
     "FaultSampler",
     "RandomBitFlipSampler",
-    "FaultModelSampler",
     "random_bitflip_sampler",
-    "fault_model_sampler",
     "CampaignConfig",
     "FaultInjectionCampaign",
     "run_campaign",
@@ -64,30 +62,9 @@ class RandomBitFlipSampler:
         return RandomBitFlip(rate).sample(memory, rng)
 
 
-class FaultModelSampler:
-    """Adapts a rate->FaultModel factory into a :data:`FaultSampler`.
-
-    Picklable whenever ``factory`` is (module-level functions and
-    functools.partial over them are; lambdas are not).
-    """
-
-    def __init__(self, factory: Callable[[float], FaultModel]):
-        self.factory = factory
-
-    def __call__(
-        self, memory: WeightMemory, rate: float, rng: np.random.Generator
-    ) -> FaultSet:
-        return self.factory(rate).sample(memory, rng)
-
-
 def random_bitflip_sampler() -> FaultSampler:
     """The paper's fault model: independent random bit flips."""
     return RandomBitFlipSampler()
-
-
-def fault_model_sampler(factory: Callable[[float], FaultModel]) -> FaultSampler:
-    """Adapt a rate->FaultModel factory into a :data:`FaultSampler`."""
-    return FaultModelSampler(factory)
 
 
 def default_fault_rates(

@@ -878,7 +878,9 @@ class _Journal:
     at the first cell and the millionth.  Opening an existing journal
     replays its cells into :attr:`cells`; a torn last line (the writer
     died mid-append) is dropped and truncated away before appending
-    resumes.  Close the journal when the pass ends.
+    resumes, and any other line that is not a cell of the header's grids
+    is refused with its file and line number.  Close the journal when
+    the pass ends.
     """
 
     def __init__(
@@ -949,8 +951,16 @@ class _Journal:
                 f"type or configuration; delete it or use a fresh path "
                 f"(stored {stored}, expected {header})"
             )
-        for line in lines:
-            task_index, rate_index, trial, value = json.loads(line)
+        campaigns = header["campaigns"]
+        for number, line in enumerate(lines, start=2):
+            cell = _json_or_none(line)
+            if not _is_cell(cell, campaigns):
+                raise ValueError(
+                    f"{self.path}:{number}: not a [task, rate, trial, value] "
+                    f"cell inside the header's campaigns, rates and trials: "
+                    f"{line.decode('ascii', 'replace')}"
+                )
+            task_index, rate_index, trial, value = cell
             self.cells[(task_index, rate_index, trial)] = value
         return intact
 
@@ -977,6 +987,26 @@ def _json_or_none(raw: bytes) -> Any:
         return json.loads(raw)
     except ValueError:
         return None
+
+
+def _is_cell(entry: Any, campaigns: "list[dict]") -> bool:
+    """Whether a journal line is ``[task, rate, trial, value]`` inside the
+    header's grids.
+
+    The indices must be plain non-negative integers: ``run_grids``
+    indexes per-task lists with them, so a ``-1`` would land on the last
+    task's cell.  The value is a number or a non-empty list of numbers.
+    """
+    if not (isinstance(entry, list) and len(entry) == 4):
+        return False
+    task, rate, trial, value = entry
+    if type(task) is not int or not 0 <= task < len(campaigns):
+        return False
+    bounds = (len(campaigns[task]["fault_rates"]), campaigns[task]["trials"])
+    values = value if isinstance(value, list) and value else [value]
+    return all(
+        type(i) is int and 0 <= i < n for i, n in zip((rate, trial), bounds)
+    ) and all(type(v) in (int, float) for v in values)
 
 
 # --------------------------------------------------------------------- #
@@ -1009,9 +1039,6 @@ class CampaignExecutor:
         so a checkpoint written under one identity refuses to resume
         under another.  Keys must not collide with the built-in
         fingerprint fields.
-    mp_context:
-        Optional :mod:`multiprocessing` start-method name (``"fork"``,
-        ``"spawn"``, ``"forkserver"``); default lets the platform choose.
     persistent:
         Keep the worker pool alive between :meth:`run_tasks` calls (a
         *warm pool*), so repeated sweeps — Algorithm 1's per-iteration
@@ -1043,7 +1070,6 @@ class CampaignExecutor:
         workers: int = 1,
         progress: "ProgressCallback | None" = None,
         checkpoint: "str | Path | None" = None,
-        mp_context: "str | None" = None,
         persistent: bool = False,
         checkpoint_extra: "dict | None" = None,
         supervision: "SupervisionPolicy | None" = None,
@@ -1054,7 +1080,6 @@ class CampaignExecutor:
         self.progress = progress
         self.checkpoint_path = checkpoint
         self.checkpoint_extra = dict(checkpoint_extra) if checkpoint_extra else None
-        self.mp_context = mp_context
         self.persistent = bool(persistent)
         self.supervision = (
             supervision if supervision is not None else SupervisionPolicy()
@@ -1734,14 +1759,12 @@ class CampaignExecutor:
 
         if self.persistent and self._pool is not None:
             return self._pool
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else None
-        )
+        # Fork, not the interpreter's default (forkserver on Linux from
+        # Python 3.14): workers inherit the parent's imports and start
+        # fastest that way.
         pool = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=context,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
             initargs=(_blas_budget(workers),),
         )

@@ -1,33 +1,20 @@
-"""Data substrate: datasets, loaders, transforms, and the synthetic
-CIFAR-10 replacement used in place of the (offline-unavailable) original."""
+"""Data substrate: datasets, loaders and the synthetic CIFAR-10
+replacement used in place of the (offline-unavailable) original."""
 
-from repro.data.dataset import ArrayDataset, Dataset, Subset, TransformedDataset
+from repro.data.dataset import ArrayDataset, Dataset, Subset
 from repro.data.loader import DataLoader
 from repro.data.synthetic import (
     CIFAR10_CLASS_NAMES,
     ClassPrototype,
     SyntheticCIFAR10,
 )
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    compute_channel_stats,
-)
 
 __all__ = [
     "ArrayDataset",
     "CIFAR10_CLASS_NAMES",
     "ClassPrototype",
-    "Compose",
     "DataLoader",
     "Dataset",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
     "Subset",
     "SyntheticCIFAR10",
-    "TransformedDataset",
-    "compute_channel_stats",
 ]

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "ArrayDataset", "Subset", "TransformedDataset"]
+__all__ = ["Dataset", "ArrayDataset", "Subset"]
 
 
 class Dataset:
@@ -71,20 +71,3 @@ class Subset(Dataset):
 
     def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
         return self.base[self.indices[index]]
-
-
-class TransformedDataset(Dataset):
-    """Applies an image transform lazily on access (for augmentation)."""
-
-    def __init__(
-        self, base: Dataset, transform: Callable[[np.ndarray], np.ndarray]
-    ):
-        self.base = base
-        self.transform = transform
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
-        image, label = self.base[index]
-        return self.transform(image), label

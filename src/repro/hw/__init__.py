@@ -4,7 +4,6 @@ from repro.hw.actfaults import (
     ActivationFaultCellTask,
     ActivationFaultInjector,
     flip_activation_bits,
-    run_activation_campaign,
 )
 from repro.hw.bits import (
     EXPONENT_BITS,
@@ -12,11 +11,7 @@ from repro.hw.bits import (
     SIGN_BIT,
     WORD_BITS,
     bit_field,
-    bits_to_float,
-    decompose,
     flip_bits_in_words,
-    flip_scalar_bit,
-    float_to_bits,
     set_bits_in_words,
 )
 from repro.hw.ecc import (
@@ -24,9 +19,6 @@ from repro.hw.ecc import (
     CODE_DATA_BITS,
     CODE_TOTAL_BITS,
     ECCFilter,
-    SECDEDResult,
-    hamming_decode,
-    hamming_encode,
 )
 from repro.hw.faultmodels import (
     OP_FLIP,
@@ -74,7 +66,6 @@ __all__ = [
     "OP_STUCK1",
     "QuantizedWeightMemory",
     "RandomBitFlip",
-    "SECDEDResult",
     "SIGN_BIT",
     "StuckAt",
     "TMRFilter",
@@ -83,16 +74,9 @@ __all__ = [
     "WeightMemory",
     "WeightRangeCheck",
     "bit_field",
-    "bits_to_float",
-    "decompose",
     "dequantize_symmetric",
     "flip_activation_bits",
-    "run_activation_campaign",
     "flip_bits_in_words",
-    "flip_scalar_bit",
-    "float_to_bits",
-    "hamming_decode",
-    "hamming_encode",
     "quantize_symmetric",
     "set_bits_in_words",
 ]

@@ -11,7 +11,7 @@ well, which the activation-fault benchmark demonstrates.
 Activation faults are transient by construction (each forward pass
 allocates fresh output buffers), so no undo machinery is needed.
 
-:func:`run_activation_campaign` sweeps activation-fault rates through the
+:class:`ActivationFaultCellTask` sweeps activation-fault rates through the
 shared :class:`~repro.core.executor.CampaignExecutor` substrate — the
 same ``rate/<i>/trial/<j>`` seed derivation, ``workers=`` fan-out
 (bit-identical to serial), progress streaming and checkpoint resume as
@@ -30,7 +30,7 @@ not depend on core.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "ActivationFaultInjector",
     "ActivationFaultCellTask",
     "flip_activation_bits",
-    "run_activation_campaign",
 ]
 
 
@@ -307,33 +306,3 @@ class _ActivationCellRunner:
             self.engine = None
             self._forward = None
         self.injector.remove()
-
-
-def run_activation_campaign(
-    model: nn.Module,
-    images: np.ndarray,
-    labels: np.ndarray,
-    config: "CampaignConfig | None" = None,
-    layers: "list[str] | None" = None,
-    label: str = "actfault",
-    workers: int = 1,
-    progress: "Callable | None" = None,
-    checkpoint: "str | None" = None,
-) -> "ResilienceCurve":
-    """Rate sweep x trials with transient faults in activation memory.
-
-    ``layers`` restricts the corrupted layer outputs (default: every
-    CONV/FC layer).  ``workers`` fans the grid across a process pool
-    (``0`` = one per CPU core) with curves bit-identical to serial;
-    ``progress``/``checkpoint`` behave exactly as on the weight-fault
-    campaigns.  The model's hooks are removed before returning.
-    """
-    from repro.core.executor import CampaignExecutor
-
-    task = ActivationFaultCellTask(
-        model, images, labels, config=config, layers=layers, label=label,
-    )
-    executor = CampaignExecutor(
-        workers=workers, progress=progress, checkpoint=checkpoint
-    )
-    return executor.run_tasks([task])[0]

@@ -19,31 +19,15 @@ __all__ = [
     "SIGN_BIT",
     "EXPONENT_BITS",
     "MANTISSA_BITS",
-    "float_to_bits",
-    "bits_to_float",
     "flip_bits_in_words",
     "set_bits_in_words",
     "bit_field",
-    "decompose",
-    "flip_scalar_bit",
 ]
 
 WORD_BITS = 32
 SIGN_BIT = 31
 EXPONENT_BITS = tuple(range(23, 31))
 MANTISSA_BITS = tuple(range(0, 23))
-
-
-def float_to_bits(values: np.ndarray) -> np.ndarray:
-    """Reinterpret a float32 array as uint32 words (copy)."""
-    values = np.ascontiguousarray(values, dtype=np.float32)
-    return values.view(np.uint32).copy()
-
-
-def bits_to_float(words: np.ndarray) -> np.ndarray:
-    """Reinterpret a uint32 array as float32 values (copy)."""
-    words = np.ascontiguousarray(words, dtype=np.uint32)
-    return words.view(np.float32).copy()
 
 
 def bit_field(position: int) -> str:
@@ -55,30 +39,6 @@ def bit_field(position: int) -> str:
     if position in EXPONENT_BITS:
         return "exponent"
     return "mantissa"
-
-
-def decompose(value: float) -> tuple[int, int, int]:
-    """Split one float32 into (sign, biased_exponent, mantissa) integers."""
-    word = int(float_to_bits(np.asarray([value], dtype=np.float32))[0])
-    sign = (word >> SIGN_BIT) & 0x1
-    exponent = (word >> 23) & 0xFF
-    mantissa = word & 0x7FFFFF
-    return sign, exponent, mantissa
-
-
-def flip_scalar_bit(value: float, position: int) -> np.float32:
-    """Flip one bit of one float32 value (reference implementation).
-
-    Returns an ``np.float32`` scalar rather than a python float: a flip
-    landing on a signaling-NaN pattern must keep its payload bit-exact,
-    and the float32 -> float64 -> float32 round-trip of ``float()``
-    would quiet the NaN (x86 cvtss2sd), breaking flip-twice-is-identity.
-    """
-    if not 0 <= position < WORD_BITS:
-        raise ValueError(f"bit position must lie in [0, {WORD_BITS}), got {position}")
-    word = float_to_bits(np.asarray([value], dtype=np.float32))
-    word[0] ^= np.uint32(1 << position)
-    return bits_to_float(word)[0]
 
 
 def _masks_by_word(

@@ -8,7 +8,6 @@ from repro.models.registry import (
     build_model,
     computational_layers,
     layer_names,
-    model_summary,
 )
 from repro.models.vgg import VGG16_PLAN, CifarVGG16, build_vgg16
 from repro.models.zoo import PretrainedBundle, ZooConfig, get_pretrained, train_model
@@ -30,6 +29,5 @@ __all__ = [
     "computational_layers",
     "get_pretrained",
     "layer_names",
-    "model_summary",
     "train_model",
 ]

@@ -68,21 +68,3 @@ def computational_layers(model: nn.Module) -> list[tuple[str, nn.Module]]:
 def layer_names(model: nn.Module) -> list[str]:
     """Just the paper-style names of the computational layers, in order."""
     return [name for name, _ in computational_layers(model)]
-
-
-def model_summary(model: nn.Module) -> str:
-    """A text table of the model's computational layers.
-
-    Columns: paper-style name, layer type, parameter count, weight-memory
-    bits — the quantities the resilience analysis reasons about.
-    """
-    from repro.analysis.reporting import format_table
-
-    rows: list[list[object]] = []
-    total_params = 0
-    for name, layer in computational_layers(model):
-        params = sum(p.size for _, p in layer.named_parameters())
-        total_params += params
-        rows.append([name, type(layer).__name__, params, params * 32])
-    rows.append(["total", "", total_params, total_params * 32])
-    return format_table(["layer", "type", "params", "weight bits"], rows)

@@ -11,42 +11,34 @@ from repro.nn.activations import (
     LeakyReLU,
     ReLU,
     ReLU6,
-    Sigmoid,
     Softmax,
-    Tanh,
 )
-from repro.nn.batchnorm import BatchNorm1d, BatchNorm2d
+from repro.nn.batchnorm import BatchNorm2d
 from repro.nn.conv import Conv2d
 from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import HookHandle, Module, Parameter
-from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.pooling import MaxPool2d
 from repro.nn.sequential import Sequential
 
 __all__ = [
     "Activation",
-    "AvgPool2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "Conv2d",
     "CrossEntropyLoss",
     "Dropout",
     "Flatten",
-    "GlobalAvgPool2d",
     "HookHandle",
     "Identity",
     "LeakyReLU",
     "Linear",
-    "MSELoss",
     "MaxPool2d",
     "Module",
     "Parameter",
     "ReLU",
     "ReLU6",
     "Sequential",
-    "Sigmoid",
     "Softmax",
-    "Tanh",
 ]

@@ -19,8 +19,6 @@ __all__ = [
     "ReLU",
     "LeakyReLU",
     "ReLU6",
-    "Sigmoid",
-    "Tanh",
     "Softmax",
     "Identity",
 ]
@@ -101,51 +99,6 @@ class ReLU6(Activation):
 
     def extra_repr(self) -> str:
         return f"cap={self.cap}"
-
-
-class Sigmoid(Activation):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: "np.ndarray | None" = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        # Split by sign for numerical stability against exp overflow.
-        out = np.empty_like(x)
-        positive = x >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        out[~positive] = exp_x / (1.0 + exp_x)
-        if self.training:
-            self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward in training mode")
-        sig = self._output
-        return np.asarray(grad_output, dtype=np.float32) * sig * (1.0 - sig)
-
-
-class Tanh(Activation):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: "np.ndarray | None" = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(np.asarray(x, dtype=np.float32))
-        if self.training:
-            self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward in training mode")
-        return np.asarray(grad_output, dtype=np.float32) * (1.0 - self._output**2)
 
 
 class Softmax(Activation):

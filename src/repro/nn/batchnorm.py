@@ -1,4 +1,4 @@
-"""Batch normalization (1-D and 2-D).
+"""Batch normalization over NCHW feature maps.
 
 Batch norm makes training the deeper VGG-16 topology tractable on a single
 CPU core.  Running statistics are registered as buffers so they persist in
@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.module import Module, Parameter
 from repro.utils.validation import check_positive
 
-__all__ = ["BatchNorm1d", "BatchNorm2d"]
+__all__ = ["BatchNorm2d"]
 
 
 class _BatchNorm(Module):
@@ -95,23 +95,6 @@ class _BatchNorm(Module):
 
     def extra_repr(self) -> str:
         return f"num_features={self.num_features}, eps={self.eps}, momentum={self.momentum}"
-
-
-class BatchNorm1d(_BatchNorm):
-    """Batch norm over (N, C) feature matrices."""
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects (N, C) input, got shape {x.shape}")
-        if x.shape[1] != self.num_features:
-            raise ValueError(f"expected {self.num_features} features, got {x.shape[1]}")
-        return x
-
-    def _axes(self, x: np.ndarray) -> tuple[int, ...]:
-        return (0,)
-
-    def _shape(self, x: np.ndarray) -> tuple[int, ...]:
-        return (1, self.num_features)
 
 
 class BatchNorm2d(_BatchNorm):

@@ -13,11 +13,7 @@ import numpy as np
 
 __all__ = [
     "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
-    "xavier_normal",
     "zeros",
-    "constant",
     "fan_in_and_fan_out",
 ]
 
@@ -49,36 +45,6 @@ def kaiming_uniform(
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def kaiming_normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    gain: float = math.sqrt(2.0),
-) -> np.ndarray:
-    """He-normal init."""
-    fan_in, _ = fan_in_and_fan_out(shape)
-    std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform init, suited to tanh/sigmoid layers."""
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-normal init."""
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero float32 array (bias default)."""
     return np.zeros(shape, dtype=np.float32)
-
-
-def constant(shape: tuple[int, ...], value: float) -> np.ndarray:
-    """Constant-filled float32 array."""
-    return np.full(shape, value, dtype=np.float32)

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn.functional import log_softmax, one_hot, softmax
 
-__all__ = ["CrossEntropyLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss:
@@ -43,23 +43,4 @@ class CrossEntropyLoss:
         log_probs = log_softmax(logits, axis=1)
         loss = float(-(targets * log_probs).sum() / n)
         grad = (softmax(logits, axis=1) - targets) / n
-        return loss, grad.astype(np.float32)
-
-
-class MSELoss:
-    """Mean squared error over all elements."""
-
-    def __call__(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        predictions = np.asarray(predictions, dtype=np.float32)
-        targets = np.asarray(targets, dtype=np.float32)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} vs "
-                f"targets {targets.shape}"
-            )
-        diff = predictions - targets
-        loss = float(np.mean(diff**2))
-        grad = (2.0 / diff.size) * diff
         return loss, grad.astype(np.float32)

@@ -8,7 +8,7 @@ from repro.nn.functional import col2im, conv_output_size, im2col, pad_nchw
 from repro.nn.module import Module
 from repro.utils.validation import as_pair
 
-__all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+__all__ = ["MaxPool2d"]
 
 
 class _Pool2d(Module):
@@ -123,64 +123,3 @@ class MaxPool2d(_Pool2d):
             grad_cols, (n * c, 1, h, w), self.kernel_size, self.stride, self.padding
         )
         return grad_input.reshape(n, c, h, w)
-
-
-class AvgPool2d(_Pool2d):
-    """Average pooling; backward spreads gradients uniformly over the window."""
-
-    def __init__(
-        self,
-        kernel_size: "int | tuple[int, int]",
-        stride: "int | tuple[int, int] | None" = None,
-        padding: "int | tuple[int, int]" = 0,
-    ):
-        super().__init__(kernel_size, stride, padding)
-        self._input_shape: "tuple[int, int, int, int] | None" = None
-        self._out_hw: "tuple[int, int] | None" = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 4:
-            raise ValueError(f"AvgPool2d expects NCHW input, got shape {x.shape}")
-        n, c = x.shape[:2]
-        cols, (out_h, out_w) = self._windows(x)
-        out = cols.mean(axis=1)
-        if self.training:
-            self._input_shape = x.shape  # type: ignore[assignment]
-            self._out_hw = (out_h, out_w)
-        return out.reshape(n, c, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None or self._out_hw is None:
-            raise RuntimeError("backward called before forward in training mode")
-        n, c, h, w = self._input_shape
-        window = self.kernel_size[0] * self.kernel_size[1]
-        grad_flat = np.asarray(grad_output, dtype=np.float32).reshape(-1, 1)
-        grad_cols = np.repeat(grad_flat / window, window, axis=1).astype(np.float32)
-        grad_input = col2im(
-            grad_cols, (n * c, 1, h, w), self.kernel_size, self.stride, self.padding
-        )
-        return grad_input.reshape(n, c, h, w)
-
-
-class GlobalAvgPool2d(Module):
-    """Collapse each channel's spatial map to its mean: (N,C,H,W) -> (N,C)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape: "tuple[int, int, int, int] | None" = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 4:
-            raise ValueError(f"GlobalAvgPool2d expects NCHW input, got shape {x.shape}")
-        if self.training:
-            self._input_shape = x.shape  # type: ignore[assignment]
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward in training mode")
-        n, c, h, w = self._input_shape
-        grad = np.asarray(grad_output, dtype=np.float32) / (h * w)
-        return np.broadcast_to(grad[:, :, None, None], (n, c, h, w)).astype(np.float32)

@@ -1,15 +1,7 @@
-"""Optimizers, LR schedules and the training loop."""
+"""The Adam optimizer and the training loop."""
 
 from repro.optim.adam import Adam
 from repro.optim.optimizer import Optimizer
-from repro.optim.schedules import (
-    ConstantLR,
-    CosineAnnealingLR,
-    LRSchedule,
-    StepLR,
-    WarmupWrapper,
-)
-from repro.optim.sgd import SGD
 from repro.optim.trainer import (
     EpochStats,
     Trainer,
@@ -19,15 +11,9 @@ from repro.optim.trainer import (
 
 __all__ = [
     "Adam",
-    "ConstantLR",
-    "CosineAnnealingLR",
     "EpochStats",
-    "LRSchedule",
     "Optimizer",
-    "SGD",
-    "StepLR",
     "Trainer",
     "TrainingHistory",
-    "WarmupWrapper",
     "evaluate_accuracy",
 ]

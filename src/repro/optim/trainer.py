@@ -16,7 +16,6 @@ from repro.data.loader import DataLoader
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
-from repro.optim.schedules import LRSchedule
 
 __all__ = ["EpochStats", "TrainingHistory", "Trainer", "evaluate_accuracy"]
 
@@ -77,13 +76,11 @@ class Trainer:
         model: Module,
         optimizer: Optimizer,
         loss_fn: "Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]] | None" = None,
-        schedule: "LRSchedule | None" = None,
         grad_clip: "float | None" = None,
     ):
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn if loss_fn is not None else CrossEntropyLoss()
-        self.schedule = schedule
         if grad_clip is not None and grad_clip <= 0:
             raise ValueError(f"grad_clip must be positive, got {grad_clip}")
         self.grad_clip = grad_clip
@@ -171,8 +168,6 @@ class Trainer:
                     stale += 1
                     if patience is not None and stale >= patience:
                         break
-            if self.schedule is not None:
-                self.schedule.step()
 
         if best_state is not None:
             self.model.load_state_dict(best_state)

@@ -11,9 +11,9 @@ expanded scenario's (rate x trial) cells into **one**
 (``run_tasks``) — cross-scenario fan-out over a single worker pool, one
 shared tensor plane per generation, the published per-task suffix
 caches, and one resumable multi-campaign checkpoint file.  Results are
-bit-identical to calling each scenario's direct API
-(``run_campaign`` / ``run_quantized_campaign`` /
-``run_activation_campaign``) back-to-back at any worker count, which
+bit-identical to running each scenario on its own (``run_campaign``,
+``run_quantized_campaign``, or a one-task ``run_tasks`` call for an
+activation campaign) back-to-back at any worker count, which
 ``tests/test_scenarios.py`` asserts.
 
 A :class:`ScenarioContext` owns the expensive shared artifacts: trained

@@ -1,20 +1,16 @@
 """Shared utilities: seeding, serialization, validation, caching."""
 
 from repro.utils.cache import ArtifactCache, config_fingerprint, default_cache_dir
-from repro.utils.rng import SeedTree, as_generator, spawn_seeds
+from repro.utils.rng import SeedTree, as_generator
 from repro.utils.serialization import (
     atomic_write,
-    load_model_state,
     load_state_dict,
-    save_model,
     save_state_dict,
     write_json_atomic,
 )
 from repro.utils.validation import (
     as_pair,
-    check_dtype,
     check_in_choices,
-    check_ndim,
     check_non_negative,
     check_positive,
     check_probability,
@@ -26,18 +22,13 @@ __all__ = [
     "as_generator",
     "as_pair",
     "atomic_write",
-    "check_dtype",
     "check_in_choices",
-    "check_ndim",
     "check_non_negative",
     "check_positive",
     "check_probability",
     "config_fingerprint",
     "default_cache_dir",
-    "load_model_state",
     "load_state_dict",
-    "save_model",
     "save_state_dict",
-    "spawn_seeds",
     "write_json_atomic",
 ]

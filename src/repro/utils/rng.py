@@ -15,11 +15,11 @@ This module provides a small tree-structured seed facility built on
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["SeedTree", "as_generator", "spawn_seeds"]
+__all__ = ["SeedTree", "as_generator"]
 
 
 def as_generator(seed: "int | np.random.Generator | None") -> np.random.Generator:
@@ -31,19 +31,6 @@ def as_generator(seed: "int | np.random.Generator | None") -> np.random.Generato
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent 63-bit child seeds from ``seed``.
-
-    The derivation is deterministic: ``spawn_seeds(s, n)[:k]`` equals
-    ``spawn_seeds(s, k)`` for ``k <= n``, which lets experiments grow their
-    trial count without disturbing earlier trials.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [int(child.generate_state(1, dtype=np.uint64)[0] >> 1) for child in children]
 
 
 class SeedTree:

@@ -12,20 +12,15 @@ import contextlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.nn.module import Module
 
 __all__ = [
     "atomic_write",
     "write_json_atomic",
     "save_state_dict",
     "load_state_dict",
-    "save_model",
-    "load_model_state",
 ]
 
 _META_KEY = "__repro_meta__"
@@ -108,23 +103,3 @@ def load_state_dict(path: "str | Path") -> tuple[dict[str, np.ndarray], dict[str
             else:
                 state[name] = archive[name]
     return state, metadata
-
-
-def save_model(
-    path: "str | Path",
-    model: "Module",
-    metadata: "Mapping[str, Any] | None" = None,
-) -> Path:
-    """Persist ``model.state_dict()`` together with ``metadata``."""
-    return save_state_dict(path, model.state_dict(), metadata)
-
-
-def load_model_state(path: "str | Path", model: "Module") -> dict[str, Any]:
-    """Load parameters from ``path`` into ``model`` in place.
-
-    Returns the metadata stored alongside the parameters.  Raises if the
-    archive's parameter names or shapes do not match the model.
-    """
-    state, metadata = load_state_dict(path)
-    model.load_state_dict(state)
-    return metadata

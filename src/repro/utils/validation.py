@@ -18,8 +18,6 @@ __all__ = [
     "check_non_negative",
     "check_probability",
     "check_in_choices",
-    "check_ndim",
-    "check_dtype",
     "as_pair",
 ]
 
@@ -69,23 +67,6 @@ def check_in_choices(name: str, value: Any, choices: Iterable[Any]) -> Any:
     if value not in options:
         raise ValueError(f"{name} must be one of {options!r}, got {value!r}")
     return value
-
-
-def check_ndim(name: str, array: np.ndarray, ndim: int) -> np.ndarray:
-    """Require ``array.ndim == ndim``; return the array for chaining."""
-    if array.ndim != ndim:
-        raise ValueError(
-            f"{name} must have {ndim} dimensions, got shape {array.shape!r}"
-        )
-    return array
-
-
-def check_dtype(name: str, array: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:
-    """Require ``array.dtype == dtype``; return the array for chaining."""
-    expected = np.dtype(dtype)
-    if array.dtype != expected:
-        raise TypeError(f"{name} must have dtype {expected}, got {array.dtype}")
-    return array
 
 
 def as_pair(name: str, value: "int | Sequence[int]") -> tuple[int, int]:

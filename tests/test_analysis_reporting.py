@@ -9,7 +9,6 @@ from repro.analysis.reporting import (
     format_box_table,
     format_comparison_table,
     format_curve_table,
-    format_histogram,
     format_rate,
     format_scenario_table,
     format_table,
@@ -79,24 +78,6 @@ class TestCurveTables:
         text = format_box_table(_curve(), title="boxes")
         assert "median" in text
         assert "boxes" in text
-
-
-class TestHistogram:
-    def test_bars_scale(self):
-        counts = np.asarray([1, 10])
-        edges = np.asarray([0.0, 1.0, 2.0])
-        text = format_histogram(counts, edges, width=10)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 1
-
-    def test_mismatched_edges_rejected(self):
-        with pytest.raises(ValueError):
-            format_histogram(np.asarray([1, 2]), np.asarray([0.0, 1.0]))
-
-    def test_empty_counts_safe(self):
-        text = format_histogram(np.asarray([0, 0]), np.asarray([0.0, 1.0, 2.0]))
-        assert "#" not in text
 
 
 def _scenario_result(name="s", accs=None):

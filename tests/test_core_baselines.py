@@ -6,16 +6,13 @@ import pytest
 from repro import nn
 from repro.core.baselines import (
     MITIGATION_SAMPLERS,
-    apply_actmax_clipping,
-    apply_clamping,
     apply_relu6,
     dmr_sampler,
     ecc_sampler,
     tmr_sampler,
 )
-from repro.core.clipped import ClampedReLU, ClippedReLU
 from repro.hw.memory import WeightMemory
-from repro.models import LeNet5, MLP
+from repro.models import LeNet5
 
 
 class TestModelBaselines:
@@ -36,18 +33,6 @@ class TestModelBaselines:
     def test_apply_relu6_no_sites_rejected(self):
         with pytest.raises(ValueError):
             apply_relu6(nn.Sequential(nn.Linear(4, 2, seed=0)))
-
-    def test_apply_actmax_clipping(self):
-        model = MLP(16, 4, hidden=(8, 8), seed=0)
-        apply_actmax_clipping(model, {"FC-1": 1.0, "FC-2": 2.0})
-        clipped = [m for m in model.modules() if isinstance(m, ClippedReLU)]
-        assert sorted(m.threshold for m in clipped) == [1.0, 2.0]
-
-    def test_apply_clamping(self):
-        model = MLP(16, 4, hidden=(8, 8), seed=0)
-        apply_clamping(model, {"FC-1": 1.0, "FC-2": 2.0})
-        assert sum(isinstance(m, ClampedReLU) for m in model.modules()) == 2
-
 
 class TestProtectionSamplers:
     def _memory(self):

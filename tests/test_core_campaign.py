@@ -7,7 +7,6 @@ from repro.core.campaign import (
     CampaignConfig,
     FaultInjectionCampaign,
     default_fault_rates,
-    fault_model_sampler,
     run_campaign,
 )
 from repro.hw.faultmodels import BurstFault, FaultSet
@@ -110,8 +109,11 @@ class TestCampaignRun:
     def test_custom_fault_model_sampler(self, campaign_parts):
         model, memory, images, labels, _ = campaign_parts
         config = CampaignConfig(fault_rates=(1e-6,), trials=2, seed=0)
-        sampler = fault_model_sampler(lambda rate: BurstFault(n_bursts=2, burst_length=4))
-        curve = run_campaign(model, memory, images, labels, config, sampler=sampler)
+        burst = BurstFault(n_bursts=2, burst_length=4)
+        curve = run_campaign(
+            model, memory, images, labels, config,
+            sampler=lambda mem, rate, rng: burst.sample(mem, rng),
+        )
         assert curve.accuracies.shape == (1, 2)
 
     def test_clean_accuracy_cached_and_invalidatable(self, campaign_parts):
@@ -140,8 +142,10 @@ class TestAlternativeFaultModels:
 
         model, memory, images, labels, _ = campaign_parts
         config = CampaignConfig(fault_rates=(1e-6, 1e-3), trials=4, seed=2)
-        sampler = fault_model_sampler(lambda rate: StuckAt(rate, value=1))
-        curve = run_campaign(model, memory, images, labels, config, sampler=sampler)
+        curve = run_campaign(
+            model, memory, images, labels, config,
+            sampler=lambda mem, rate, rng: StuckAt(rate, value=1).sample(mem, rng),
+        )
         means = curve.mean_accuracies()
         assert means[0] >= means[-1]
 
@@ -167,8 +171,9 @@ class TestAlternativeFaultModels:
 
         model, memory, images, labels, _ = campaign_parts
         config = CampaignConfig(fault_rates=(1e-6,), trials=3, seed=1)
-        sampler = fault_model_sampler(
-            lambda rate: BurstFault(n_bursts=4, burst_length=16)
+        burst = BurstFault(n_bursts=4, burst_length=16)
+        curve = run_campaign(
+            model, memory, images, labels, config,
+            sampler=lambda mem, rate, rng: burst.sample(mem, rng),
         )
-        curve = run_campaign(model, memory, images, labels, config, sampler=sampler)
         assert curve.accuracies.shape == (1, 3)

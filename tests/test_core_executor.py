@@ -8,6 +8,7 @@ accuracy grid is assembled by cell index, never by completion order.
 
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -634,12 +635,10 @@ class TestExecutorValidation:
         import pickle
 
         from repro.core.baselines import dmr_sampler, ecc_sampler, tmr_sampler
-        from repro.core.campaign import fault_model_sampler, random_bitflip_sampler
-        from repro.hw.faultmodels import RandomBitFlip
+        from repro.core.campaign import random_bitflip_sampler
 
         for sampler in (
             random_bitflip_sampler(),
-            fault_model_sampler(RandomBitFlip),
             ecc_sampler(),
             tmr_sampler(),
             dmr_sampler(),
@@ -1234,6 +1233,42 @@ class TestCheckpointJournal:
         baseline = run_campaign(model, memory, images, labels, config)
         np.testing.assert_array_equal(resumed.accuracies, baseline.accuracies)
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"[0, 0, 0.5", b"[0, 0, 0.5]", b'{"cell": [0, 0, 0, 0.5]}'],
+        ids=["bad-json", "three-fields", "not-a-list"],
+    )
+    def test_malformed_line_before_the_torn_tail_names_file_and_line(
+        self, tmp_path, line
+    ):
+        task = _ConstantTask(n_rates=2, trials=2)
+        path = tmp_path / "sweep.jsonl"
+        CampaignExecutor(checkpoint=path).run_tasks([task])
+        header, first, *rest = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(header + first + line + b"\n" + b"".join(rest) + b"[0, 1")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            CampaignExecutor(checkpoint=path).run_tasks([task])
+
+    @pytest.mark.parametrize(
+        "cell",
+        [[-1, 0, 0, 0.123], [2, 0, 0, 0.123], [1, 2, 0, 0.123],
+         [1, 0, -1, 0.123], [1, 0, 1.0, 0.123], [1, True, 0, 0.123],
+         [1, 0, 0, "0.123"], [1, 0, 0, []]],
+        ids=["task-1", "task2", "rate2", "trial-1", "float-trial", "bool-rate",
+             "string-value", "empty-value"],
+    )
+    def test_cell_outside_the_header_grid_is_refused(self, tmp_path, cell):
+        """A line ``[-1, 0, 0, v]`` used to resume as the last task's
+        cell (0, 0), which was then never recomputed."""
+        tasks = [_ConstantTask(n_rates=2, trials=2) for _ in range(2)]
+        path = tmp_path / "sweep.jsonl"
+        CampaignExecutor(checkpoint=path).run_tasks(tasks)
+        keep_journal_cells(path, lambda key: key[0] == 0)
+        with path.open("a") as journal:
+            journal.write(json.dumps(cell) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:6: ")):
+            CampaignExecutor(checkpoint=path).run_tasks(tasks)
+
 
 class _BlasProbeTask(_ConstantTask):
     """Each cell reports the BLAS threads and pid of the process running it."""
@@ -1251,9 +1286,9 @@ class _BlasProbeRunner(_ConstantRunner):
         return [-1.0 if threads is None else float(threads), float(os.getpid())]
 
 
-def _probe_pool(mp_context: "str | None" = None) -> "tuple[set[float], set[float]]":
+def _probe_pool() -> "tuple[set[float], set[float]]":
     """(BLAS thread counts, pids) the cells of a 2-worker pooled probe saw."""
-    grid = CampaignExecutor(workers=2, mp_context=mp_context).run_tasks(
+    grid = CampaignExecutor(workers=2).run_tasks(
         [_BlasProbeTask(n_rates=2, trials=4)]
     )[0]
     return set(grid[..., 0].ravel()), set(grid[..., 1].ravel())
@@ -1271,9 +1306,8 @@ class TestBlasBudget:
         yield threads
         set_blas_threads(threads)
 
-    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
-    def test_workers_run_their_share_of_the_cpus(self, parent_threads, mp_context):
-        threads, pids = _probe_pool(mp_context)
+    def test_workers_run_their_share_of_the_cpus(self, parent_threads):
+        threads, pids = _probe_pool()
         budget = max(1, resolve_workers(0) // 2)
         assert float(os.getpid()) not in pids
         assert threads == {float(min(parent_threads, budget))}
@@ -1291,7 +1325,7 @@ class TestBlasBudget:
 
         monkeypatch.setattr(executor_module, "_blas_budget", lambda workers: 64)
         set_blas_threads(1)
-        threads, _pids = _probe_pool("fork")
+        threads, _pids = _probe_pool()
         assert threads == {1.0}
 
     @pytest.mark.parametrize("mapped", ["no-library", "no-known-setter"])
@@ -1308,7 +1342,7 @@ class TestBlasBudget:
         # forked workers inherit the patched lookup.
         paths = [] if mapped == "no-library" else [_ctypes.__file__]
         monkeypatch.setattr(blas_module, "_mapped_openblas", lambda: list(paths))
-        threads, pids = _probe_pool("fork")
+        threads, pids = _probe_pool()
         assert threads == {-1.0}
         assert float(os.getpid()) not in pids
         model, memory, images, labels, config = campaign_parts

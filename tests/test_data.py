@@ -1,20 +1,9 @@
-"""Tests for datasets, loaders and transforms."""
+"""Tests for datasets and loaders."""
 
 import numpy as np
 import pytest
 
-from repro.data import (
-    ArrayDataset,
-    Compose,
-    DataLoader,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    Subset,
-    SyntheticCIFAR10,
-    TransformedDataset,
-    compute_channel_stats,
-)
+from repro.data import ArrayDataset, DataLoader, Subset, SyntheticCIFAR10
 
 
 def _dataset(n=10):
@@ -58,14 +47,6 @@ class TestSubset:
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
             Subset(_dataset(3), [5])
-
-
-class TestTransformedDataset:
-    def test_transform_applied_lazily(self):
-        dataset = _dataset(4)
-        doubled = TransformedDataset(dataset, lambda image: image * 2)
-        np.testing.assert_allclose(doubled[0][0], dataset[0][0] * 2, rtol=1e-6)
-        assert doubled[0][1] == dataset[0][1]
 
 
 class TestDataLoader:
@@ -169,52 +150,3 @@ class TestSyntheticCIFAR10:
     def test_dataset_helper(self):
         dataset = SyntheticCIFAR10(seed=0).dataset(12, "val")
         assert len(dataset) == 12
-
-
-class TestTransforms:
-    def test_normalize(self):
-        transform = Normalize(mean=[0.5, 0.5, 0.5], std=[0.5, 0.5, 0.5])
-        image = np.full((3, 2, 2), 1.0, dtype=np.float32)
-        np.testing.assert_allclose(transform(image), np.ones((3, 2, 2)), rtol=1e-6)
-
-    def test_normalize_rejects_bad_std(self):
-        with pytest.raises(ValueError):
-            Normalize(mean=[0.0], std=[0.0])
-
-    def test_normalize_rejects_channel_mismatch(self):
-        transform = Normalize(mean=[0.5], std=[0.5])
-        with pytest.raises(ValueError):
-            transform(np.zeros((3, 2, 2), dtype=np.float32))
-
-    def test_flip_probability_one(self):
-        transform = RandomHorizontalFlip(p=1.0, seed=0)
-        image = np.arange(12, dtype=np.float32).reshape(3, 2, 2)
-        np.testing.assert_array_equal(transform(image), image[:, :, ::-1])
-
-    def test_flip_probability_zero(self):
-        transform = RandomHorizontalFlip(p=0.0, seed=0)
-        image = np.arange(12, dtype=np.float32).reshape(3, 2, 2)
-        np.testing.assert_array_equal(transform(image), image)
-
-    def test_crop_preserves_shape(self):
-        transform = RandomCrop(padding=2, seed=0)
-        image = np.random.default_rng(0).random((3, 8, 8)).astype(np.float32)
-        assert transform(image).shape == (3, 8, 8)
-
-    def test_crop_zero_padding_identity(self):
-        transform = RandomCrop(padding=0)
-        image = np.ones((3, 4, 4), dtype=np.float32)
-        np.testing.assert_array_equal(transform(image), image)
-
-    def test_compose_order(self):
-        transform = Compose([lambda x: x + 1, lambda x: x * 2])
-        np.testing.assert_array_equal(
-            transform(np.zeros(3, dtype=np.float32)), np.full(3, 2.0)
-        )
-
-    def test_compute_channel_stats(self):
-        images = np.zeros((4, 2, 3, 3), dtype=np.float32)
-        images[:, 1] = 2.0
-        mean, std = compute_channel_stats(images)
-        np.testing.assert_allclose(mean, [0.0, 2.0])
-        np.testing.assert_allclose(std, [1.0, 1.0])  # zero std replaced by 1

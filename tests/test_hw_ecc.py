@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
-from repro.hw.ecc import (
-    CODE_DATA_BITS,
-    CODE_TOTAL_BITS,
-    ECCFilter,
-    hamming_decode,
-    hamming_encode,
-)
+from repro.hw.ecc import CODE_DATA_BITS, CODE_TOTAL_BITS, ECCFilter
 from repro.hw.faultmodels import OP_STUCK0
 from repro.hw.memory import WeightMemory
+from tests.oracles import hamming_decode, hamming_encode
 
 WORDS = st.integers(0, 2**32 - 1)
 

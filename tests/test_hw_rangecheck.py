@@ -5,10 +5,10 @@ import pytest
 
 from repro import nn
 from repro.core.campaign import CampaignConfig, run_campaign
-from repro.hw.bits import flip_scalar_bit
 from repro.hw.faultmodels import OP_FLIP, OP_STUCK0, FaultSet
 from repro.hw.memory import WeightMemory
 from repro.hw.rangecheck import WeightRangeCheck
+from tests.oracles import flip_scalar_bit
 
 
 def _memory(values=None, seed=0):

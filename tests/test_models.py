@@ -120,20 +120,3 @@ class TestRegistry:
         pairs = computational_layers(model)
         assert all(isinstance(m, (nn.Conv2d, nn.Linear)) for _, m in pairs)
         assert [n for n, _ in pairs] == layer_names(model)
-
-
-class TestModelSummary:
-    def test_summary_contents(self):
-        from repro.models import model_summary
-
-        text = model_summary(LeNet5(seed=0))
-        assert "CONV-1" in text and "FC-3" in text
-        assert "Conv2d" in text and "Linear" in text
-        assert "total" in text
-
-    def test_summary_totals_match(self):
-        from repro.models import model_summary
-
-        model = LeNet5(seed=0)
-        text = model_summary(model)
-        assert str(model.num_parameters()) in text

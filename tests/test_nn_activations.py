@@ -90,44 +90,6 @@ class TestReLU6:
         assert (out >= 0).all() and (out <= 6).all()
 
 
-class TestSigmoid:
-    def test_range_and_symmetry(self):
-        layer = nn.Sigmoid()
-        x = np.asarray([-5.0, 0.0, 5.0], dtype=np.float32)
-        out = layer(x)
-        assert out[1] == pytest.approx(0.5)
-        assert out[0] + out[2] == pytest.approx(1.0, abs=1e-5)
-
-    def test_extreme_inputs_stable(self):
-        layer = nn.Sigmoid()
-        out = layer(np.asarray([-1e4, 1e4], dtype=np.float32))
-        assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-6)
-
-    def test_backward(self):
-        layer = nn.Sigmoid()
-        layer.train()
-        x = np.asarray([0.0], dtype=np.float32)
-        layer(x)
-        grad = layer.backward(np.asarray([1.0], dtype=np.float32))
-        assert grad[0] == pytest.approx(0.25)
-
-
-class TestTanh:
-    def test_forward(self):
-        layer = nn.Tanh()
-        x = np.asarray([0.0, 1.0], dtype=np.float32)
-        np.testing.assert_allclose(layer(x), np.tanh(x), rtol=1e-6)
-
-    def test_backward(self):
-        layer = nn.Tanh()
-        layer.train()
-        x = np.asarray([0.0], dtype=np.float32)
-        layer(x)
-        grad = layer.backward(np.asarray([1.0], dtype=np.float32))
-        assert grad[0] == pytest.approx(1.0)
-
-
 class TestSoftmaxLayer:
     def test_probabilities(self):
         layer = nn.Softmax()

@@ -35,30 +35,10 @@ class TestKaiming:
         wide = init.kaiming_uniform((64, 400), rng).std()
         assert narrow > wide
 
-    def test_normal_std(self):
-        rng = np.random.default_rng(1)
-        weights = init.kaiming_normal((2000, 100), rng)
-        expected_std = math.sqrt(2.0) / math.sqrt(100)
-        assert weights.std() == pytest.approx(expected_std, rel=0.05)
-
     def test_deterministic_given_rng(self):
         a = init.kaiming_uniform((8, 8), np.random.default_rng(7))
         b = init.kaiming_uniform((8, 8), np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
-
-
-class TestXavier:
-    def test_uniform_bound(self):
-        rng = np.random.default_rng(0)
-        weights = init.xavier_uniform((32, 16), rng)
-        bound = math.sqrt(6.0 / (16 + 32))
-        assert np.abs(weights).max() <= bound + 1e-6
-
-    def test_normal_std(self):
-        rng = np.random.default_rng(1)
-        weights = init.xavier_normal((1000, 200), rng)
-        expected_std = math.sqrt(2.0 / (200 + 1000))
-        assert weights.std() == pytest.approx(expected_std, rel=0.1)
 
 
 class TestConstants:
@@ -66,7 +46,3 @@ class TestConstants:
         arr = init.zeros((3, 2))
         assert arr.dtype == np.float32
         assert (arr == 0).all()
-
-    def test_constant(self):
-        arr = init.constant((4,), 2.5)
-        np.testing.assert_array_equal(arr, np.full(4, 2.5, dtype=np.float32))

@@ -97,6 +97,12 @@ class TestMaxPool:
         with pytest.raises(ValueError, match="half the kernel"):
             nn.MaxPool2d(kernel, padding=padding)
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            nn.MaxPool2d(0)
+        with pytest.raises(ValueError):
+            nn.MaxPool2d(2, padding=-1)
+
     @settings(max_examples=200, deadline=None)
     @given(case=_pool_cases())
     @example(case=_window_case(0x80000000, 0x00000000, 0xBF800000, 0xBF800000))
@@ -153,52 +159,3 @@ class TestMaxPool:
         pool.train()
         with pytest.raises(RuntimeError):
             pool.backward(np.zeros((1, 1, 1, 1), dtype=np.float32))
-
-
-class TestAvgPool:
-    def test_matches_mean(self):
-        pool = nn.AvgPool2d(2)
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = pool(x)
-        np.testing.assert_allclose(
-            out, [[[[2.5, 4.5], [10.5, 12.5]]]], rtol=1e-6
-        )
-
-    def test_padding_is_zero_and_counted(self):
-        """Unlike MaxPool2d, AvgPool2d pads with zeros (count-include-pad)."""
-        x = np.ones((1, 1, 2, 2), dtype=np.float32)
-        out = nn.AvgPool2d(2, stride=2, padding=1)(x)
-        np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 0.25))
-
-    def test_backward_spreads_uniformly(self):
-        pool = nn.AvgPool2d(2)
-        pool.train()
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        out = pool(x)
-        grad = pool.backward(np.full_like(out, 4.0))
-        np.testing.assert_allclose(grad, np.ones((1, 1, 4, 4)), rtol=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nn.AvgPool2d(0)
-        with pytest.raises(ValueError):
-            nn.AvgPool2d(2, padding=-1)
-
-
-class TestGlobalAvgPool:
-    def test_forward_is_channel_mean(self):
-        pool = nn.GlobalAvgPool2d()
-        x = np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32)
-        np.testing.assert_allclose(pool(x), x.mean(axis=(2, 3)), rtol=1e-6)
-
-    def test_backward(self):
-        pool = nn.GlobalAvgPool2d()
-        pool.train()
-        x = np.zeros((2, 3, 4, 4), dtype=np.float32)
-        pool(x)
-        grad = pool.backward(np.ones((2, 3), dtype=np.float32))
-        np.testing.assert_allclose(grad, np.full((2, 3, 4, 4), 1.0 / 16.0), rtol=1e-6)
-
-    def test_wrong_ndim(self):
-        with pytest.raises(ValueError):
-            nn.GlobalAvgPool2d()(np.zeros((2, 3), dtype=np.float32))

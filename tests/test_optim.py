@@ -1,10 +1,10 @@
-"""Tests for SGD, Adam and the optimizer base."""
+"""Tests for Adam and the optimizer base."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.optim import SGD, Adam
+from repro.optim import Adam
 
 
 def _quadratic_param(start=5.0):
@@ -22,19 +22,19 @@ def _step(optimizer, param, times=1):
 class TestOptimizerBase:
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_non_parameter_rejected(self):
         with pytest.raises(TypeError):
-            SGD([np.zeros(3)], lr=0.1)  # type: ignore[list-item]
+            Adam([np.zeros(3)], lr=0.1)  # type: ignore[list-item]
 
     def test_non_positive_lr_rejected(self):
         with pytest.raises(ValueError):
-            SGD([_quadratic_param()], lr=0.0)
+            Adam([_quadratic_param()], lr=0.0)
 
     def test_zero_grad_clears(self):
         param = _quadratic_param()
-        optimizer = SGD([param], lr=0.1)
+        optimizer = Adam([param], lr=0.1)
         param.accumulate_grad(np.ones(1, dtype=np.float32))
         optimizer.zero_grad()
         assert param.grad is None
@@ -42,55 +42,8 @@ class TestOptimizerBase:
     def test_step_skips_missing_grad(self):
         param = _quadratic_param()
         before = param.data.copy()
-        SGD([param], lr=0.1).step()
+        Adam([param], lr=0.1).step()
         np.testing.assert_array_equal(param.data, before)
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param = _quadratic_param()
-        optimizer = SGD([param], lr=0.1)
-        _step(optimizer, param, times=100)
-        assert abs(param.data[0]) < 1e-3
-
-    def test_plain_update_rule(self):
-        param = _quadratic_param(2.0)
-        optimizer = SGD([param], lr=0.5)
-        _step(optimizer, param)
-        assert param.data[0] == pytest.approx(1.0)
-
-    def test_momentum_accelerates(self):
-        plain_param = _quadratic_param()
-        momentum_param = _quadratic_param()
-        plain = SGD([plain_param], lr=0.01)
-        momentum = SGD([momentum_param], lr=0.01, momentum=0.9)
-        _step(plain, plain_param, times=30)
-        _step(momentum, momentum_param, times=30)
-        assert abs(momentum_param.data[0]) < abs(plain_param.data[0])
-
-    def test_weight_decay_shrinks_weights(self):
-        param = nn.Parameter(np.asarray([1.0], dtype=np.float32))
-        optimizer = SGD([param], lr=0.1, weight_decay=0.5)
-        param.accumulate_grad(np.zeros(1, dtype=np.float32))
-        optimizer.step()
-        assert param.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([_quadratic_param()], lr=0.1, nesterov=True)
-
-    def test_nesterov_converges(self):
-        param = _quadratic_param()
-        optimizer = SGD([param], lr=0.05, momentum=0.9, nesterov=True)
-        _step(optimizer, param, times=100)
-        assert abs(param.data[0]) < 1e-2
-
-    def test_requires_grad_false_frozen(self):
-        param = nn.Parameter(np.asarray([3.0], dtype=np.float32), requires_grad=False)
-        optimizer = SGD([param], lr=0.1)
-        param.grad = np.ones(1, dtype=np.float32)
-        optimizer.step()
-        assert param.data[0] == 3.0
 
 
 class TestAdam:
@@ -132,3 +85,10 @@ class TestAdam:
         optimizer.step()
         # Coupled decay behaves like a gradient: first step is ~lr.
         assert param.data[0] == pytest.approx(1.0 - 0.1, rel=1e-3)
+
+    def test_requires_grad_false_frozen(self):
+        param = nn.Parameter(np.asarray([3.0], dtype=np.float32), requires_grad=False)
+        optimizer = Adam([param], lr=0.1)
+        param.grad = np.ones(1, dtype=np.float32)
+        optimizer.step()
+        assert param.data[0] == 3.0

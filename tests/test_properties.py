@@ -8,11 +8,11 @@ from repro import nn
 from repro.core.clipped import ClampedReLU, ClippedReLU
 from repro.core.finetune import FineTuneConfig, fine_tune_threshold
 from repro.core.metrics import auc_resilience
-from repro.hw.bits import bits_to_float, flip_bits_in_words, float_to_bits
-from repro.hw.ecc import hamming_decode, hamming_encode
+from repro.hw.bits import flip_bits_in_words
 from repro.hw.faultmodels import FaultSet, RandomBitFlip
 from repro.hw.injector import FaultInjector
 from repro.hw.memory import WeightMemory
+from tests.oracles import bits_to_float, float_to_bits, hamming_decode, hamming_encode
 
 
 class TestInjectorProperties:

@@ -414,8 +414,8 @@ class TestSpecRunsMatchDirectAPI:
         from repro.core.campaign import CampaignConfig, run_campaign
         from repro.core.quantized import run_quantized_campaign
         from repro.experiments import clone_model
-        from repro.hw.actfaults import run_activation_campaign
         from repro.hw.memory import WeightMemory
+        from tests.oracles import run_activation_campaign
 
         rates, trials, seed, n_images, batch = (1e-5, 1e-4), 2, 3, 48, 32
         context = ScenarioContext()

@@ -16,6 +16,7 @@ exactly how independent hosts would share a training artifact store.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,17 @@ run_scenario_shard(suite, shard, run_dir, context=smoke_context())
 """
 
 
+def _layout_regex(pattern: str) -> "re.Pattern":
+    """A ``RUN_LAYOUT`` path pattern as a regex: ``<i>`` and ``<N>`` are
+    numbers, any other ``<placeholder>`` is one path component."""
+    return re.compile("".join(
+        r"\d+" if part in ("<i>", "<N>")
+        else r"[^/]+" if part.startswith("<")
+        else re.escape(part)
+        for part in re.split(r"(<\w+>)", pattern)
+    ))
+
+
 def _smoke_suite():
     from repro.scenarios import ScenarioSuite, load_bundled
 
@@ -50,6 +62,7 @@ def _smoke_suite():
 
 def test_three_process_shard_run_merges_byte_identical(tmp_path):
     from repro.scenarios import merge_run, run_scenarios, smoke_context
+    from repro.scenarios.shard import RUN_LAYOUT
 
     # The unsharded single-process reference (training lands in the
     # shared cache, so the shard processes below just load it).
@@ -91,3 +104,14 @@ def test_three_process_shard_run_merges_byte_identical(tmp_path):
     assert "summary.json" in reference
     produced = {p.name: p.read_bytes() for p in run_dir.glob("*.json")}
     assert produced == reference
+
+    # The documented layout is what a run writes: every file matches a
+    # RUN_LAYOUT pattern, and every pattern is written.
+    written = [
+        p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()
+    ]
+    layout = {pattern: _layout_regex(pattern) for pattern in RUN_LAYOUT}
+    assert (
+        [path for path in written if not any(r.fullmatch(path) for r in layout.values())],
+        [pattern for pattern, r in layout.items() if not any(map(r.fullmatch, written))],
+    ) == ([], [])

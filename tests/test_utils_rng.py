@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import SeedTree, as_generator, spawn_seeds
+from repro.utils.rng import SeedTree, as_generator
 
 
 class TestAsGenerator:
@@ -19,22 +19,6 @@ class TestAsGenerator:
 
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
-
-
-class TestSpawnSeeds:
-    def test_prefix_stability(self):
-        assert spawn_seeds(7, 10)[:4] == spawn_seeds(7, 4)
-
-    def test_distinct(self):
-        seeds = spawn_seeds(7, 50)
-        assert len(set(seeds)) == 50
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(7, -1)
-
-    def test_zero_count(self):
-        assert spawn_seeds(7, 0) == []
 
 
 class TestSeedTree:

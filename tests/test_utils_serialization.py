@@ -5,12 +5,7 @@ import pytest
 
 from repro import nn
 from repro.models import LeNet5
-from repro.utils.serialization import (
-    load_model_state,
-    load_state_dict,
-    save_model,
-    save_state_dict,
-)
+from repro.utils.serialization import load_state_dict, save_state_dict
 
 
 class TestStateDictRoundtrip:
@@ -51,18 +46,20 @@ class TestModelRoundtrip:
         expected = model(x)
 
         path = tmp_path / "lenet.npz"
-        save_model(path, model, metadata={"kind": "lenet"})
+        save_state_dict(path, model.state_dict(), metadata={"kind": "lenet"})
 
         fresh = LeNet5(seed=99)  # different init
         fresh.eval()
-        meta = load_model_state(path, fresh)
+        state, meta = load_state_dict(path)
+        fresh.load_state_dict(state)
         assert meta == {"kind": "lenet"}
         np.testing.assert_array_equal(fresh(x), expected)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = LeNet5(seed=0)
         path = tmp_path / "lenet.npz"
-        save_model(path, model)
+        save_state_dict(path, model.state_dict())
         other = nn.Linear(4, 2, seed=0)
+        state, _ = load_state_dict(path)
         with pytest.raises(KeyError):
-            load_model_state(path, other)
+            other.load_state_dict(state)

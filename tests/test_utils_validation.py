@@ -1,13 +1,10 @@
 """Tests for argument-validation helpers."""
 
-import numpy as np
 import pytest
 
 from repro.utils.validation import (
     as_pair,
-    check_dtype,
     check_in_choices,
-    check_ndim,
     check_non_negative,
     check_positive,
     check_probability,
@@ -51,26 +48,6 @@ class TestCheckInChoices:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError, match="mode must be one of"):
             check_in_choices("mode", "c", ("a", "b"))
-
-
-class TestCheckNdim:
-    def test_accepts_matching(self):
-        arr = np.zeros((2, 3))
-        assert check_ndim("a", arr, 2) is arr
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            check_ndim("a", np.zeros(3), 2)
-
-
-class TestCheckDtype:
-    def test_accepts_matching(self):
-        arr = np.zeros(3, dtype=np.float32)
-        assert check_dtype("a", arr, np.float32) is arr
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(TypeError):
-            check_dtype("a", np.zeros(3, dtype=np.float64), np.float32)
 
 
 class TestAsPair:
