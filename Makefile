@@ -1,6 +1,6 @@
 # Test-suite entry points (see pytest.ini for the slow-marker tiering).
 #
-#   make fast   - the inner loop (1,280 tests, 81-116 s on a
+#   make fast   - the inner loop (1,228 tests, 81-116 s on a
 #                 2-CPU host): unit + property tests only,
 #                 including the suffix-engine timing smoke (a perf
 #                 regression in the hot path fails here, not in CI-hours)
