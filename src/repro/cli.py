@@ -206,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out run directory; run the other shards on any hosts, then "
         "`repro merge <out>` (see docs/SCENARIOS.md)",
     )
-    p_scenarios.add_argument(
-        "--no-store",
-        action="store_true",
-        help="skip the per-cell result store (store/cells.rcs and the "
-        "append-only segments; see docs/RESULTS.md)",
-    )
     add_supervision_args(p_scenarios)
 
     p_merge = sub.add_parser(
@@ -223,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run_dir",
         help="run directory holding shards/<i>-of-<N>/ segments written "
         "by `repro scenarios --shard`",
-    )
-    p_merge.add_argument(
-        "--no-store",
-        action="store_true",
-        help="skip reassembling the per-cell result store "
-        "(see docs/RESULTS.md)",
     )
 
     p_report = sub.add_parser(
@@ -672,7 +660,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 progress=progress,
                 supervision=_supervision(args),
-                store=not args.no_store,
             )
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
@@ -692,7 +679,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             checkpoint=args.checkpoint,
             out_dir=args.out,
             supervision=_supervision(args),
-            store=not args.no_store,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -717,7 +703,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.scenarios import merge_run
 
     try:
-        results = merge_run(args.run_dir, store=not args.no_store)
+        results = merge_run(args.run_dir)
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -7,15 +7,15 @@ substrate's trial grids, in the spirit of Ares (Reagen et al., DAC
 **Adaptive early stopping** (:class:`AdaptiveCampaignTask`).  Wraps any
 scalar-accuracy cell task and turns each rate's trial column into a
 *family* evaluated sequentially in chunks of ``batch_k``: after every
-chunk a Wilson or Clopper-Pearson interval over the pooled image-level
-counts is computed, and the family stops as soon as its half-width
-falls under ``ci_halfwidth``.  The executed trials reuse the exact
-per-cell seed paths (``rate/<i>/trial/<j>``) and each trial runs
+chunk a 95% Wilson interval over the pooled image-level counts is
+computed, and the family stops as soon as at least two trials ran and
+its half-width falls under ``ci_halfwidth``.  The executed trials reuse
+the exact per-cell seed paths (``rate/<i>/trial/<j>``) and each trial runs
 through the base runner's ordinary per-cell path, suffix engine
 included, so an adaptive family's trial accuracies are bit-identical
 to the first ``n`` trials of the exact sweep — common random numbers
 survive the stopping layer.  The stopping decision depends only on
-(seed, grid, ``batch_k``, ``ci_halfwidth``, method), never on workers
+(seed, grid, ``batch_k``, ``ci_halfwidth``), never on workers
 or suffix caching, so checkpoint resume reproduces it exactly.
 
 The pooled interval treats the ``n_trials * n_images`` image-level
@@ -46,13 +46,11 @@ import numpy as np
 from repro.core.metrics import ResilienceCurve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.bitpos import BitPositionResult
     from repro.hw.faultmodels import FaultSet
 
 __all__ = [
     "DEFAULT_BATCH_K",
     "wilson_interval",
-    "clopper_pearson_interval",
     "family_interval",
     "ImportanceBitflipSampler",
     "AdaptiveCampaignTask",
@@ -68,7 +66,10 @@ DEFAULT_BATCH_K = 8
 # resume logic, which keys completion on isfinite).
 SKIP_SENTINEL = -1.0
 
-_METHODS = ("wilson", "clopper-pearson")
+# The stopping rule's fixed settings: a 95% Wilson interval, and at least
+# two executed trials before a family may stop.
+_LEVEL = 0.95
+_MIN_TRIALS = 2
 
 
 # --------------------------------------------------------------------- #
@@ -87,19 +88,20 @@ def _norm_ppf(q: float) -> float:
     return NormalDist().inv_cdf(q)
 
 
-def wilson_interval(
-    successes: float, trials: float, level: float = 0.95
-) -> "tuple[float, float]":
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: float, trials: float) -> "tuple[float, float]":
+    """95% Wilson score interval for a binomial proportion.
 
-    The default stopping interval: near-nominal coverage even at small
-    counts and proportions near 0/1 (where the Wald interval collapses),
-    and cheap enough to evaluate after every trial chunk.
+    The stopping interval: near-nominal coverage even at small counts and
+    proportions near 0/1 (where the Wald interval collapses), and cheap
+    enough to evaluate after every trial chunk.
     """
-    _check_counts(successes, trials)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    z = _norm_ppf(0.5 + level / 2.0)
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if not 0.0 <= successes <= trials:
+        raise ValueError(
+            f"successes must lie in [0, trials={trials}], got {successes}"
+        )
+    z = _norm_ppf(0.5 + _LEVEL / 2.0)
     n = float(trials)
     p = successes / n
     denom = 1.0 + z * z / n
@@ -112,130 +114,21 @@ def wilson_interval(
     return low, high
 
 
-def clopper_pearson_interval(
-    successes: float, trials: float, level: float = 0.95
-) -> "tuple[float, float]":
-    """Clopper-Pearson (exact) interval for a binomial proportion.
-
-    Guaranteed-conservative alternative to Wilson: coverage is at least
-    nominal for every (p, n), at the price of wider intervals (slower
-    stopping).  Its beta quantiles come from :func:`_beta_ppf`.
-    """
-    _check_counts(successes, trials)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    alpha = 1.0 - level
-    k, n = float(successes), float(trials)
-    low = 0.0 if k <= 0 else _beta_ppf(alpha / 2.0, k, n - k + 1.0)
-    high = 1.0 if k >= n else _beta_ppf(1.0 - alpha / 2.0, k + 1.0, n - k)
-    return low, high
-
-
-def _check_counts(successes: float, trials: float) -> None:
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not 0.0 <= successes <= trials:
-        raise ValueError(
-            f"successes must lie in [0, trials={trials}], got {successes}"
-        )
-
-
-def _beta_ppf(q: float, a: float, b: float) -> float:
-    """Beta distribution quantile: invert the regularized incomplete beta
-    by bisection.
-
-    60 halvings pin the root to ~1e-18, below the accuracy of the
-    continued-fraction CDF itself: the quantile agrees with the test
-    oracle's to ~1e-14 (``tests/test_stats_stopping.py``), orders of
-    magnitude tighter than any stopping tolerance.
-    """
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return 1.0
-    low, high = 0.0, 1.0
-    for _ in range(60):
-        mid = (low + high) / 2.0
-        if _beta_cdf(mid, a, b) < q:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2.0
-
-
-def _beta_cdf(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta ``I_x(a, b)`` (continued fraction)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-30
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-15:
-            break
-    return h
-
-
 def family_interval(
     accuracies: Sequence[float],
     n_images: int,
-    level: float = 0.95,
-    method: str = "wilson",
     weights: "Sequence[float] | None" = None,
 ) -> "tuple[float, float]":
     """``(estimate, ci_halfwidth)`` for one (rate, trial-family) cell.
 
     Unweighted families pool the image-level correct/incorrect counts of
-    all executed trials into one binomial and interval it with the named
-    method.  Importance-weighted families use the normal-approximation
+    all executed trials into one binomial and take its Wilson interval.
+    Importance-weighted families use the normal-approximation
     interval over the per-trial products ``w_t * acc_t`` instead (the
     pooled-count reduction does not survive reweighting); with a single
     trial the half-width is infinite, so a weighted family never stops
     before its second trial.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
     accs = [float(a) for a in accuracies]
     if not accs:
         raise ValueError("family_interval needs at least one executed trial")
@@ -251,17 +144,14 @@ def family_interval(
         estimate = float(values.mean())
         if values.size < 2:
             return estimate, math.inf
-        z = _norm_ppf(0.5 + level / 2.0)
+        z = _norm_ppf(0.5 + _LEVEL / 2.0)
         half = z * float(values.std(ddof=1)) / math.sqrt(values.size)
         return estimate, half
     n = len(accs) * int(n_images)
     # Per-trial accuracies are exact fractions k_t/n_images; rounding per
     # trial recovers the integer counts without float drift.
     successes = sum(round(a * n_images) for a in accs)
-    interval = (
-        wilson_interval if method == "wilson" else clopper_pearson_interval
-    )
-    low, high = interval(successes, n, level)
+    low, high = wilson_interval(successes, n)
     return successes / n, (high - low) / 2.0
 
 
@@ -302,18 +192,6 @@ class ImportanceBitflipSampler:
             )
         object.__setattr__(self, "boost", float(self.boost))
         object.__setattr__(self, "hot_positions", positions)
-
-    @classmethod
-    def from_bitpos(
-        cls, result: "BitPositionResult", k: int = 9, boost: float = 8.0
-    ) -> "ImportanceBitflipSampler":
-        """Seed the hot set from measured bit-position damage evidence."""
-        return cls(
-            boost=boost,
-            hot_positions=tuple(
-                int(p) for p in result.most_damaging_positions(k)
-            ),
-        )
 
     def sample_with_weight(
         self, memory, rate: float, rng: np.random.Generator
@@ -388,7 +266,8 @@ class AdaptiveCampaignTask:
 
     Each fault rate becomes one executor cell holding the whole trial
     *family*: trials run in chunks of ``batch_k``, one at a time
-    through the base runner's per-cell path, and the family stops once its pooled interval's half-width is at
+    through the base runner's per-cell path, and the family stops once
+    it has run two trials and its pooled interval's half-width is at
     most ``ci_halfwidth``, or after ``max_trials`` (the base config's
     trial count by default).  Executed trials reuse the exact per-cell
     seed paths, so every executed accuracy is bit-identical to the
@@ -410,10 +289,7 @@ class AdaptiveCampaignTask:
         ci_halfwidth: float = 0.02,
         max_trials: "int | None" = None,
         batch_k: int = 0,
-        level: float = 0.95,
-        method: str = "wilson",
         importance: "ImportanceBitflipSampler | float | None" = None,
-        min_trials: int = 2,
         label: "str | None" = None,
     ):
         if int(getattr(base, "cell_width", 1)) != 1:
@@ -425,12 +301,6 @@ class AdaptiveCampaignTask:
             raise ValueError(
                 f"ci_halfwidth must be in (0, 0.5], got {ci_halfwidth}"
             )
-        if method not in _METHODS:
-            raise ValueError(
-                f"method must be one of {_METHODS}, got {method!r}"
-            )
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {level}")
         if int(batch_k) < 0:
             raise ValueError(
                 f"batch_k must be >= 0 (0 = the default chunk of "
@@ -452,14 +322,11 @@ class AdaptiveCampaignTask:
         if self.max_trials < 1:
             raise ValueError(f"max_trials must be >= 1, got {max_trials}")
         self.ci_halfwidth = float(ci_halfwidth)
-        self.level = float(level)
-        self.method = str(method)
         self.importance = importance
         # The chunk width is scientific for adaptive runs: the stopping
         # rule is evaluated at chunk boundaries, so it shapes which
         # trials execute.  0 resolves to DEFAULT_BATCH_K here.
         self.batch_k = int(batch_k) or DEFAULT_BATCH_K
-        self.min_trials = min(max(1, int(min_trials)), self.max_trials)
         self.label = base.label if label is None else label
         self.kind = f"adaptive:{base.kind}"
         self.config = replace(base.config, trials=1)
@@ -529,16 +396,9 @@ class _AdaptiveFamilyRunner:
                 float(value) for value in self.run_family(fault_sets)
             )
             estimate, halfwidth = family_interval(
-                accuracies,
-                self.n_images,
-                level=task.level,
-                method=task.method,
-                weights=weights,
+                accuracies, self.n_images, weights=weights
             )
-            if (
-                len(accuracies) >= task.min_trials
-                and halfwidth <= task.ci_halfwidth
-            ):
+            if len(accuracies) >= _MIN_TRIALS and halfwidth <= task.ci_halfwidth:
                 break
         vector = np.full(task.cell_width, SKIP_SENTINEL, dtype=np.float64)
         vector[0] = estimate
@@ -595,8 +455,6 @@ class AdaptiveResult:
     weights: "np.ndarray | None"
     max_trials: int
     tolerance: float
-    level: float
-    method: str
     clean_accuracy: float
 
     @classmethod
@@ -612,8 +470,6 @@ class AdaptiveResult:
             weighted=task.importance is not None,
             n_images=int(task.base.labels.shape[0]),
             tolerance=task.ci_halfwidth,
-            level=task.level,
-            method=task.method,
             clean_accuracy=float(clean()) if callable(clean) else float("nan"),
         )
 
@@ -627,8 +483,6 @@ class AdaptiveResult:
         weighted: bool,
         n_images: int,
         tolerance: float,
-        level: float = 0.95,
-        method: str = "wilson",
         clean_accuracy: float = float("nan"),
     ) -> "AdaptiveResult":
         """Rebuild a result from raw cell vectors, without the task.
@@ -665,8 +519,6 @@ class AdaptiveResult:
             halfwidths[index] = family_interval(
                 accuracies[index, :n_exec],
                 int(n_images),
-                level=level,
-                method=method,
                 weights=(
                     weights[index, :n_exec] if weights is not None else None
                 ),
@@ -681,8 +533,6 @@ class AdaptiveResult:
             weights=weights,
             max_trials=total,
             tolerance=float(tolerance),
-            level=float(level),
-            method=str(method),
             clean_accuracy=float(clean_accuracy),
         )
 
@@ -729,8 +579,8 @@ class AdaptiveResult:
             "cells_executed": self.cells_executed,
             "cells_skipped": self.cells_skipped,
             "tolerance": float(self.tolerance),
-            "level": float(self.level),
-            "method": self.method,
+            "level": _LEVEL,
+            "method": "wilson",
             "clean_accuracy": float(self.clean_accuracy),
         }
         if self.weights is not None:

@@ -178,6 +178,12 @@ ON_CELL_ERROR_CHOICES = ("retry", "quarantine", "abort")
 # Why a cell was quarantined.
 FAILURE_REASONS = ("exception", "timeout", "worker-death")
 
+# The first retry's backoff; each later blamed failure doubles it, up to
+# 2**5 times.  No jitter: determinism extends to scheduling decisions.
+RETRY_BACKOFF_S = 0.05
+# Pool reconstructions before the executor swaps in the in-process lane.
+MAX_POOL_REBUILDS = 8
+
 # Schema of one quarantined-cell record (CampaignExecutor.quarantined,
 # scenario "failed_cells" payloads, shard partial "failed" lists).  The
 # failure-outcome table in docs/FAULT_TOLERANCE.md mirrors these fields
@@ -209,10 +215,9 @@ class SupervisionPolicy:
     in-process execution cannot be preempted).  ``on_cell_error`` picks
     the exception policy from :data:`ON_CELL_ERROR_CHOICES`; the
     default ``"abort"`` preserves the historical raise-on-first-error
-    contract.  ``retry_backoff`` seeds the deterministic exponential
-    backoff (no jitter — determinism extends to scheduling decisions),
-    and ``max_pool_rebuilds`` caps pool reconstructions before the
-    executor swaps in the in-process lane.
+    contract.  The retry backoff and the pool-rebuild budget are the
+    module constants :data:`RETRY_BACKOFF_S` and
+    :data:`MAX_POOL_REBUILDS`.
 
     The policy is the only way these rules reach the executor: callers
     build and validate it where the settings enter (the CLI builds one
@@ -223,8 +228,6 @@ class SupervisionPolicy:
     max_retries: int = 2
     cell_timeout: "float | None" = None
     on_cell_error: str = "abort"
-    retry_backoff: float = 0.05
-    max_pool_rebuilds: int = 8
 
     def __post_init__(self) -> None:
         if int(self.max_retries) < 0:
@@ -244,20 +247,13 @@ class SupervisionPolicy:
                 f"on_cell_error must be one of {ON_CELL_ERROR_CHOICES}, "
                 f"got {self.on_cell_error!r}"
             )
-        if float(self.retry_backoff) < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        object.__setattr__(self, "retry_backoff", float(self.retry_backoff))
-        if int(self.max_pool_rebuilds) < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
-        object.__setattr__(
-            self, "max_pool_rebuilds", int(self.max_pool_rebuilds)
-        )
 
-    def backoff_seconds(self, failures: int) -> float:
-        """Deterministic exponential backoff after the n-th blamed failure."""
-        if failures <= 0 or self.retry_backoff <= 0:
-            return 0.0
-        return self.retry_backoff * (2.0 ** min(failures - 1, 5))
+
+def backoff_seconds(failures: int) -> float:
+    """Deterministic exponential backoff after the n-th blamed failure."""
+    if failures <= 0:
+        return 0.0
+    return RETRY_BACKOFF_S * (2.0 ** min(failures - 1, 5))
 
 
 @dataclass(frozen=True)
@@ -879,8 +875,8 @@ class _Journal:
     replays its cells into :attr:`cells`; a torn last line (the writer
     died mid-append) is dropped and truncated away before appending
     resumes, and any other line that is not a cell of the header's grids
-    is refused with its file and line number.  Close the journal when
-    the pass ends.
+    — a value of the wrong width included — is refused with its file and
+    line number.  Close the journal when the pass ends.
     """
 
     def __init__(
@@ -891,6 +887,9 @@ class _Journal:
         extra: "dict | None" = None,
     ):
         self.path = Path(path)
+        # Scalars per cell, per task: a width-1 cell is a number, a
+        # width-w cell a list of exactly w numbers.
+        self._widths = [int(getattr(task, "cell_width", 1)) for task in tasks]
         header: dict = {
             "version": _CHECKPOINT_VERSION,
             "campaigns": [
@@ -954,11 +953,11 @@ class _Journal:
         campaigns = header["campaigns"]
         for number, line in enumerate(lines, start=2):
             cell = _json_or_none(line)
-            if not _is_cell(cell, campaigns):
+            if not _is_cell(cell, campaigns, self._widths):
                 raise ValueError(
                     f"{self.path}:{number}: not a [task, rate, trial, value] "
-                    f"cell inside the header's campaigns, rates and trials: "
-                    f"{line.decode('ascii', 'replace')}"
+                    f"cell inside the header's campaigns, rates, trials and "
+                    f"cell widths: {line.decode('ascii', 'replace')}"
                 )
             task_index, rate_index, trial, value = cell
             self.cells[(task_index, rate_index, trial)] = value
@@ -989,13 +988,15 @@ def _json_or_none(raw: bytes) -> Any:
         return None
 
 
-def _is_cell(entry: Any, campaigns: "list[dict]") -> bool:
+def _is_cell(entry: Any, campaigns: "list[dict]", widths: "list[int]") -> bool:
     """Whether a journal line is ``[task, rate, trial, value]`` inside the
     header's grids.
 
     The indices must be plain non-negative integers: ``run_grids``
     indexes per-task lists with them, so a ``-1`` would land on the last
-    task's cell.  The value is a number or a non-empty list of numbers.
+    task's cell.  The value is a number for a width-1 task and a list of
+    exactly ``width`` numbers otherwise: a short list would broadcast
+    into the whole cell and resume as finished.
     """
     if not (isinstance(entry, list) and len(entry) == 4):
         return False
@@ -1003,7 +1004,12 @@ def _is_cell(entry: Any, campaigns: "list[dict]") -> bool:
     if type(task) is not int or not 0 <= task < len(campaigns):
         return False
     bounds = (len(campaigns[task]["fault_rates"]), campaigns[task]["trials"])
-    values = value if isinstance(value, list) and value else [value]
+    if widths[task] == 1:
+        values = [value]
+    elif isinstance(value, list) and len(value) == widths[task]:
+        values = value
+    else:
+        return False
     return all(
         type(i) is int and 0 <= i < n for i, n in zip((rate, trial), bounds)
     ) and all(type(v) in (int, float) for v in values)
@@ -1049,9 +1055,9 @@ class CampaignExecutor:
         plus suffix cache) until the next sweep or :meth:`close` — size
         ``REPRO_SUFFIX_BUDGET_MB`` accordingly on wide warm pools.
     supervision:
-        The :class:`SupervisionPolicy` (retries, timeouts, the cell-error
-        policy, backoff and the pool-rebuild budget); ``None`` means the
-        defaults: 2 retries, no timeout, abort.
+        The :class:`SupervisionPolicy` (retries, timeouts and the
+        cell-error policy); ``None`` means the defaults: 2 retries, no
+        timeout, abort.
     recorder:
         Optional :class:`CellRecorder` receiving every completed cell
         (``cell``) and every quarantined cell's failure record
@@ -1105,23 +1111,19 @@ class CampaignExecutor:
         self,
         progress: "ProgressCallback | None" = None,
         checkpoint: "str | Path | None" = None,
-        checkpoint_extra: "dict | None" = None,
-        recorder: "CellRecorder | None" = None,
     ) -> "CampaignExecutor":
         """Repoint the per-run hooks of a long-lived executor.
 
         A persistent executor (``persistent=True``) keeps its warm
-        worker pool across ``run_tasks`` passes; the progress callback,
-        checkpoint file and cell recorder, by contrast, belong to one
-        run.  Callers that reuse an executor across runs (the service's
-        slot workers) swap them here between passes — ``run_grids``
-        reads all four freshly on every call, so no pool restart is
-        involved.  Returns ``self`` for chaining.
+        worker pool across ``run_tasks`` passes; the progress callback
+        and checkpoint file, by contrast, belong to one run.  Callers
+        that reuse an executor across runs (the service's slot workers)
+        swap them here between passes — ``run_grids`` reads both freshly
+        on every call, so no pool restart is involved.  Returns ``self``
+        for chaining.
         """
         self.progress = progress
         self.checkpoint_path = checkpoint
-        self.checkpoint_extra = dict(checkpoint_extra) if checkpoint_extra else None
-        self.recorder = recorder
         return self
 
     # ------------------------------------------------------------------ #
@@ -1466,7 +1468,7 @@ class CampaignExecutor:
         * **Cell exceptions** follow ``on_cell_error``; multi-cell
           chunks are first split into singletons so the blame lands on
           one cell, and retries back off deterministically.
-        * Past ``max_pool_rebuilds`` pool losses the loop **degrades**
+        * Past :data:`MAX_POOL_REBUILDS` pool losses the loop **degrades**
           by swapping in the in-process lane, chaos off.
 
         Each result lands in the grid and the journal before its
@@ -1596,7 +1598,7 @@ class CampaignExecutor:
                 ):
                     give_up(task_index, cell, reason, error)
                 else:
-                    backoff = max(backoff, policy.backoff_seconds(failures[key]))
+                    backoff = max(backoff, backoff_seconds(failures[key]))
                     normal.append((task_index, [cell]))
                 return
             # Infrastructure faults (timeout, worker-death) are retried
@@ -1607,7 +1609,7 @@ class CampaignExecutor:
                     raise error
                 give_up(task_index, cell, reason, error)
                 return
-            backoff = max(backoff, policy.backoff_seconds(failures[key]))
+            backoff = max(backoff, backoff_seconds(failures[key]))
             queue = probe if reason == "worker-death" else normal
             queue.append((task_index, [cell]))
 
@@ -1631,12 +1633,12 @@ class CampaignExecutor:
                         blamed=len(cells) == 1,
                     )
             rebuilds += 1
-            if rebuilds <= policy.max_pool_rebuilds:
+            if rebuilds <= MAX_POOL_REBUILDS:
                 pool_lane()
                 return
             warnings.warn(
                 f"process pool broke {rebuilds} times "
-                f"(max_pool_rebuilds={policy.max_pool_rebuilds}); degrading "
+                f"(MAX_POOL_REBUILDS={MAX_POOL_REBUILDS}); degrading "
                 "to serial in-process execution for the remaining cells",
                 RuntimeWarning,
                 stacklevel=2,

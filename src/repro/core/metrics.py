@@ -211,37 +211,6 @@ class ResilienceCurve:
         # all sampled points uniformly, which is what we document.
         return auc_resilience(rates, accs, x_mode=x_mode)
 
-    def save(self, path: "str | Path") -> "Path":
-        """Persist the curve to an ``.npz`` archive."""
-        from pathlib import Path
-
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            target,
-            fault_rates=self.fault_rates,
-            accuracies=self.accuracies,
-            clean_accuracy=np.asarray([self.clean_accuracy]),
-            label=np.frombuffer(self.label.encode("utf-8"), dtype=np.uint8),
-        )
-        return target
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "ResilienceCurve":
-        """Load a curve written by :meth:`save`."""
-        from pathlib import Path
-
-        source = Path(path)
-        if not source.exists():
-            raise FileNotFoundError(f"no such curve file: {source}")
-        with np.load(source) as archive:
-            return cls(
-                fault_rates=archive["fault_rates"],
-                accuracies=archive["accuracies"],
-                clean_accuracy=float(archive["clean_accuracy"][0]),
-                label=bytes(archive["label"]).decode("utf-8"),
-            )
-
     def summary_rows(self) -> list[dict[str, float]]:
         """Row dicts (rate, mean, min, q1, median, q3, max) for reports."""
         rows = []

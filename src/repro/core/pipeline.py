@@ -79,11 +79,6 @@ class HardenedModel:
     swap: ActivationSwapResult
     finetune_results: dict[str, FineTuneResult] = field(default_factory=dict)
 
-    @property
-    def tuned(self) -> bool:
-        """Whether Step 3 ran (False => thresholds are raw ACT_max)."""
-        return bool(self.finetune_results)
-
     def threshold_table(self) -> list[tuple[str, float, float]]:
         """(layer, ACT_max, final threshold) rows for reports."""
         return [

@@ -281,7 +281,6 @@ class SuffixForwardEngine:
         images: np.ndarray,
         batch_size: int,
         scope_layers: "Iterable[str] | None" = None,
-        budget_bytes: "int | None" = None,
         clean_shortcut: bool = True,
     ) -> "SuffixForwardEngine | None":
         """Build an engine, or ``None`` when it cannot pay for itself.
@@ -313,7 +312,7 @@ class SuffixForwardEngine:
         candidates = sorted({top_index[name] for name in scope} - {0})
         if not candidates and not clean_shortcut:
             return None
-        budget = suffix_budget_bytes() if budget_bytes is None else int(budget_bytes)
+        budget = suffix_budget_bytes()
         shared = _SHARED_CACHE.get()
         if shared is not None and not cls._cache_compatible(
             shared, images, int(batch_size), candidates

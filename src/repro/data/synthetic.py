@@ -194,16 +194,6 @@ class SyntheticCIFAR10:
         images, labels = self.generate(n, split)
         return ArrayDataset(images, labels)
 
-    def splits(
-        self, n_train: int, n_val: int, n_test: int
-    ) -> tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
-        """Standard train/val/test triple from independent streams."""
-        return (
-            self.dataset(n_train, "train"),
-            self.dataset(n_val, "val"),
-            self.dataset(n_test, "test"),
-        )
-
 
 class SplitStream:
     """One split of :class:`SyntheticCIFAR10`, generated only as far as read.

@@ -103,7 +103,6 @@ class ActivationFaultInjector:
         self.layer_names = [name for name, _ in pairs]
         self._rate: "float | None" = None
         self._rng: "np.random.Generator | None" = None
-        self._flips_this_session = 0
         self._handles = [
             module.register_forward_hook(self._hook) for _, module in pairs
         ]
@@ -111,7 +110,7 @@ class ActivationFaultInjector:
     def _hook(self, module: nn.Module, inputs: np.ndarray, output: np.ndarray) -> None:
         if self._rate is None or self._rng is None:
             return
-        self._flips_this_session += flip_activation_bits(output, self._rate, self._rng)
+        flip_activation_bits(output, self._rate, self._rng)
 
     @property
     def armed(self) -> bool:
@@ -128,17 +127,11 @@ class ActivationFaultInjector:
             raise RuntimeError("activation fault session already active")
         self._rate = float(fault_rate)
         self._rng = as_generator(rng)
-        self._flips_this_session = 0
         try:
             yield self
         finally:
             self._rate = None
             self._rng = None
-
-    @property
-    def flips_this_session(self) -> int:
-        """Bits flipped since the current/most recent session started."""
-        return self._flips_this_session
 
     def remove(self) -> None:
         """Detach all hooks (the injector becomes inert)."""

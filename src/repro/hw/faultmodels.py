@@ -121,10 +121,6 @@ class FaultModel:
         """Draw a concrete :class:`FaultSet` for ``memory``."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Short human-readable description for reports."""
-        return type(self).__name__
-
 
 def _sample_unique_bits(
     total_bits: int, count: int, rng: np.random.Generator
@@ -180,9 +176,6 @@ class RandomBitFlip(FaultModel):
         bits = _sample_unique_bits(memory.total_bits, count, rng)
         return FaultSet.flips(bits)
 
-    def describe(self) -> str:
-        return f"RandomBitFlip(rate={self.fault_rate:g})"
-
 
 class StuckAt(FaultModel):
     """Permanent stuck-at faults at a per-bit ``fault_rate``.
@@ -213,9 +206,6 @@ class StuckAt(FaultModel):
         bits = _sample_unique_bits(memory.total_bits, count, rng)
         op = OP_STUCK1 if self.value == 1 else OP_STUCK0
         return FaultSet(bits, np.full(bits.shape, op, dtype=np.uint8))
-
-    def describe(self) -> str:
-        return f"StuckAt{self.value}(rate={self.fault_rate:g})"
 
 
 class BurstFault(FaultModel):
@@ -251,9 +241,6 @@ class BurstFault(FaultModel):
         bits = np.unique(bits[bits < memory.total_bits]).astype(np.int64)
         return FaultSet.flips(bits)
 
-    def describe(self) -> str:
-        return f"BurstFault(n={self.n_bursts}, length={self.burst_length})"
-
 
 @dataclass(frozen=True)
 class FixedFaultMap(FaultModel):
@@ -280,9 +267,6 @@ class FixedFaultMap(FaultModel):
         ):
             raise IndexError("fixed fault map exceeds this memory's size")
         return self.fault_set
-
-    def describe(self) -> str:
-        return f"FixedFaultMap(n={len(self.fault_set)})"
 
 
 class TargetedBitFlip(FaultModel):
@@ -323,6 +307,3 @@ class TargetedBitFlip(FaultModel):
         words = _sample_unique_bits(memory.total_words, count, rng)
         bits = words * bits_per_word + self.bit_position
         return FaultSet.flips(bits)
-
-    def describe(self) -> str:
-        return f"TargetedBitFlip(bit={self.bit_position}, n={self.n_faults})"

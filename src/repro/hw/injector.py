@@ -12,6 +12,11 @@ requests a private copy of **only the regions the fault set touches**
 injector's ``affected_layers`` cut-point report and its CoW footprint
 are the same set by construction, and every other tensor in the network
 stays mapped read-only once per host.
+
+Injections nest last-in-first-out: :meth:`FaultInjector.apply` and
+:meth:`FaultInjector.session` restore their record when their block
+exits, so an inner block's words are back before the outer block's
+record is written back.
 """
 
 from __future__ import annotations
@@ -36,31 +41,12 @@ from repro.utils.rng import as_generator
 __all__ = ["InjectionRecord", "FaultInjector"]
 
 
-@dataclass(eq=False)  # identity equality: records are tracked by object
+@dataclass(eq=False)
 class InjectionRecord:
     """Bookkeeping for one applied fault set (enables exact undo)."""
 
-    fault_set: FaultSet
     # One (region, affected word indices, original word values) per region.
     saved: list[tuple[MemoryRegion, np.ndarray, np.ndarray]]
-
-    @property
-    def num_faults(self) -> int:
-        """Number of fault targets in the applied set."""
-        return len(self.fault_set)
-
-    @property
-    def num_affected_words(self) -> int:
-        """Number of distinct 32-bit words touched."""
-        return sum(words.size for _, words, _ in self.saved)
-
-    def affected_layers(self) -> list[str]:
-        """Distinct layer names that received at least one fault."""
-        seen: list[str] = []
-        for region, words, _ in self.saved:
-            if words.size and region.layer_name not in seen:
-                seen.append(region.layer_name)
-        return seen
 
 
 class FaultInjector:
@@ -68,12 +54,6 @@ class FaultInjector:
 
     def __init__(self, memory: WeightMemory):
         self.memory = memory
-        self._active: list[InjectionRecord] = []
-
-    @property
-    def active_records(self) -> tuple[InjectionRecord, ...]:
-        """Currently applied (not yet restored) injections, oldest first."""
-        return tuple(self._active)
 
     def affected_layers(self, fault_set: FaultSet) -> list[str]:
         """Layer names ``fault_set`` would touch, *without* applying it.
@@ -92,16 +72,6 @@ class FaultInjector:
 
     def inject(self, fault_set: FaultSet) -> InjectionRecord:
         """Apply ``fault_set`` to the live weights; returns the undo record."""
-        record = InjectionRecord(
-            fault_set=fault_set, saved=self._apply_faults(fault_set)
-        )
-        self._active.append(record)
-        return record
-
-    def _apply_faults(
-        self, fault_set: FaultSet
-    ) -> list[tuple[MemoryRegion, np.ndarray, np.ndarray]]:
-        """Apply ``fault_set``; return per-region undo state (words, values)."""
         saved: list[tuple[MemoryRegion, np.ndarray, np.ndarray]] = []
         for region, words, bits in self.memory.locate(fault_set.bit_indices):
             # Copy-on-write: only the regions this fault set writes are
@@ -126,51 +96,16 @@ class FaultInjector:
                 if mask.any():
                     apply_fn(words[mask], bits[mask])
             saved.append((region, unique_words, original))
-        return saved
+        return InjectionRecord(saved=saved)
 
-    def sample_and_inject(
-        self, model: FaultModel, rng: "int | np.random.Generator | None"
-    ) -> InjectionRecord:
-        """Sample from a fault model and apply the result in one call."""
-        return self.inject(model.sample(self.memory, as_generator(rng)))
+    def restore(self, record: InjectionRecord) -> None:
+        """Write a record's saved word values back into the parameters.
 
-    def restore(self, record: "InjectionRecord | None" = None) -> None:
-        """Undo one record (default: the most recent) exactly.
-
-        Restoring an *older* record while newer ones are still active is
-        also exact, even when their fault sets touch the same words: the
-        newer records are peeled back (newest first), the target is
-        undone, and the newer records are re-applied to the now-clean
-        words — refreshing their undo state, so a later ``restore_all``
-        still returns the memory bit-exactly to the original weights.
+        Exact when records are restored newest first, as :meth:`apply`
+        and :meth:`session` do.
         """
-        if not self._active:
-            raise RuntimeError("no active injections to restore")
-        if record is None:
-            record = self._active[-1]
-        try:
-            # InjectionRecord compares by identity, so index() finds the
-            # exact record object (or raises for a foreign/stale one).
-            index = self._active.index(record)
-        except ValueError:
-            raise RuntimeError("record is not an active injection") from None
-        newer = self._active[index + 1 :]
-        for other in reversed(newer):
-            self._undo(other)
-        self._undo(record)
-        del self._active[index]
-        for other in newer:
-            other.saved = self._apply_faults(other.fault_set)
-
-    def _undo(self, record: InjectionRecord) -> None:
-        """Write a record's saved word values back into the parameters."""
         for region, words, original in record.saved:
             region.parameter.data.reshape(-1)[words] = original
-
-    def restore_all(self) -> None:
-        """Undo every active injection (newest first)."""
-        while self._active:
-            self.restore(self._active[-1])
 
     @contextmanager
     def session(
@@ -182,13 +117,11 @@ class FaultInjector:
 
         ``with injector.session(RandomBitFlip(1e-6), seed) as record: ...``
         """
-        record = self.sample_and_inject(model, rng)
+        record = self.inject(model.sample(self.memory, as_generator(rng)))
         try:
             yield record
         finally:
-            # The record may already be restored inside the block.
-            if record in self._active:
-                self.restore(record)
+            self.restore(record)
 
     @contextmanager
     def apply(self, fault_set: FaultSet) -> Iterator[InjectionRecord]:
@@ -197,5 +130,4 @@ class FaultInjector:
         try:
             yield record
         finally:
-            if record in self._active:
-                self.restore(record)
+            self.restore(record)

@@ -8,17 +8,16 @@ consecutively in an accelerator's on-chip/off-chip memory (paper Fig. 1a).
 Copy-on-write: under the zero-copy tensor plane (:mod:`repro.utils.shm`)
 a worker's parameter arrays are *read-only* shared-memory views.  Every
 in-place mutation path in the hw layer therefore first calls
-:func:`materialize_region` (directly or via :meth:`WeightMemory.
-materialize`), which swaps a read-only region's array for a private
-writable copy — so only the regions a fault set actually touches are
-ever copied, and the untouched remainder of the network stays mapped
-once per host (see ``docs/MEMORY_MODEL.md``).
+:func:`materialize_region`, which swaps a read-only region's array for
+a private writable copy — so only the regions a fault set actually
+touches are ever copied, and the untouched remainder of the network
+stays mapped once per host (see ``docs/MEMORY_MODEL.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,11 +52,6 @@ class MemoryRegion:
     layer_name: str  # paper-style layer name, e.g. "CONV-1"
     parameter: nn.Parameter
     bit_offset: int  # first global bit index of this region
-
-    @property
-    def num_words(self) -> int:
-        """Number of 32-bit words in the region."""
-        return self.parameter.size
 
     @property
     def num_bits(self) -> int:
@@ -148,22 +142,6 @@ class WeightMemory:
             raise ValueError("no parameters selected for the weight memory")
         return cls(regions)
 
-    @classmethod
-    def from_parameters(
-        cls, named_parameters: Iterable[tuple[str, nn.Parameter]]
-    ) -> "WeightMemory":
-        """Map an explicit (name, parameter) sequence."""
-        regions: list[MemoryRegion] = []
-        offset = 0
-        for name, param in named_parameters:
-            regions.append(
-                MemoryRegion(
-                    name=name, layer_name=name, parameter=param, bit_offset=offset
-                )
-            )
-            offset += param.size * WORD_BITS
-        return cls(regions)
-
     # ------------------------------------------------------------------ #
     # addressing
     # ------------------------------------------------------------------ #
@@ -195,13 +173,6 @@ class WeightMemory:
             )
         return results
 
-    def region_for_layer(self, layer_name: str) -> list[MemoryRegion]:
-        """All regions belonging to the given paper-style layer name."""
-        found = [r for r in self.regions if r.layer_name == layer_name]
-        if not found:
-            raise KeyError(f"no regions for layer {layer_name!r}")
-        return found
-
     def layer_names(self) -> list[str]:
         """Distinct layer names in memory order."""
         seen: list[str] = []
@@ -216,24 +187,6 @@ class WeightMemory:
         for region in self.regions:
             counts[region.layer_name] = counts.get(region.layer_name, 0) + region.num_bits
         return counts
-
-    def materialize(self, layers: "Iterable[str] | None" = None) -> int:
-        """Copy-on-write: privatize the named layers' regions (all if None).
-
-        Gives every selected region whose parameter is a read-only
-        shared-memory view a private writable copy (bit-identical by
-        construction); already-writable regions are untouched.  Callers
-        that mutate weights in place — the fault injector, the int8
-        deployment — privatize only the regions they are about to write,
-        which is what keeps the rest of the network zero-copy.  Returns
-        the number of regions copied.
-        """
-        wanted = None if layers is None else set(layers)
-        copied = 0
-        for region in self.regions:
-            if wanted is None or region.layer_name in wanted:
-                copied += materialize_region(region)
-        return copied
 
     def snapshot(self) -> list[np.ndarray]:
         """Copies of all mapped parameter arrays (full-memory checkpoint)."""

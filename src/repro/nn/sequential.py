@@ -71,13 +71,6 @@ class Sequential(Module):
         setattr(self, str(index), layer)
         return old
 
-    def index_of(self, layer: Module) -> int:
-        """Position of ``layer`` (by identity); raises ValueError if absent."""
-        for index, candidate in enumerate(self._modules.values()):
-            if candidate is layer:
-                return index
-        raise ValueError("layer is not a direct child of this Sequential")
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = x
         for layer in self._modules.values():

@@ -33,20 +33,9 @@ class EpochStats:
 
 @dataclass
 class TrainingHistory:
-    """Sequence of per-epoch stats plus the best validation accuracy seen."""
+    """Sequence of per-epoch stats."""
 
     epochs: list[EpochStats] = field(default_factory=list)
-
-    @property
-    def best_val_accuracy(self) -> "float | None":
-        """Highest validation accuracy, or None if never evaluated."""
-        values = [e.val_accuracy for e in self.epochs if e.val_accuracy is not None]
-        return max(values) if values else None
-
-    @property
-    def final_train_accuracy(self) -> "float | None":
-        """Training accuracy of the last epoch."""
-        return self.epochs[-1].train_accuracy if self.epochs else None
 
 
 def evaluate_accuracy(model: Module, loader: DataLoader) -> float:

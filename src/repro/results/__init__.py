@@ -1,8 +1,8 @@
 """Per-cell result store and static run diagnostics.
 
 :mod:`repro.results.store` keeps every executor cell as one
-fixed-schema record — appended incrementally while a run executes and
-reassembled losslessly by ``repro merge`` into a canonical columnar
+fixed-schema record — appended incrementally while a shard executes
+and reassembled losslessly by ``repro merge`` into a canonical columnar
 file whose bytes are invariant to shard count, worker count and
 completion order.  :mod:`repro.results.report` renders a run directory
 (and optionally the per-SHA benchmark histories) into one
@@ -19,7 +19,6 @@ from repro.results.report import (
 from repro.results.store import (
     CELL_COLUMNS,
     OUTCOME_CLASSES,
-    SEGMENT_FILENAME,
     SHARD_SEGMENT_FILENAME,
     STORE_DIRNAME,
     STORE_FILENAME,
@@ -32,7 +31,6 @@ from repro.results.store import (
     read_store,
     records_from_failure,
     records_from_value,
-    segment_path,
     store_from_results,
     store_path,
     write_store,
@@ -43,7 +41,6 @@ __all__ = [
     "OUTCOME_CLASSES",
     "REPORT_FILENAME",
     "REPORT_SECTIONS",
-    "SEGMENT_FILENAME",
     "SHARD_SEGMENT_FILENAME",
     "STORE_DIRNAME",
     "STORE_FILENAME",
@@ -58,7 +55,6 @@ __all__ = [
     "records_from_failure",
     "records_from_value",
     "render_report",
-    "segment_path",
     "store_from_results",
     "store_path",
     "write_report",

@@ -101,9 +101,9 @@ class RunData:
 def load_run(run_dir: "str | Path") -> RunData:
     """Load ``summary.json``, every scenario payload and the cell store.
 
-    The store is optional (``--no-store`` runs, historical runs): the
-    report falls back to the JSON payloads for quarantine data when
-    ``store/cells.rcs`` is absent.
+    The store is optional, for run directories written before every run
+    kept one: the report falls back to the JSON payloads for quarantine
+    data when ``store/cells.rcs`` is absent.
     """
     run_dir = Path(run_dir)
     summary_file = run_dir / "summary.json"

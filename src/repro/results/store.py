@@ -17,10 +17,11 @@ by ``tests/test_docs_consistency.py``.
 Records flow through two representations:
 
 * **Segments** (:class:`SegmentRecorder`, :func:`read_segment`) — an
-  append-only JSON-lines file written incrementally while a run
-  executes, one line per record, flushed per cell.  A killed run keeps
-  every completed cell; a resumed run appends its replayed cells again
-  and canonicalization collapses the duplicates (which must be
+  append-only JSON-lines file each shard of a sharded run writes
+  incrementally while it executes, one line per record, flushed per
+  cell.  A killed shard keeps every completed cell; a resumed shard
+  trims a torn last line, appends its replayed cells again, and
+  canonicalization collapses the duplicates (which must be
   bit-identical — re-recording is itself a determinism check).
 * **The canonical store** (:class:`CellStore`, :data:`STORE_FILENAME`)
   — a self-contained binary *columnar* file: a JSON header (format
@@ -57,9 +58,7 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "STORE_DIRNAME",
     "STORE_FILENAME",
-    "SEGMENT_FILENAME",
     "SHARD_SEGMENT_FILENAME",
-    "segment_path",
     "CELL_COLUMNS",
     "OUTCOME_CLASSES",
     "CellRecord",
@@ -79,12 +78,11 @@ __all__ = [
 # incompatibly; readers refuse other formats.
 STORE_FORMAT_VERSION = 1
 
-# Layout inside a run directory: run/store/cells.rcs (canonical) plus
-# the incrementally appended run/store/segment.jsonl (unsharded runs)
-# or shards/<i>-of-<N>/partial/cells.jsonl (one segment per shard).
+# Layout inside a run directory: run/store/cells.rcs (canonical) plus,
+# in a sharded run, the incrementally appended
+# shards/<i>-of-<N>/partial/cells.jsonl (one segment per shard).
 STORE_DIRNAME = "store"
 STORE_FILENAME = "cells.rcs"
-SEGMENT_FILENAME = "segment.jsonl"
 SHARD_SEGMENT_FILENAME = "cells.jsonl"
 
 _MAGIC = b"RCSTORE1"
@@ -311,12 +309,6 @@ class CellStore:
             )
         )
 
-    def column(self, name: str) -> "list[Any]":
-        """One column as a plain list, in row order."""
-        if name not in CELL_COLUMNS:
-            raise ValueError(f"unknown column {name!r}")
-        return [getattr(record, name) for record in self.records]
-
     def outcome_counts(self) -> "dict[str, int]":
         counts = {outcome: 0 for outcome in OUTCOME_CLASSES}
         for record in self.records:
@@ -435,11 +427,6 @@ class CellStore:
 def store_path(run_dir: "str | Path") -> Path:
     """The canonical store file of a run directory."""
     return Path(run_dir) / STORE_DIRNAME / STORE_FILENAME
-
-
-def segment_path(run_dir: "str | Path") -> Path:
-    """An unsharded run's append-only segment file."""
-    return Path(run_dir) / STORE_DIRNAME / SEGMENT_FILENAME
 
 
 def write_store(store: CellStore, run_dir: "str | Path") -> Path:
@@ -644,6 +631,12 @@ class SegmentRecorder:
     def _open(self):
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                # A writer that died mid-flush leaves a torn last line;
+                # drop it, as the checkpoint journal does, so appended
+                # records start on a line of their own.
+                intact = self.path.read_bytes().rfind(b"\n") + 1
+                os.truncate(self.path, intact)
             self._handle = open(self.path, "a", encoding="utf-8")
         return self._handle
 

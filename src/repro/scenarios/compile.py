@@ -311,7 +311,6 @@ def run_scenarios(
     out_dir: "str | Path | None" = None,
     context: "ScenarioContext | None" = None,
     supervision: "SupervisionPolicy | None" = None,
-    store: bool = True,
     executor: "Any | None" = None,
 ) -> list[ScenarioResult]:
     """Run a whole scenario matrix through one shared executor pool.
@@ -320,14 +319,10 @@ def run_scenarios(
     ``checkpoint`` names one JSONL journal covering *every* scenario's cells
     (the multi-campaign fingerprint of
     :class:`~repro.core.executor.CampaignExecutor` guards resume);
-    ``out_dir`` writes one ``<scenario>.json`` per result plus a
-    consolidated ``summary.json``.  Results are returned in spec order.
-
-    With ``out_dir`` set and ``store`` left on, the run also feeds the
-    per-cell result store (``docs/RESULTS.md``): every completed cell
-    is appended to ``out_dir/store/segment.jsonl`` as it finishes, and
-    the canonical columnar ``store/cells.rcs`` is written with the
-    results — the input to ``repro report``.
+    ``out_dir`` writes one ``<scenario>.json`` per result, a
+    consolidated ``summary.json`` and the canonical columnar per-cell
+    store ``store/cells.rcs`` (``docs/RESULTS.md``), the input to
+    ``repro report``.  Results are returned in spec order.
 
     ``supervision`` is the executor's
     :class:`~repro.core.executor.SupervisionPolicy` (see
@@ -370,27 +365,16 @@ def run_scenarios(
     workers = 1 if workers is None else workers
     context = context if context is not None else ScenarioContext()
     tasks = [compile_spec(spec, context) for spec in specs]
-    recorder = None
-    if store and out_dir is not None:
-        from repro.results.store import SegmentRecorder, segment_path
-
-        recorder = SegmentRecorder(segment_path(out_dir), specs)
     if executor is None:
         executor = CampaignExecutor(
             workers=workers, progress=progress, checkpoint=checkpoint,
-            supervision=supervision, recorder=recorder,
+            supervision=supervision,
         )
     else:
-        executor.reconfigure(
-            progress=progress, checkpoint=checkpoint, recorder=recorder
-        )
+        executor.reconfigure(progress=progress, checkpoint=checkpoint)
     from repro.core.batched import AdaptiveResult
 
-    try:
-        curves = executor.run_tasks(tasks)
-    finally:
-        if recorder is not None:
-            recorder.close()
+    curves = executor.run_tasks(tasks)
     failed_by_task: dict[int, list[dict]] = {}
     for record in executor.quarantined:
         failed_by_task.setdefault(int(record["task_index"]), []).append(
@@ -417,7 +401,7 @@ def run_scenarios(
         for index, (spec, value) in enumerate(zip(specs, curves))
     ]
     if out_dir is not None:
-        write_results(results, out_dir, suite=suite_name, store=store)
+        write_results(results, out_dir, suite=suite_name)
     return results
 
 
@@ -501,24 +485,22 @@ def write_results(
     results: Sequence[ScenarioResult],
     out_dir: "str | Path",
     suite: str = "scenarios",
-    store: bool = True,
 ) -> Path:
     """Write per-scenario JSON files plus ``summary.json``; returns it.
 
     Every file lands atomically (:func:`write_json_atomic`), and the
     payload is a pure function of the results — an unsharded run and a
-    ``repro merge`` of the same cells produce byte-identical files.
-    With ``store`` left on, the canonical per-cell columnar store
-    (``store/cells.rcs``, see ``docs/RESULTS.md``) is written alongside
-    them; being itself a pure function of the results, its bytes obey
-    the same shard/merge identity.
+    ``repro merge`` of the same cells produce byte-identical files.  The
+    canonical per-cell columnar store (``store/cells.rcs``, see
+    ``docs/RESULTS.md``) is written alongside them; being itself a pure
+    function of the results, its bytes obey the same shard/merge
+    identity.
     """
+    from repro.results.store import store_from_results, write_store
+
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    if store:
-        from repro.results.store import store_from_results, write_store
-
-        write_store(store_from_results(results), target)
+    write_store(store_from_results(results), target)
     stems = scenario_file_stems([result.name for result in results])
     rows = []
     for result, stem in zip(results, stems):

@@ -214,18 +214,8 @@ class ShardPlan:
         """The executor cell grid of one scenario: (n_rates, n_cells_per_rate)."""
         return (len(spec.rates), 1 if spec.mode == "adaptive" else spec.trials)
 
-    @property
-    def total_cells(self) -> int:
-        return sum(
-            rates * trials
-            for rates, trials in (self.grid_shape(s) for s in self.specs)
-        )
-
     def shard(self, index: int) -> ShardSpec:
         return ShardSpec(index, self.count)
-
-    def shards(self) -> "list[ShardSpec]":
-        return [ShardSpec(i, self.count) for i in range(1, self.count + 1)]
 
     def cells_for(
         self, shard: "ShardSpec | str"
@@ -314,7 +304,6 @@ def run_scenario_shard(
     progress: "Callable | None" = None,
     context: "ScenarioContext | None" = None,
     supervision: "SupervisionPolicy | None" = None,
-    store: bool = True,
 ) -> Path:
     """Execute one shard of a suite into a segmented run directory.
 
@@ -332,11 +321,10 @@ def run_scenario_shard(
     ``cells``) instead of aborting the shard — ``merge_run`` surfaces
     those cells rather than failing its coverage check.
 
-    With ``store`` left on, every completed cell is also appended to
-    the shard's own store segment
-    (``partial/cells.jsonl``, see ``docs/RESULTS.md``) as it finishes;
-    ``merge_run`` reassembles the segments into the canonical columnar
-    store and cross-checks them against the merged results.
+    Every completed cell is also appended to the shard's own store
+    segment (``partial/cells.jsonl``, see ``docs/RESULTS.md``) as it
+    finishes; ``merge_run`` reassembles the segments and cross-checks
+    them against the canonical columnar store of the merged results.
     """
     from repro.core.executor import CampaignExecutor
 
@@ -378,17 +366,12 @@ def run_scenario_shard(
     partial_dir = shard_dir / PARTIAL_DIRNAME
     partial_dir.mkdir(exist_ok=True)
     if tasks:
-        recorder = None
-        if store:
-            from repro.results.store import (
-                SHARD_SEGMENT_FILENAME,
-                SegmentRecorder,
-            )
+        from repro.results.store import SHARD_SEGMENT_FILENAME, SegmentRecorder
 
-            recorder = SegmentRecorder(
-                partial_dir / SHARD_SEGMENT_FILENAME,
-                [plan.specs[index] for index in owners],
-            )
+        recorder = SegmentRecorder(
+            partial_dir / SHARD_SEGMENT_FILENAME,
+            [plan.specs[index] for index in owners],
+        )
         executor = CampaignExecutor(
             workers=workers,
             progress=progress,
@@ -406,8 +389,7 @@ def run_scenario_shard(
         try:
             _, grids = executor.run_grids(tasks, cells=task_cells)
         finally:
-            if recorder is not None:
-                recorder.close()
+            recorder.close()
         failed_by_task: "dict[int, list[dict]]" = {}
         for record in executor.quarantined:
             failed_by_task.setdefault(int(record["task_index"]), []).append(
@@ -468,9 +450,7 @@ def _load_manifests(run_dir: Path) -> "list[tuple[Path, dict]]":
     return manifests
 
 
-def merge_run(
-    run_dir: "str | Path", store: bool = True
-) -> "list[ScenarioResult]":
+def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
     """Reassemble a segmented run into canonical merged outputs.
 
     Validates that every shard manifest describes the same suite (equal
@@ -483,16 +463,15 @@ def merge_run(
     scenario's value grid, assembles
     :class:`~repro.core.metrics.ResilienceCurve` /
     :class:`~repro.core.batched.AdaptiveResult` objects and writes
-    per-scenario JSON plus ``summary.json`` into ``run_dir`` — all
+    per-scenario JSON, ``summary.json`` and the canonical per-cell
+    columnar store (``store/cells.rcs``) into ``run_dir`` — all
     byte-identical to the unsharded run.  Returns the results in suite
     order.
 
-    With ``store`` left on, the canonical per-cell columnar store
-    (``store/cells.rcs``) is written too — byte-identical to the
-    unsharded run's — and, when every shard carried its append-only
-    ``partial/cells.jsonl`` segment, the segments are reassembled and
-    cross-checked against it, so a lossy or inconsistent shard store
-    cannot merge silently (see ``docs/RESULTS.md``).
+    The shards' append-only ``partial/cells.jsonl`` segments are
+    reassembled and cross-checked against that store, so a lossy or
+    inconsistent shard store cannot merge silently (see
+    ``docs/RESULTS.md``).
     """
     import numpy as np
 
@@ -609,9 +588,8 @@ def merge_run(
         )
         for spec_index, spec in enumerate(plan.specs)
     ]
-    write_results(results, run_dir, suite=plan.suite_name, store=store)
-    if store:
-        _verify_segment_store(run_dir, present, results)
+    write_results(results, run_dir, suite=plan.suite_name)
+    _verify_segment_store(run_dir, present, results)
     return results
 
 
@@ -625,8 +603,8 @@ def _verify_segment_store(
     Reassembling the per-shard ``partial/cells.jsonl`` segments must
     reproduce exactly the canonical store derived from the merged
     results — the lossless-reassembly contract of ``docs/RESULTS.md``.
-    Skipped when any shard ran without a segment (``store=False``
-    runs cannot be verified).
+    Skipped when any shard has no segment: a shard that owns no cells
+    writes none.
     """
     from repro.results.store import (
         SHARD_SEGMENT_FILENAME,

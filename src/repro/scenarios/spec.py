@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -320,26 +320,6 @@ class CampaignSpec:
         if "layers" in payload and payload["layers"] is not None:
             payload["layers"] = tuple(payload["layers"])
         return cls(**payload)
-
-    def shrunk(
-        self, rates: int = 2, trials: int = 1, eval_images: int = 16
-    ) -> "CampaignSpec":
-        """A cheap variant of this spec for smoke testing.
-
-        Keeps the scientific shape (model, campaign, variant, fault
-        model) and truncates the sweep: the first and last ``rates``
-        points, ``trials`` trials, ``eval_images`` evaluation images.
-        """
-        kept = self.rates
-        if len(kept) > rates:
-            kept = tuple(kept[: rates - 1]) + (kept[-1],)
-        return replace(
-            self,
-            rates=kept,
-            trials=min(self.trials, trials),
-            eval_images=min(self.eval_images, eval_images),
-            batch_size=min(self.batch_size, eval_images),
-        )
 
 
 # --------------------------------------------------------------------- #

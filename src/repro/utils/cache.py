@@ -63,10 +63,6 @@ class ArtifactCache:
         fingerprint = config_fingerprint(config)
         return self._directory / f"{name}-{fingerprint}{suffix}"
 
-    def has(self, name: str, config: Mapping[str, Any], suffix: str = ".npz") -> bool:
-        """True if an artifact for this key is already on disk."""
-        return self.path_for(name, config, suffix).exists()
-
     def write_json(
         self,
         name: str,

@@ -15,8 +15,6 @@ This module provides a small tree-structured seed facility built on
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = ["SeedTree", "as_generator"]
@@ -74,15 +72,6 @@ class SeedTree:
     def child(self, path: str) -> "SeedTree":
         """Return a sub-tree rooted at ``path``."""
         return SeedTree(self.seed(path))
-
-    def seeds(self, path: str, count: int) -> list[int]:
-        """Return ``count`` deterministic seeds under ``path``."""
-        return [self.seed(f"{path}/{index}") for index in range(count)]
-
-    def generators(self, path: str, count: int) -> Iterator[np.random.Generator]:
-        """Yield ``count`` independent generators under ``path``."""
-        for child_seed in self.seeds(path, count):
-            yield np.random.default_rng(child_seed)
 
     def __repr__(self) -> str:
         return f"SeedTree(root_seed={self._root_seed})"

@@ -9,7 +9,7 @@ clean activations — plus the (small) in-band pickle streams that tie
 them together.  Worker processes attach the segment by name and map each
 tensor as a **read-only numpy view**, so a worker never deserializes a
 private copy of the weights; mutation is handled upstream by
-copy-on-write (see :meth:`repro.hw.memory.WeightMemory.materialize` and
+copy-on-write (see :func:`repro.hw.memory.materialize_region` and
 ``docs/MEMORY_MODEL.md`` for the full memory model).
 
 The mechanism is pickle protocol 5's out-of-band buffers:

@@ -48,7 +48,10 @@ def synthetic_generator() -> SyntheticCIFAR10:
 @pytest.fixture(scope="session")
 def small_splits(synthetic_generator):
     """(train, val, test) ArrayDatasets shared across the session."""
-    return synthetic_generator.splits(600, 300, 300)
+    return tuple(
+        synthetic_generator.dataset(n, split)
+        for n, split in ((600, "train"), (300, "val"), (300, "test"))
+    )
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,8 @@ import dataclasses
 
 import pytest
 
+from tests.helpers import shrunk
+
 SUITE = "stuck_at_memory"
 # attempts=1 disturbs only first dispatch attempts, so every retry runs
 # clean and recovery must reproduce the undisturbed bytes exactly.
@@ -26,7 +28,7 @@ def _smoke_suite():
     from repro.scenarios import ScenarioSuite, load_bundled
 
     base = load_bundled(SUITE)
-    specs = tuple(spec.shrunk() for spec in base.specs)
+    specs = tuple(shrunk(spec) for spec in base.specs)
     adaptive = dataclasses.replace(
         specs[0],
         name=f"{specs[0].name}-adaptive",

@@ -547,17 +547,3 @@ class TestReportCommand:
     def test_report_without_run_errors_cleanly(self, capsys, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
         assert "summary.json" in capsys.readouterr().err
-
-    def test_no_store_flag_skips_store(self, tmp_path):
-        from repro.results import store_path
-
-        path = self._spec_file(tmp_path)
-        out_dir = tmp_path / "out"
-        assert (
-            main(
-                ["scenarios", str(path), "--out", str(out_dir), "--no-store"]
-            )
-            == 0
-        )
-        assert not store_path(out_dir).exists()
-        assert (out_dir / "summary.json").is_file()

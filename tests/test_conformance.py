@@ -27,8 +27,7 @@ would show.
 
 Left out of the comparison: a sharded run's ``shards/`` tree (manifests,
 partials, per-shard checkpoints and segments), which records how the
-run was split rather than what it computed, and the unsharded store's
-``segment.jsonl``, whose line order follows cell completion order.
+run was split rather than what it computed.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ import sys
 import pytest
 
 from tests.conftest import journal_cells
+from tests.helpers import shrunk
 
 SUITE = "stuck_at_memory"
 CHAOS = "kill=0.25,raise=0.25,seed=7,attempts=1"
@@ -52,7 +52,7 @@ def _suite():
     from repro.scenarios import FaultModelSpec, ScenarioSuite, load_bundled
 
     base = load_bundled(SUITE)
-    specs = tuple(spec.shrunk() for spec in base.specs)
+    specs = tuple(shrunk(spec) for spec in base.specs)
     adaptive = dataclasses.replace(
         specs[0],
         name=f"{specs[0].name}-adaptive",

@@ -11,8 +11,8 @@ from repro.core.baselines import (
     ecc_sampler,
     tmr_sampler,
 )
-from repro.hw.memory import WeightMemory
 from repro.models import LeNet5
+from tests.helpers import weight_memory
 
 
 class TestModelBaselines:
@@ -36,7 +36,7 @@ class TestModelBaselines:
 
 class TestProtectionSamplers:
     def _memory(self):
-        return WeightMemory.from_parameters(
+        return weight_memory(
             [("p", nn.Parameter(np.zeros(5000)))]
         )
 

@@ -26,6 +26,7 @@ from repro.core.executor import (
     CellResult,
     SupervisionPolicy,
     WeightFaultCellTask,
+    backoff_seconds,
     cell_seed_path,
     resolve_workers,
 )
@@ -838,19 +839,13 @@ class TestSupervisionPolicy:
             SupervisionPolicy(cell_timeout=0)
         with pytest.raises(ValueError, match="on_cell_error"):
             SupervisionPolicy(on_cell_error="explode")
-        with pytest.raises(ValueError, match="retry_backoff"):
-            SupervisionPolicy(retry_backoff=-0.1)
-        with pytest.raises(ValueError, match="max_pool_rebuilds"):
-            SupervisionPolicy(max_pool_rebuilds=-1)
 
     def test_backoff_is_deterministic_and_capped(self):
-        policy = SupervisionPolicy(retry_backoff=0.1)
-        assert policy.backoff_seconds(0) == 0.0
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
-        assert policy.backoff_seconds(7) == policy.backoff_seconds(50)
-        assert SupervisionPolicy(retry_backoff=0.0).backoff_seconds(3) == 0.0
+        assert backoff_seconds(0) == 0.0
+        assert backoff_seconds(1) == pytest.approx(0.05)
+        assert backoff_seconds(2) == pytest.approx(0.1)
+        assert backoff_seconds(3) == pytest.approx(0.2)
+        assert backoff_seconds(7) == backoff_seconds(50)
 
 
 class TestChaosSupervision:
@@ -967,10 +962,13 @@ class TestChaosSupervision:
     def test_repeated_pool_loss_degrades_to_serial(
         self, campaign_parts, baseline, monkeypatch
     ):
-        """Past max_pool_rebuilds the executor stops thrashing and runs
+        """Past MAX_POOL_REBUILDS the executor stops thrashing and runs
         the remaining cells serially in-process — still bit-identical."""
+        import repro.core.executor as executor_module
+
         monkeypatch.setenv(CHAOS_ENV_VAR, "kill=1,attempts=1")
-        policy = SupervisionPolicy(max_pool_rebuilds=0, on_cell_error="retry")
+        monkeypatch.setattr(executor_module, "MAX_POOL_REBUILDS", 0)
+        policy = SupervisionPolicy(on_cell_error="retry")
         with pytest.warns(RuntimeWarning, match="degrading to serial"):
             result, executor = self._run(
                 campaign_parts, 2, supervision=policy
@@ -1148,6 +1146,26 @@ class _ConstantRunner:
         pass
 
 
+class _VectorTask(_ConstantTask):
+    """A constant task whose cells hold ``width`` scalars."""
+
+    def __init__(self, n_rates: int, trials: int, width: int):
+        super().__init__(n_rates, trials)
+        self.cell_width = width
+
+    def make_runner(self):
+        return _VectorRunner(self.cell_width)
+
+
+class _VectorRunner(_ConstantRunner):
+    def __init__(self, width: int):
+        self.width = width
+
+    def run_cell(self, rate_index: int, trial: int):
+        value = super().run_cell(rate_index, trial)
+        return value if self.width == 1 else [value] * self.width
+
+
 class TestCheckpointJournal:
     """The checkpoint is an append-only JSONL journal: constant cost per
     cell, torn-tail tolerant, and it refuses the old JSON format."""
@@ -1247,6 +1265,27 @@ class TestCheckpointJournal:
         header, first, *rest = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(header + first + line + b"\n" + b"".join(rest) + b"[0, 1")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            CampaignExecutor(checkpoint=path).run_tasks([task])
+
+    @pytest.mark.parametrize(
+        "task_width, value",
+        [(3, [0.5]), (3, [0.1, 0.2, 0.3, 0.4, 0.5]), (3, 0.5), (1, [0.5])],
+        ids=["short-list", "long-list", "number-for-width-3", "list-for-width-1"],
+    )
+    def test_value_of_the_wrong_width_is_refused(
+        self, tmp_path, task_width, value
+    ):
+        """A line ``[0, 1, 0, 0.5]`` of a width-3 task used to resume as
+        the finished cell ``[0.5, 0.5, 0.5]`` (an adaptive family with
+        estimate 0.5 and no executed trials), and a five-number list
+        raised a bare numpy broadcast error naming neither file nor line."""
+        task = _VectorTask(n_rates=2, trials=2, width=task_width)
+        path = tmp_path / "sweep.jsonl"
+        CampaignExecutor(checkpoint=path).run_tasks([task])
+        keep_journal_cells(path, lambda key: key[1:] != (1, 0))
+        with path.open("a") as journal:
+            journal.write(json.dumps([0, 1, 0, value]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")):
             CampaignExecutor(checkpoint=path).run_tasks([task])
 
     @pytest.mark.parametrize(

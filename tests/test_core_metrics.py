@@ -166,36 +166,3 @@ class TestResilienceCurve:
             ResilienceCurve(np.asarray([1e-6, 1e-7]), np.zeros((2, 3)), 1.0)
         with pytest.raises(ValueError):
             ResilienceCurve(np.asarray([1e-7, 1e-6]), np.zeros((3, 2)), 1.0)
-
-
-class TestCurveSerialization:
-    def _curve(self):
-        rates = np.asarray([1e-7, 1e-6, 1e-5])
-        accs = np.random.default_rng(0).random((3, 5))
-        return ResilienceCurve(rates, accs, clean_accuracy=0.91, label="demo/run-1")
-
-    def test_roundtrip(self, tmp_path):
-        curve = self._curve()
-        path = curve.save(tmp_path / "curve.npz")
-        loaded = ResilienceCurve.load(path)
-        np.testing.assert_array_equal(loaded.fault_rates, curve.fault_rates)
-        np.testing.assert_array_equal(loaded.accuracies, curve.accuracies)
-        assert loaded.clean_accuracy == curve.clean_accuracy
-        assert loaded.label == curve.label
-        assert loaded.auc() == curve.auc()
-
-    def test_empty_label_roundtrip(self, tmp_path):
-        curve = ResilienceCurve(
-            np.asarray([1e-7, 1e-6]), np.zeros((2, 1)), clean_accuracy=0.5
-        )
-        loaded = ResilienceCurve.load(curve.save(tmp_path / "c.npz"))
-        assert loaded.label == ""
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            ResilienceCurve.load(tmp_path / "absent.npz")
-
-    def test_creates_parent_dirs(self, tmp_path):
-        curve = self._curve()
-        path = curve.save(tmp_path / "deep" / "dir" / "c.npz")
-        assert path.exists()

@@ -56,7 +56,7 @@ class TestHardenModel:
         model = _fresh_model(trained_mlp)
         hardened = harden_model(model, val_set, FTClipActConfig(**FAST))
         assert hardened.model is model
-        assert hardened.tuned
+        assert hardened.finetune_results
         assert set(hardened.thresholds) == {"FC-1", "FC-2"}
         assert set(hardened.act_max) == {"FC-1", "FC-2"}
         # Step 3 never raises thresholds above ACT_max (Algorithm 1's
@@ -79,7 +79,7 @@ class TestHardenModel:
         model = _fresh_model(trained_mlp)
         config = FTClipActConfig(fine_tune=False, **FAST)
         hardened = harden_model(model, val_set, config)
-        assert not hardened.tuned
+        assert not hardened.finetune_results
         assert hardened.thresholds == pytest.approx(hardened.act_max)
 
     def test_clamp_variant(self, trained_mlp, val_set):
@@ -109,7 +109,7 @@ class TestHardenModel:
         model = _fresh_model(trained_mlp)
         config = FTClipActConfig(tune_scope="network", **FAST)
         hardened = harden_model(model, val_set, config)
-        assert hardened.tuned
+        assert hardened.finetune_results
 
     def test_deterministic(self, trained_mlp, val_set):
         a = harden_model(_fresh_model(trained_mlp), val_set, FTClipActConfig(**FAST))

@@ -156,12 +156,13 @@ class TestSuffixBitIdentity:
 
 
 class TestMemoryBudget:
-    def test_zero_budget_caches_nothing_but_stays_correct(self):
+    def test_zero_budget_caches_nothing_but_stays_correct(self, monkeypatch):
         """Cache over budget => graceful full-forward fallback."""
         model, images = _model_and_images("lenet5")
         memory = WeightMemory.from_model(model, layers=["FC-3"])
+        monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "0")
         engine = SuffixForwardEngine.build(
-            model, images, 16, scope_layers=memory.layer_names(), budget_bytes=0
+            model, images, 16, scope_layers=memory.layer_names()
         )
         # The clean shortcut keeps the engine alive, but no boundary fits.
         assert engine is not None
@@ -172,7 +173,7 @@ class TestMemoryBudget:
             engine.forward_fn([])(images[:16], 0), model(images[:16])
         )
 
-    def test_budget_prefers_deepest_boundaries(self):
+    def test_budget_prefers_deepest_boundaries(self, monkeypatch):
         model, images = _model_and_images("lenet5")
         memory = WeightMemory.from_model(model)
         full = SuffixForwardEngine.build(
@@ -182,9 +183,12 @@ class TestMemoryBudget:
         deepest_bytes = sum(
             batch[full.cached_indices[-1]].nbytes for batch in full._cached
         )
+        # A power-of-two divisor keeps the megabytes exact in a float.
+        monkeypatch.setenv(
+            "REPRO_SUFFIX_BUDGET_MB", repr((deepest_bytes + 1) / 2**20)
+        )
         tight = SuffixForwardEngine.build(
-            model, images, 16, scope_layers=memory.layer_names(),
-            budget_bytes=deepest_bytes + 1,
+            model, images, 16, scope_layers=memory.layer_names()
         )
         assert tight.cached_indices == [full.cached_indices[-1]]
 
@@ -200,12 +204,14 @@ class TestMemoryBudget:
         with pytest.raises(ValueError, match="REPRO_SUFFIX_BUDGET_MB.*'12O'"):
             suffix_budget_bytes()
 
-    def test_activation_static_cut_engine_skipped_without_cache(self):
+    def test_activation_static_cut_engine_skipped_without_cache(
+        self, monkeypatch
+    ):
         """No clean shortcut + nothing cached => no engine at all."""
         model, images = _model_and_images("lenet5")
+        monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "0")
         engine = SuffixForwardEngine.build(
-            model, images, 16, scope_layers=["FC-3"],
-            budget_bytes=0, clean_shortcut=False,
+            model, images, 16, scope_layers=["FC-3"], clean_shortcut=False
         )
         assert engine is None
 

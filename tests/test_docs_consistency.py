@@ -6,6 +6,8 @@ import shlex
 
 import pytest
 
+from tests.helpers import shrunk
+
 ROOT = pathlib.Path(__file__).parent.parent
 
 
@@ -481,13 +483,14 @@ class TestResultsDocs:
 
         section = self._subsection("On-disk layout")
         for entry in (
-            "store/segment.jsonl",
             "store/cells.rcs",
             "shards/<i>-of-<N>/partial/cells.jsonl",
         ):
             assert entry in section, (
                 f"docs/RESULTS.md on-disk layout never mentions {entry}"
             )
+        # Unsharded runs no longer write a segment.
+        assert "store/segment.jsonl" not in section
         assert "store/cells.rcs" in RUN_LAYOUT
         assert "shards/<i>-of-<N>/partial/cells.jsonl" in RUN_LAYOUT
 
@@ -497,10 +500,12 @@ class TestResultsDocs:
         from repro.cli import build_parser
 
         cookbook = self._section("CLI cookbook")
-        for needle in ("repro report", "--no-store", "--bench", "--out"):
+        for needle in ("repro report", "--bench", "--out"):
             assert needle in cookbook, (
                 f"docs/RESULTS.md cookbook never mentions {needle}"
             )
+        # Every run writes the store; there is no switch to skip it.
+        assert "--no-store" not in cookbook
 
         parser = build_parser()
         subparsers = next(
@@ -521,8 +526,8 @@ class TestResultsDocs:
                 for action in subparsers.choices[command]._actions
                 for option in action.option_strings
             }
-            assert "--no-store" in options, (
-                f"repro {command} lacks --no-store"
+            assert "--no-store" not in options, (
+                f"repro {command} still offers --no-store"
             )
 
     def test_report_smoke_target_documented_and_wired(self):
@@ -603,7 +608,7 @@ class TestServiceDocs:
 
         base = load_bundled("stuck_at_memory")
         suite = ScenarioSuite(
-            name="docs-check", specs=tuple(s.shrunk() for s in base.specs)
+            name="docs-check", specs=tuple(shrunk(s) for s in base.specs)
         )
         from repro.scenarios.compile import ScenarioContext
 

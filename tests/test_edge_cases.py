@@ -10,6 +10,7 @@ from repro.hw.faultmodels import FaultSet, RandomBitFlip
 from repro.hw.injector import FaultInjector
 from repro.hw.memory import WeightMemory
 from repro.models import LeNet5
+from tests.helpers import weight_memory
 
 
 class TestNestedContainers:
@@ -61,13 +62,13 @@ class TestInjectorAcrossRegions:
             ("b", nn.Parameter(np.full(4, 2.0, dtype=np.float32))),
             ("c", nn.Parameter(np.full(4, 3.0, dtype=np.float32))),
         ]
-        memory = WeightMemory.from_parameters(params)
+        memory = weight_memory(params)
         injector = FaultInjector(memory)
         originals = [p.data.copy() for _, p in params]
         # Last bit of region a, first of b, middle of c.
         bits = np.asarray([4 * 32 - 1, 4 * 32, 2 * 4 * 32 + 50])
-        with injector.apply(FaultSet.flips(bits)) as record:
-            assert len(record.affected_layers()) == 3
+        with injector.apply(FaultSet.flips(bits)):
+            assert injector.affected_layers(FaultSet.flips(bits)) == ["a", "b", "c"]
         for (_, param), original in zip(params, originals):
             np.testing.assert_array_equal(param.data, original)
 
@@ -88,7 +89,7 @@ class TestWeightMemoryEdges:
 
     def test_single_parameter_memory(self):
         param = nn.Parameter(np.zeros(1, dtype=np.float32))
-        memory = WeightMemory.from_parameters([("only", param)])
+        memory = weight_memory([("only", param)])
         assert memory.total_bits == 32
         located = memory.locate(np.asarray([31]))
         assert located[0][2][0] == 31

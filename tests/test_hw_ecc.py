@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro import nn
 from repro.hw.ecc import CODE_DATA_BITS, CODE_TOTAL_BITS, ECCFilter
 from repro.hw.faultmodels import OP_STUCK0
-from repro.hw.memory import WeightMemory
 from tests.oracles import hamming_decode, hamming_encode
+from tests.helpers import weight_memory
 
 WORDS = st.integers(0, 2**32 - 1)
 
@@ -62,7 +62,7 @@ class TestHammingCodec:
 
 
 def _memory(words=64):
-    return WeightMemory.from_parameters([("p", nn.Parameter(np.zeros(words)))])
+    return weight_memory([("p", nn.Parameter(np.zeros(words)))])
 
 
 class TestECCFilter:

@@ -13,12 +13,13 @@ from repro.hw.faultmodels import (
 from repro.hw.injector import FaultInjector
 from repro.hw.memory import WeightMemory
 from repro.models import LeNet5
+from tests.helpers import weight_memory
 
 
 def _setup(words=100, seed=0):
     rng = np.random.default_rng(seed)
     param = nn.Parameter(rng.standard_normal(words).astype(np.float32))
-    memory = WeightMemory.from_parameters([("p", param)])
+    memory = weight_memory([("p", param)])
     return param, memory, FaultInjector(memory)
 
 
@@ -59,112 +60,32 @@ class TestInjectRestore:
         injector.restore(first)
         np.testing.assert_array_equal(param.data, original)
 
-    def test_restore_all(self):
-        param, memory, injector = _setup()
-        original = param.data.copy()
-        for seed in range(3):
-            injector.inject(RandomBitFlip(0.01).sample(memory, np.random.default_rng(seed)))
-        injector.restore_all()
-        np.testing.assert_array_equal(param.data, original)
-        assert injector.active_records == ()
-
-    def test_out_of_order_restore_disjoint_sets(self):
-        param, memory, injector = _setup()
-        original = param.data.copy()
-        first = injector.inject(FaultSet.flips(np.asarray([0, 33])))
-        second = injector.inject(FaultSet.flips(np.asarray([64, 97])))
-        injector.restore(first)  # older record first
-        injector.restore(second)
-        np.testing.assert_array_equal(param.data, original)
-
-    def test_out_of_order_restore_overlapping_words(self):
-        """Restoring the older of two records that fault the *same words*
-        must not resurrect its faults through the newer record's undo
-        state (the newer record snapshotted words already faulted by the
-        older one)."""
-        param, memory, injector = _setup()
-        original = param.data.copy()
-        # Same word (bits 0-31 live in word 0), overlapping and distinct bits.
-        first = injector.inject(FaultSet.flips(np.asarray([3, 40])))
-        second = injector.inject(FaultSet.flips(np.asarray([3, 17])))
-        injector.restore(first)
-        # Only the second record's faults remain now.
-        expected = param.data.copy()
-        injector.inject(FaultSet.flips(np.asarray([3, 17])))  # idempotence probe
-        injector.restore()
-        np.testing.assert_array_equal(param.data, expected)
-        injector.restore(second)
-        np.testing.assert_array_equal(param.data, original)
-
-    def test_out_of_order_restore_with_stuck_at(self):
-        """Stuck-at ops are not self-inverse, so out-of-order restore must
-        go through undo/re-apply rather than re-applying operations."""
-        param, memory, injector = _setup()
-        original = param.data.copy()
-        bits = np.asarray([5, 36])
-        first = injector.inject(
-            FaultSet(bits, np.full(2, OP_STUCK0, dtype=np.uint8))
-        )
-        second = injector.inject(FaultSet.flips(np.asarray([5, 68])))
-        injector.restore(first)
-        injector.restore(second)
-        np.testing.assert_array_equal(param.data, original)
-
-    def test_out_of_order_restore_middle_of_three(self):
-        param, memory, injector = _setup()
-        original = param.data.copy()
-        records = [
-            injector.inject(FaultSet.flips(np.asarray([bit, bit + 32])))
-            for bit in (1, 2, 3)
-        ]
-        injector.restore(records[1])
-        assert injector.active_records == (records[0], records[2])
-        injector.restore(records[2])
-        injector.restore(records[0])
-        np.testing.assert_array_equal(param.data, original)
-
-    def test_restore_all_after_stacked_apply_contexts(self):
-        """restore_all inside stacked apply() blocks returns the weights
-        bit-exactly; the unwinding context managers then see their records
-        as already restored and do nothing."""
-        param, memory, injector = _setup()
-        original = param.data.copy()
-        with injector.apply(FaultSet.flips(np.asarray([3, 40]))):
-            with injector.apply(FaultSet.flips(np.asarray([3, 17, 70]))):
-                assert len(injector.active_records) == 2
-                injector.restore_all()
-                np.testing.assert_array_equal(param.data, original)
-        np.testing.assert_array_equal(param.data, original)
-        assert injector.active_records == ()
-
-    def test_restore_without_inject_raises(self):
-        _, _, injector = _setup()
-        with pytest.raises(RuntimeError):
-            injector.restore()
-
-    def test_restore_foreign_record_raises(self):
-        param, memory, injector = _setup()
-        other_injector = FaultInjector(memory)
-        record = injector.inject(FaultSet.flips(np.asarray([0])))
-        with pytest.raises(RuntimeError):
-            other_injector.restore(record)
-        injector.restore(record)
-
     def test_empty_fault_set_noop(self):
         param, memory, injector = _setup()
         original = param.data.copy()
         record = injector.inject(FaultSet.empty())
         np.testing.assert_array_equal(param.data, original)
-        assert record.num_faults == 0
+        assert record.saved == []
         injector.restore(record)
+
+    def test_stacked_apply_contexts_restore_exactly(self):
+        """Nested apply() blocks over the same words unwind newest first,
+        so stuck-at faults (not self-inverse) leave no trace either."""
+        param, memory, injector = _setup()
+        original = param.data.copy()
+        stuck = FaultSet(np.asarray([5, 36]), np.full(2, OP_STUCK0, dtype=np.uint8))
+        with injector.apply(FaultSet.flips(np.asarray([3, 40]))):
+            with injector.apply(stuck):
+                with injector.apply(FaultSet.flips(np.asarray([3, 5, 70]))):
+                    assert not np.array_equal(param.data, original)
+        np.testing.assert_array_equal(param.data, original)
 
 
 class TestSessions:
     def test_session_restores_on_exit(self):
         param, memory, injector = _setup()
         original = param.data.copy()
-        with injector.session(RandomBitFlip(0.05), rng=7) as record:
-            assert record.num_faults > 0
+        with injector.session(RandomBitFlip(0.05), rng=7):
             assert not np.array_equal(param.data, original)
         np.testing.assert_array_equal(param.data, original)
 
@@ -185,9 +106,10 @@ class TestSessions:
 
     def test_session_tolerates_inner_restore(self):
         param, memory, injector = _setup()
+        original = param.data.copy()
         with injector.session(RandomBitFlip(0.05), rng=7) as record:
             injector.restore(record)
-        assert injector.active_records == ()
+        np.testing.assert_array_equal(param.data, original)
 
 
 class TestRecordMetadata:
@@ -197,19 +119,17 @@ class TestRecordMetadata:
         injector = FaultInjector(memory)
         # Put one fault in each layer's region.
         conv1_bits = memory.regions[0].bit_offset
-        fc3_region = memory.region_for_layer("FC-3")[0]
-        record = injector.inject(
-            FaultSet.flips(np.asarray([conv1_bits, fc3_region.bit_offset + 5]))
+        fc3_region = next(r for r in memory.regions if r.layer_name == "FC-3")
+        fault_set = FaultSet.flips(
+            np.asarray([conv1_bits, fc3_region.bit_offset + 5])
         )
-        assert record.affected_layers() == ["CONV-1", "FC-3"]
-        injector.restore(record)
+        assert injector.affected_layers(fault_set) == ["CONV-1", "FC-3"]
 
     def test_num_affected_words(self):
         param, memory, injector = _setup()
-        # Two bits in word 0, one in word 3.
+        # Two bits in word 0, one in word 3: each word is saved once.
         record = injector.inject(FaultSet.flips(np.asarray([0, 5, 3 * 32])))
-        assert record.num_affected_words == 2
-        assert record.num_faults == 3
+        assert [words.tolist() for _, words, _ in record.saved] == [[0, 3]]
         injector.restore(record)
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro import nn
 from repro.hw.memory import MemoryRegion, WeightMemory
 from repro.models import CifarVGG16, LeNet5
+from tests.helpers import weight_memory
 
 
 class TestConstruction:
@@ -47,7 +48,7 @@ class TestConstruction:
 
     def test_from_parameters(self):
         params = [("a", nn.Parameter(np.zeros(10))), ("b", nn.Parameter(np.zeros(5)))]
-        memory = WeightMemory.from_parameters(params)
+        memory = weight_memory(params)
         assert memory.total_words == 15
         assert memory.regions[1].bit_offset == 10 * 32
 
@@ -68,7 +69,7 @@ class TestConstruction:
 class TestLocate:
     def _memory(self):
         params = [("a", nn.Parameter(np.zeros(2))), ("b", nn.Parameter(np.zeros(3)))]
-        return WeightMemory.from_parameters(params)
+        return weight_memory(params)
 
     def test_locates_first_region(self):
         memory = self._memory()
@@ -106,14 +107,6 @@ class TestHelpers:
         per_layer = memory.bits_per_layer()
         assert sum(per_layer.values()) == memory.total_bits
         assert set(per_layer) == set(memory.layer_names())
-
-    def test_region_for_layer(self):
-        model = LeNet5(seed=0)
-        memory = WeightMemory.from_model(model)
-        regions = memory.region_for_layer("FC-1")
-        assert {r.name for r in regions} == {"FC-1.weight", "FC-1.bias"}
-        with pytest.raises(KeyError):
-            memory.region_for_layer("FC-9")
 
     def test_snapshot_restore(self):
         model = LeNet5(seed=0)
@@ -165,29 +158,6 @@ class TestCopyOnWrite:
         before = memory.regions[0].parameter.data
         assert materialize_region(memory.regions[0]) is False
         assert memory.regions[0].parameter.data is before
-
-    def test_materialize_scopes_to_named_layers(self):
-        _, memory, _ = self._read_only_memory()
-        copied = memory.materialize(["CONV-2"])
-        by_layer = {
-            region.layer_name: region.parameter.data.flags.writeable
-            for region in memory.regions
-        }
-        assert by_layer["CONV-2"] is True
-        assert copied == sum(
-            1 for r in memory.regions if r.layer_name == "CONV-2"
-        )
-        for layer, writable in by_layer.items():
-            if layer != "CONV-2":
-                assert writable is False, f"{layer} was copied needlessly"
-
-    def test_materialize_all(self):
-        _, memory, original = self._read_only_memory()
-        copied = memory.materialize()
-        assert copied == len(memory.regions)
-        for region, saved in zip(memory.regions, original):
-            assert region.parameter.data.flags.writeable
-            np.testing.assert_array_equal(region.parameter.data, saved)
 
     def test_restore_works_on_read_only_memory(self):
         _, memory, original = self._read_only_memory()

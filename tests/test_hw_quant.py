@@ -12,6 +12,7 @@ from repro.hw.quant import (
     dequantize_symmetric,
     quantize_symmetric,
 )
+from tests.helpers import weight_memory
 
 
 class TestSymmetricQuantization:
@@ -54,7 +55,7 @@ class TestSymmetricQuantization:
 def _setup(words=200, seed=0):
     rng = np.random.default_rng(seed)
     param = nn.Parameter(rng.standard_normal(words).astype(np.float32))
-    memory = WeightMemory.from_parameters([("p", param)])
+    memory = weight_memory([("p", param)])
     return param, memory, QuantizedWeightMemory(memory)
 
 

@@ -9,6 +9,7 @@ from repro.hw.faultmodels import OP_FLIP, OP_STUCK0, FaultSet
 from repro.hw.memory import WeightMemory
 from repro.hw.rangecheck import WeightRangeCheck
 from tests.oracles import flip_scalar_bit
+from tests.helpers import weight_memory
 
 
 def _memory(values=None, seed=0):
@@ -16,7 +17,7 @@ def _memory(values=None, seed=0):
         rng = np.random.default_rng(seed)
         values = rng.uniform(-0.5, 0.5, size=100).astype(np.float32)
     param = nn.Parameter(np.asarray(values, dtype=np.float32))
-    return param, WeightMemory.from_parameters([("p", param)])
+    return param, weight_memory([("p", param)])
 
 
 class TestWeightRangeCheck:

@@ -5,12 +5,12 @@ import pytest
 
 from repro import nn
 from repro.hw.faultmodels import OP_FLIP, OP_STUCK0
-from repro.hw.memory import WeightMemory
 from repro.hw.tmr import DMRFilter, TMRFilter
+from tests.helpers import weight_memory
 
 
 def _memory(words=64):
-    return WeightMemory.from_parameters([("p", nn.Parameter(np.zeros(words)))])
+    return weight_memory([("p", nn.Parameter(np.zeros(words)))])
 
 
 class TestTMRFilter:

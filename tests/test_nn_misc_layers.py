@@ -105,12 +105,6 @@ class TestSequential:
         model.append(nn.Softmax())
         assert len(model) == 4
 
-    def test_index_of(self):
-        model = self._model()
-        assert model.index_of(model[1]) == 1
-        with pytest.raises(ValueError):
-            model.index_of(nn.ReLU())
-
     def test_non_module_rejected(self):
         with pytest.raises(TypeError):
             nn.Sequential("not a module")  # type: ignore[arg-type]

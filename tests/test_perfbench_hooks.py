@@ -32,13 +32,14 @@ import tracer
 from repro.scenarios import (
     ScenarioSuite, load_bundled, run_scenario_shard, smoke_context,
 )
+from tests.helpers import shrunk
 
 trace_dir, run_dir = sys.argv[1:3]
 spans = tracer.Tracer(trace_dir)
 tracer.install_counting(spans)
 tracer.install_spans(spans, service=True)
 base = load_bundled("stuck_at_memory")
-specs = tuple(spec.shrunk() for spec in base.specs)
+specs = tuple(shrunk(spec) for spec in base.specs)
 adaptive = dataclasses.replace(
     specs[0], name=specs[0].name + "-adaptive", mode="adaptive",
     ci_halfwidth=0.2,
@@ -51,7 +52,7 @@ spans.flush()
 
 def test_tracer_hooks_install_and_trace_a_shard(tmp_path):
     env = dict(os.environ)
-    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT)]
     if env.get("PYTHONPATH"):
         paths.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(paths)

@@ -11,8 +11,8 @@ from repro.core.metrics import auc_resilience
 from repro.hw.bits import flip_bits_in_words
 from repro.hw.faultmodels import FaultSet, RandomBitFlip
 from repro.hw.injector import FaultInjector
-from repro.hw.memory import WeightMemory
 from tests.oracles import bits_to_float, float_to_bits, hamming_decode, hamming_encode
+from tests.helpers import weight_memory
 
 
 class TestInjectorProperties:
@@ -27,7 +27,7 @@ class TestInjectorProperties:
         rng = np.random.default_rng(seed)
         param = nn.Parameter(rng.standard_normal(words).astype(np.float32))
         original = param.data.copy()
-        memory = WeightMemory.from_parameters([("p", param)])
+        memory = weight_memory([("p", param)])
         injector = FaultInjector(memory)
         with injector.session(RandomBitFlip(rate), rng=seed):
             pass
@@ -39,7 +39,7 @@ class TestInjectorProperties:
         """Flipping k distinct bits changes exactly k bits of the memory."""
         rng = np.random.default_rng(seed)
         param = nn.Parameter(rng.standard_normal(words).astype(np.float32))
-        memory = WeightMemory.from_parameters([("p", param)])
+        memory = weight_memory([("p", param)])
         injector = FaultInjector(memory)
         before = float_to_bits(param.data.copy())
         k = min(10, words * 32)
@@ -242,7 +242,7 @@ class TestQuantizedMemoryProperties:
         param = nn.Parameter(rng.standard_normal(words).astype(np.float32))
         original = param.data.copy()
         quantized = QuantizedWeightMemory(
-            WeightMemory.from_parameters([("p", param)])
+            weight_memory([("p", param)])
         )
         with quantized.deployed():
             with quantized.session(rate, seed):
@@ -259,7 +259,7 @@ class TestQuantizedMemoryProperties:
         param = nn.Parameter(rng.standard_normal(words).astype(np.float32))
         bound = float(np.abs(param.data).max()) * (128.0 / 127.0) + 1e-6
         quantized = QuantizedWeightMemory(
-            WeightMemory.from_parameters([("p", param)])
+            weight_memory([("p", param)])
         )
         with quantized.deployed():
             with quantized.session(0.2, seed):
@@ -279,7 +279,7 @@ class TestRangeCheckProperties:
         param = nn.Parameter(
             rng.uniform(-0.5, 0.5, size=200).astype(np.float32)
         )
-        memory = WeightMemory.from_parameters([("p", param)])
+        memory = weight_memory([("p", param)])
         check = WeightRangeCheck(memory, margin=1.0)
         bound = check.bounds()["p"]
         effective = check.sample_effective(memory, rate, rng)

@@ -29,6 +29,7 @@ from repro.results import (
     REPORT_SECTIONS,
     load_run,
     render_report,
+    store_path,
     write_report,
 )
 from repro.scenarios import (
@@ -157,9 +158,9 @@ class TestReportContent:
 
     def test_quarantine_falls_back_to_json_without_store(self, tmp_path):
         run_dir = tmp_path / "run"
-        write_results(
-            _golden_results(), run_dir, suite="golden-suite", store=False
-        )
+        write_results(_golden_results(), run_dir, suite="golden-suite")
+        # A run directory written before every run kept a store.
+        store_path(run_dir).unlink()
         run = load_run(run_dir)
         assert run.store is None
         html = render_report(run_dir)

@@ -41,7 +41,6 @@ from repro.results import (
     read_store,
     records_from_failure,
     records_from_value,
-    segment_path,
     store_from_results,
     store_path,
     write_store,
@@ -57,7 +56,7 @@ from repro.scenarios import (
     run_scenario_shard,
     run_scenarios,
 )
-from repro.scenarios.shard import PARTIAL_DIRNAME
+from repro.scenarios.shard import PARTIAL_DIRNAME, RUN_LAYOUT
 
 
 # ------------------------------------------------------------------ #
@@ -392,12 +391,9 @@ class TestSelection:
         )
         assert store.scenarios() == ["a", "b"]
         assert len(store.select(scenario="b")) == 2
-        assert store.column("trial") == [0, 0, 1]
         assert store.outcome_counts() == {"ok": 1, "failed": 1, "skipped": 1}
         with pytest.raises(ValueError, match="unknown column"):
             store.select(nope=1)
-        with pytest.raises(ValueError, match="unknown column"):
-            store.column("nope")
 
 
 class TestSegmentRecorder:
@@ -450,6 +446,21 @@ class TestSegmentRecorder:
             recorder.cell(self._cell(trial=1, accuracy=0.75))
         assert len(read_segment(path)) == 2
 
+    def test_reopen_trims_a_torn_last_line(self, tmp_path):
+        """A writer that died mid-flush leaves a torn last line; appending
+        onto it used to make the segment unreadable (``:2: bad cell
+        record``), so every merge of that run failed."""
+        spec = _spec(trials=4)
+        path = tmp_path / "segment.jsonl"
+        with SegmentRecorder(path, [spec]) as recorder:
+            recorder.cell(self._cell())
+            recorder.cell(self._cell(trial=1, accuracy=0.75))
+        path.write_bytes(path.read_bytes()[:-40])
+        with SegmentRecorder(path, [spec]) as recorder:
+            recorder.cell(self._cell(trial=2, accuracy=0.25))
+            recorder.cell(self._cell(trial=3, accuracy=0.125))
+        assert [r.trial for r in read_segment(path)] == [0, 2, 3]
+
     def test_bad_segment_line_reports_location(self, tmp_path):
         path = tmp_path / "segment.jsonl"
         path.write_text('{"not": "a record"}\n')
@@ -498,13 +509,21 @@ def unsharded(suite, ctx, tmp_path_factory):
 
 
 class TestLiveStoreIdentity:
-    def test_unsharded_segment_matches_canonical_store(self, unsharded):
+    def test_unsharded_run_writes_exactly_the_run_layout(self, suite, unsharded):
+        """The unsharded outputs are the run layout's entries outside
+        ``shards/``: the summary, one JSON per scenario and the store."""
         out, results = unsharded
-        assert segment_path(out).is_file()
-        segment = read_segment(segment_path(out)).canonical()
-        canonical = read_store(out)
-        assert segment == canonical
-        assert canonical == store_from_results(results)
+        assert {"summary.json", "<scenario>.json", "store/cells.rcs"} == {
+            pattern for pattern in RUN_LAYOUT if not pattern.startswith("shards/")
+        }
+        written = {
+            path.relative_to(out).as_posix()
+            for path in out.rglob("*")
+            if path.is_file()
+        }
+        scenarios = {f"{spec.name}.json" for spec in suite.specs}
+        assert written == {"summary.json", "store/cells.rcs"} | scenarios
+        assert read_store(out) == store_from_results(results)
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_sharded_store_bytes_match_unsharded(
@@ -544,6 +563,28 @@ class TestLiveStoreIdentity:
         ]
         assert read_segments(segments).canonical() == read_store(out)
 
+    def test_shard_resumed_after_a_torn_segment_merges(
+        self, suite, ctx, unsharded, tmp_path
+    ):
+        """A shard killed mid-flush, then rerun, still merges to the
+        unsharded store."""
+        out, _ = unsharded
+        run_dir = tmp_path / "run"
+        for index in (1, 2):
+            run_scenario_shard(
+                suite, ShardSpec.parse(f"{index}/2"), run_dir, context=ctx
+            )
+        segment = (
+            run_dir / "shards" / "1-of-2"
+            / PARTIAL_DIRNAME / SHARD_SEGMENT_FILENAME
+        )
+        segment.write_bytes(segment.read_bytes()[:-40])
+        run_scenario_shard(suite, ShardSpec.parse("1/2"), run_dir, context=ctx)
+        merge_run(run_dir)
+        assert (
+            store_path(run_dir).read_bytes() == store_path(out).read_bytes()
+        )
+
     def test_merge_detects_corrupt_segment(self, suite, ctx, tmp_path):
         run_dir = tmp_path / "run"
         for index in (1, 2):
@@ -561,13 +602,6 @@ class TestLiveStoreIdentity:
         segment.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="segment"):
             merge_run(run_dir)
-
-    def test_no_store_flag_skips_store_files(self, suite, ctx, tmp_path):
-        out = tmp_path / "run"
-        run_scenarios(suite, workers=1, out_dir=out, context=ctx, store=False)
-        assert not store_path(out).exists()
-        assert not segment_path(out).exists()
-        assert (out / "summary.json").is_file()
 
 
 class TestColumnSchema:

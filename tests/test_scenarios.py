@@ -30,6 +30,7 @@ from repro.scenarios import (
     parse_suite,
     run_scenarios,
 )
+from tests.helpers import shrunk
 
 TINY = ZooConfig(
     model="lenet5",
@@ -162,7 +163,7 @@ class TestCampaignSpecValidation:
         spec = CampaignSpec(
             name="s", fault_model="stuck_at", trials=10, eval_images=200
         )
-        small = spec.shrunk(rates=2, trials=1, eval_images=16)
+        small = shrunk(spec, rates=2, trials=1, eval_images=16)
         assert small.fault_model == spec.fault_model
         assert small.rates == (spec.rates[0], spec.rates[-1])
         assert small.trials == 1 and small.eval_images == 16

@@ -105,6 +105,11 @@ def _assert_merged_matches(run_dir, unsharded):
 # ------------------------------------------------------------------ #
 
 
+
+def _total_cells(plan: ShardPlan) -> int:
+    """Executor cells across the whole suite."""
+    return sum(rates * trials for rates, trials in map(plan.grid_shape, plan.specs))
+
 class TestShardPlan:
     def test_partition_is_disjoint_and_complete(self, suite):
         for count in (1, 2, 3, 5, 50):
@@ -118,7 +123,7 @@ class TestShardPlan:
                         key = (spec_index, cell)
                         assert key not in seen
                         seen.add(key)
-            assert len(seen) == plan.total_cells
+            assert len(seen) == _total_cells(plan)
 
     def test_round_robin_is_balanced(self, suite):
         plan = ShardPlan.split(suite, 3)
@@ -164,7 +169,7 @@ class TestShardPlan:
             for i in range(1, 51)
             for cells in plan.cells_for(f"{i}/50")
         )
-        assert total == plan.total_cells
+        assert total == _total_cells(plan)
 
 
 # ------------------------------------------------------------------ #

@@ -1,7 +1,7 @@
 """Every bundled scenario spec runs end-to-end (`make scenarios-smoke`).
 
 Part of the fast (`-m "not slow"`) tier: all bundled specs — shrunk via
-:meth:`CampaignSpec.shrunk` and driven with the tiny
+:func:`tests.helpers.shrunk` and driven with the tiny
 :func:`repro.scenarios.smoke_context` artifacts — compile and execute
 through **one** shared executor scheduling pass, so a schema change,
 registry regression or compiler break in any bundled scenario fails the
@@ -19,6 +19,7 @@ from repro.scenarios import (
     scenario_file_stems,
     smoke_context,
 )
+from tests.helpers import shrunk
 
 
 def test_every_bundled_spec_runs_through_one_pool(tmp_path):
@@ -26,7 +27,7 @@ def test_every_bundled_spec_runs_through_one_pool(tmp_path):
     for name in bundled_spec_names():
         suite = load_bundled(name)
         assert suite.specs, f"bundled spec {name} expanded to nothing"
-        specs.extend(spec.shrunk() for spec in suite.specs)
+        specs.extend(shrunk(spec) for spec in suite.specs)
 
     names = [spec.name for spec in specs]
     assert len(set(names)) == len(names), "bundled scenario names collide"

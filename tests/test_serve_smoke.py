@@ -28,6 +28,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.helpers import shrunk
+
 SUITE = "stuck_at_memory"
 
 
@@ -36,7 +38,7 @@ def _smoke_suite():
 
     base = load_bundled(SUITE)
     return ScenarioSuite(
-        name=f"{SUITE}-serve-smoke", specs=tuple(s.shrunk() for s in base.specs)
+        name=f"{SUITE}-serve-smoke", specs=tuple(shrunk(s) for s in base.specs)
     )
 
 

@@ -23,6 +23,8 @@ import threading
 
 import pytest
 
+from tests.helpers import shrunk
+
 SUITE = "stuck_at_memory"
 # attempts=1 disturbs only first dispatch attempts, so every retry runs
 # clean and recovery must reproduce the undisturbed bytes exactly.
@@ -34,7 +36,7 @@ def _smoke_suite(name: str = SUITE):
 
     base = load_bundled(SUITE)
     return ScenarioSuite(
-        name=name, specs=tuple(spec.shrunk() for spec in base.specs)
+        name=name, specs=tuple(shrunk(spec) for spec in base.specs)
     )
 
 

@@ -30,11 +30,12 @@ import sys
 from repro.scenarios import (
     ScenarioSuite, load_bundled, run_scenario_shard, smoke_context,
 )
+from tests.helpers import shrunk
 
 name, shard, run_dir = sys.argv[1:4]
 base = load_bundled(name)
 suite = ScenarioSuite(
-    name=f"{name}-smoke", specs=tuple(s.shrunk() for s in base.specs)
+    name=f"{name}-smoke", specs=tuple(shrunk(s) for s in base.specs)
 )
 run_scenario_shard(suite, shard, run_dir, context=smoke_context())
 """
@@ -53,10 +54,11 @@ def _layout_regex(pattern: str) -> "re.Pattern":
 
 def _smoke_suite():
     from repro.scenarios import ScenarioSuite, load_bundled
+    from tests.helpers import shrunk
 
     base = load_bundled(SUITE)
     return ScenarioSuite(
-        name=f"{SUITE}-smoke", specs=tuple(s.shrunk() for s in base.specs)
+        name=f"{SUITE}-smoke", specs=tuple(shrunk(s) for s in base.specs)
     )
 
 
@@ -75,9 +77,9 @@ def test_three_process_shard_run_merges_byte_identical(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = (
-        f"{src}{os.pathsep}{env['PYTHONPATH']}"
+        f"{src}{os.pathsep}{src.parent}{os.pathsep}{env['PYTHONPATH']}"
         if env.get("PYTHONPATH")
-        else str(src)
+        else f"{src}{os.pathsep}{src.parent}"
     )
 
     run_dir = tmp_path / "run"

@@ -3,10 +3,10 @@
 Everything here is a fixed-seed, pure-numpy simulation — no models, no
 executor — checking the *statistics* behind ``repro.core.batched``:
 
-* the Wilson / Clopper-Pearson intervals achieve (near-)nominal
-  coverage over their intended (p, n) regime, and their stdlib normal
-  and beta quantiles agree with scipy's to ~1e-14 (scipy is a test-only
-  oracle: the tests that use it skip without it);
+* the 95% Wilson interval achieves near-nominal coverage over its
+  intended (p, n) regime, and its stdlib normal quantile agrees with
+  scipy's to ~1e-14 (scipy is a test-only oracle: the tests that use it
+  skip without it);
 * the sequential stopping rule (interval check at chunk boundaries,
   minimum two trials) keeps useful coverage despite optional stopping,
   stops earlier than the trials ceiling when the tolerance allows, and
@@ -25,9 +25,7 @@ import pytest
 
 from repro.core.batched import (
     ImportanceBitflipSampler,
-    _beta_ppf,
     _norm_ppf,
-    clopper_pearson_interval,
     family_interval,
     wilson_interval,
 )
@@ -53,14 +51,14 @@ needs_scipy = pytest.mark.skipif(
 COVERAGE_GRID = [(0.5, 50), (0.9, 100), (0.98, 200), (0.75, 20)]
 
 
-def _exact_coverage(interval, p, n, level=0.95):
+def _exact_coverage(interval, p, n):
     """Noise-free coverage: sum binomial pmf over covering counts."""
     pmf = scipy_stats.binom.pmf(np.arange(n + 1), n, p)
     return float(
         sum(
             weight
             for k, weight in enumerate(pmf)
-            if interval(k, n, level)[0] <= p <= interval(k, n, level)[1]
+            if interval(k, n)[0] <= p <= interval(k, n)[1]
         )
     )
 
@@ -74,26 +72,11 @@ class TestIntervalCoverage:
             # grid sits at 0.933-0.937); it must not dip far below.
             assert coverage >= 0.93, (p, n, coverage)
 
-    def test_clopper_pearson_coverage_conservative(self):
-        for p, n in COVERAGE_GRID:
-            coverage = _exact_coverage(clopper_pearson_interval, p, n)
-            # CP guarantees >= nominal for every (p, n) — no slack.
-            assert coverage >= 0.95, (p, n, coverage)
-
-    def test_clopper_pearson_never_narrower_than_wilson(self):
-        # Interior counts only: at k=0 / k=n the one-sided CP bound can
-        # undercut Wilson's quadratic, and both are clipped anyway.
-        for n in (5, 20, 96, 500):
-            for k in range(1, n):
-                w_low, w_high = wilson_interval(k, n)
-                c_low, c_high = clopper_pearson_interval(k, n)
-                assert c_high - c_low >= (w_high - w_low) - 1e-12
-
 
 class TestStdlibQuantiles:
-    """The runtime quantiles are stdlib code; scipy checks them far inside
-    any stopping tolerance (measured maxima on these grids: 8.9e-16
-    normal, 1.2e-14 beta)."""
+    """The runtime normal quantile is stdlib code; scipy checks it far
+    inside any stopping tolerance (measured maximum on this grid:
+    8.9e-16)."""
 
     @needs_scipy
     def test_norm_ppf_matches_scipy(self):
@@ -106,16 +89,6 @@ class TestStdlibQuantiles:
             with pytest.raises(ValueError, match="quantile must be in"):
                 _norm_ppf(q)
 
-    @needs_scipy
-    def test_beta_ppf_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(120):
-            a = float(rng.uniform(0.5, 400.0))
-            b = float(rng.uniform(0.5, 400.0))
-            q = float(rng.uniform(0.005, 0.995))
-            expected = float(scipy_stats.beta.ppf(q, a, b))
-            assert abs(_beta_ppf(q, a, b) - expected) < 1e-12, (q, a, b)
-
 
 # --------------------------------------------------------------------- #
 # the sequential stopping rule
@@ -127,16 +100,14 @@ CHUNK = 2
 TOLERANCE = 0.04
 
 
-def _simulate_family(p, rng, method="wilson"):
+def _simulate_family(p, rng):
     """One family under the exact stopping rule the runner implements:
     grow in chunks, stop once >= 2 trials and halfwidth <= tolerance."""
     accuracies = []
     while len(accuracies) < MAX_TRIALS:
         for _ in range(min(CHUNK, MAX_TRIALS - len(accuracies))):
             accuracies.append(rng.binomial(N_IMAGES, p) / N_IMAGES)
-        estimate, halfwidth = family_interval(
-            accuracies, N_IMAGES, method=method
-        )
+        estimate, halfwidth = family_interval(accuracies, N_IMAGES)
         if len(accuracies) >= 2 and halfwidth <= TOLERANCE:
             break
     return estimate, halfwidth, len(accuracies)
@@ -170,16 +141,6 @@ class TestSequentialStopping:
         a = [_simulate_family(0.8, np.random.default_rng(5)) for _ in range(20)]
         b = [_simulate_family(0.8, np.random.default_rng(5)) for _ in range(20)]
         assert a == b
-
-    def test_clopper_pearson_stops_no_earlier(self):
-        for seed in range(30):
-            *_, n_wilson = _simulate_family(
-                0.8, np.random.default_rng(seed), method="wilson"
-            )
-            *_, n_cp = _simulate_family(
-                0.8, np.random.default_rng(seed), method="clopper-pearson"
-            )
-            assert n_cp >= n_wilson
 
 
 # --------------------------------------------------------------------- #

@@ -53,12 +53,11 @@ class TestArtifactCache:
         cache = ArtifactCache(tmp_path)
         config = {"x": 1}
         path = cache.path_for("m", config)
-        assert not cache.has("m", config)
+        assert not path.exists()
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"data")
-        assert cache.has("m", config)
         assert cache.remove("m", config)
-        assert not cache.has("m", config)
+        assert not path.exists()
         assert not cache.remove("m", config)
 
     def test_empty_name_rejected(self, tmp_path):

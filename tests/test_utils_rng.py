@@ -48,10 +48,6 @@ class TestSeedTree:
         b = tree.generator("two").random(100)
         assert not np.allclose(a, b)
 
-    def test_seeds_helper_matches_paths(self):
-        tree = SeedTree(3)
-        assert tree.seeds("t", 3) == [tree.seed("t/0"), tree.seed("t/1"), tree.seed("t/2")]
-
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             SeedTree(0).seed("")
