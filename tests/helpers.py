@@ -1,4 +1,4 @@
-"""Builders the tests share and no run path needs.
+"""Helpers the tests share and no run path needs.
 
 :func:`weight_memory` maps bare parameters into a
 :class:`~repro.hw.memory.WeightMemory` without a model around them;
