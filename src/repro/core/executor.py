@@ -114,6 +114,7 @@ from repro.core.chaos import ChaosPolicy
 from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
 from repro.utils import blas
 from repro.utils.rng import SeedTree
+from repro.utils.serialization import trim_torn_tail
 from repro.utils.shm import PackedUnit, ShippedPlane, pack_object, ship_units
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -916,27 +917,28 @@ class _Journal:
                 )
             header.update(json.loads(json.dumps(extra)))
         self.cells: "dict[tuple[int, int, int], float | list[float]]" = {}
-        intact = self._replay(header) if self.path.exists() else 0
-        if intact:
-            os.truncate(self.path, intact)  # drop a torn last line
+        if self.path.exists() and self._replay(header):
             self._file = open(self.path, "ab")
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self.path, "wb")
             self._append(header)
 
-    def _replay(self, header: dict) -> int:
-        """Load the recorded cells; return the intact prefix's length."""
-        data = self.path.read_bytes()
-        intact = data.rfind(b"\n") + 1
-        first, *lines = data[:intact].splitlines() or [b""]
-        stored = _json_or_none(first)
-        if not isinstance(stored, dict):
-            # Not a journal header: an older whole-file JSON checkpoint,
-            # or an empty file / torn header (nothing intact to keep).
-            stored = _json_or_none(data)
-            if stored is None and not intact:
-                return 0
+    def _replay(self, header: dict) -> bool:
+        """Load the recorded cells; return whether an intact header remains.
+
+        The file is only trimmed once its header matches: a refused
+        checkpoint is left exactly as it was found.
+        """
+        with open(self.path, "rb") as handle:
+            first = handle.readline()
+            stored = _json_or_none(first)
+            if not isinstance(stored, dict):
+                # Not a journal header: an older whole-file JSON checkpoint,
+                # or an empty file / torn header (nothing intact to keep).
+                stored = _json_or_none(first + handle.read())
+                if stored is None and not first.endswith(b"\n"):
+                    return False
         version = stored.get("version") if isinstance(stored, dict) else None
         if version != _CHECKPOINT_VERSION:
             raise ValueError(
@@ -951,6 +953,7 @@ class _Journal:
                 f"(stored {stored}, expected {header})"
             )
         campaigns = header["campaigns"]
+        _, *lines = trim_torn_tail(self.path).splitlines() or [b""]
         for number, line in enumerate(lines, start=2):
             cell = _json_or_none(line)
             if not _is_cell(cell, campaigns, self._widths):
@@ -961,7 +964,7 @@ class _Journal:
                 )
             task_index, rate_index, trial, value = cell
             self.cells[(task_index, rate_index, trial)] = value
-        return intact
+        return first.endswith(b"\n")
 
     def _append(self, entry: Any) -> None:
         self._file.write(json.dumps(entry).encode("ascii") + b"\n")

@@ -49,6 +49,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+from repro.utils.serialization import trim_torn_tail
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import CellResult
     from repro.scenarios.compile import ScenarioResult
@@ -632,11 +634,8 @@ class SegmentRecorder:
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if self.path.exists():
-                # A writer that died mid-flush leaves a torn last line;
-                # drop it, as the checkpoint journal does, so appended
-                # records start on a line of their own.
-                intact = self.path.read_bytes().rfind(b"\n") + 1
-                os.truncate(self.path, intact)
+                # Appended records must start on a line of their own.
+                trim_torn_tail(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
         return self._handle
 

@@ -468,9 +468,10 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
     byte-identical to the unsharded run.  Returns the results in suite
     order.
 
-    The shards' append-only ``partial/cells.jsonl`` segments are
-    reassembled and cross-checked against that store, so a lossy or
-    inconsistent shard store cannot merge silently (see
+    Before anything is written, the append-only ``partial/cells.jsonl``
+    segments of the shards that own cells are reassembled and
+    cross-checked against that store, so a lossy, missing or
+    inconsistent shard segment cannot merge silently (see
     ``docs/RESULTS.md``).
     """
     import numpy as np
@@ -526,10 +527,13 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
         grids.append(np.full(shape, np.nan, dtype=np.float64))
     clean: "dict[int, float]" = {}
     failed_by_spec: "dict[int, list[dict]]" = {}
+    owners: "dict[int, Path]" = {}  # the shards that own at least one cell
 
     for index in range(1, plan.count + 1):
         shard_dir = present[index]
         cells = plan.cells_for(ShardSpec(index, plan.count))
+        if any(cells):
+            owners[index] = shard_dir
         for spec_index, (spec, mine) in enumerate(zip(plan.specs, cells)):
             if not mine:
                 continue
@@ -588,14 +592,15 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
         )
         for spec_index, spec in enumerate(plan.specs)
     ]
+    _verify_segment_store(run_dir, plan.count, owners, results)
     write_results(results, run_dir, suite=plan.suite_name)
-    _verify_segment_store(run_dir, present, results)
     return results
 
 
 def _verify_segment_store(
     run_dir: Path,
-    shard_dirs: "dict[int, Path]",
+    count: int,
+    owners: "dict[int, Path]",
     results: "Sequence[ScenarioResult]",
 ) -> None:
     """Cross-check the shards' append-only segments against the store.
@@ -603,8 +608,8 @@ def _verify_segment_store(
     Reassembling the per-shard ``partial/cells.jsonl`` segments must
     reproduce exactly the canonical store derived from the merged
     results — the lossless-reassembly contract of ``docs/RESULTS.md``.
-    Skipped when any shard has no segment: a shard that owns no cells
-    writes none.
+    ``owners`` maps each shard that owns a cell to its directory; a
+    shard that owns none writes no segment and is not read.
     """
     from repro.results.store import (
         SHARD_SEGMENT_FILENAME,
@@ -612,12 +617,16 @@ def _verify_segment_store(
         store_from_results,
     )
 
-    segments = [
-        shard_dirs[index] / PARTIAL_DIRNAME / SHARD_SEGMENT_FILENAME
-        for index in sorted(shard_dirs)
-    ]
-    if not all(path.exists() for path in segments):
-        return
+    segments = []
+    for index, shard_dir in sorted(owners.items()):
+        path = shard_dir / PARTIAL_DIRNAME / SHARD_SEGMENT_FILENAME
+        if not path.exists():
+            raise ValueError(
+                f"shard {index}/{count} owns cells but has no per-cell "
+                f"segment ({path}); re-run the shard to rebuild it from "
+                "its checkpoint"
+            )
+        segments.append(path)
     reassembled = read_segments(segments).canonical()
     expected = store_from_results(results)
     if reassembled != expected:

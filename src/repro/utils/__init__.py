@@ -6,6 +6,7 @@ from repro.utils.serialization import (
     atomic_write,
     load_state_dict,
     save_state_dict,
+    trim_torn_tail,
     write_json_atomic,
 )
 from repro.utils.validation import (
@@ -30,5 +31,6 @@ __all__ = [
     "default_cache_dir",
     "load_state_dict",
     "save_state_dict",
+    "trim_torn_tail",
     "write_json_atomic",
 ]

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "atomic_write",
     "write_json_atomic",
+    "trim_torn_tail",
     "save_state_dict",
     "load_state_dict",
 ]
@@ -59,6 +60,20 @@ def write_json_atomic(path: "str | Path", payload: Any) -> Path:
     with atomic_write(target) as tmp:
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
     return target
+
+
+def trim_torn_tail(path: "str | Path") -> bytes:
+    """Cut an append-only log back to its last complete line.
+
+    A writer killed mid-flush leaves a partial last line; a record
+    appended after it would be glued onto the fragment.  Returns the
+    intact prefix, which is what stays on disk.
+    """
+    data = Path(path).read_bytes()
+    intact = data[: data.rfind(b"\n") + 1]
+    if len(intact) < len(data):
+        os.truncate(path, len(intact))
+    return intact
 
 
 def save_state_dict(

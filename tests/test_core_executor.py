@@ -1229,6 +1229,22 @@ class TestCheckpointJournal:
             self._run(campaign_parts, path)
         assert json.loads(path.read_text()) == legacy  # left untouched
 
+    def test_refused_journal_keeps_its_torn_tail(self, tmp_path):
+        """Only a journal whose header matches is trimmed: another
+        sweep's journal is refused byte for byte as it was found."""
+        path = tmp_path / "sweep.jsonl"
+        CampaignExecutor(checkpoint=path).run_tasks(
+            [_ConstantTask(n_rates=2, trials=2)]
+        )
+        with path.open("ab") as journal:
+            journal.write(b"[0, 1")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="different campaign"):
+            CampaignExecutor(checkpoint=path).run_tasks(
+                [_ConstantTask(n_rates=2, trials=3)]
+            )
+        assert path.read_bytes() == before
+
     def test_quarantined_cells_stay_out_and_resume_retries_them(
         self, campaign_parts, tmp_path, monkeypatch
     ):

@@ -67,8 +67,12 @@ class TestInjectorAcrossRegions:
         originals = [p.data.copy() for _, p in params]
         # Last bit of region a, first of b, middle of c.
         bits = np.asarray([4 * 32 - 1, 4 * 32, 2 * 4 * 32 + 50])
-        with injector.apply(FaultSet.flips(bits)):
-            assert injector.affected_layers(FaultSet.flips(bits)) == ["a", "b", "c"]
+        with injector.apply(FaultSet.flips(bits)) as record:
+            assert [
+                region.layer_name for region, words, _ in record.saved if words.size
+            ] == ["a", "b", "c"]
+            for (_, param), original in zip(params, originals):
+                assert not np.array_equal(param.data, original)
         for (_, param), original in zip(params, originals):
             np.testing.assert_array_equal(param.data, original)
 

@@ -123,7 +123,12 @@ class TestRecordMetadata:
         fault_set = FaultSet.flips(
             np.asarray([conv1_bits, fc3_region.bit_offset + 5])
         )
-        assert injector.affected_layers(fault_set) == ["CONV-1", "FC-3"]
+        record = injector.inject(fault_set)
+        # The cut-point report is the set of regions inject() wrote.
+        assert [
+            region.layer_name for region, words, _ in record.saved if words.size
+        ] == injector.affected_layers(fault_set) == ["CONV-1", "FC-3"]
+        injector.restore(record)
 
     def test_num_affected_words(self):
         param, memory, injector = _setup()

@@ -56,7 +56,7 @@ from repro.scenarios import (
     run_scenario_shard,
     run_scenarios,
 )
-from repro.scenarios.shard import PARTIAL_DIRNAME, RUN_LAYOUT
+from repro.scenarios.shard import PARTIAL_DIRNAME, RUN_LAYOUT, ShardPlan
 
 
 # ------------------------------------------------------------------ #
@@ -585,14 +585,15 @@ class TestLiveStoreIdentity:
             store_path(run_dir).read_bytes() == store_path(out).read_bytes()
         )
 
-    def test_merge_detects_corrupt_segment(self, suite, ctx, tmp_path):
-        run_dir = tmp_path / "run"
-        for index in (1, 2):
+    @staticmethod
+    def _merge_with_a_doctored_segment(suite, ctx, run_dir, count):
+        for index in range(1, count + 1):
             run_scenario_shard(
-                suite, ShardSpec.parse(f"{index}/2"), run_dir, context=ctx
+                suite, ShardSpec.parse(f"{index}/{count}"), run_dir,
+                context=ctx,
             )
         segment = (
-            run_dir / "shards" / "1-of-2"
+            run_dir / "shards" / f"1-of-{count}"
             / PARTIAL_DIRNAME / SHARD_SEGMENT_FILENAME
         )
         lines = segment.read_text().splitlines()
@@ -602,6 +603,41 @@ class TestLiveStoreIdentity:
         segment.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="segment"):
             merge_run(run_dir)
+        assert not (run_dir / "summary.json").exists()
+
+    def test_merge_detects_corrupt_segment(self, suite, ctx, tmp_path):
+        self._merge_with_a_doctored_segment(suite, ctx, tmp_path / "run", 2)
+
+    def test_a_shard_without_cells_keeps_the_cross_check(
+        self, suite, ctx, tmp_path
+    ):
+        """At 9 shards the suite's 8 cells leave shard 9 with no cells and
+        no segment; the other shards' segments are still checked."""
+        assert not any(ShardPlan.split(suite, 9).cells_for("9/9"))
+        self._merge_with_a_doctored_segment(suite, ctx, tmp_path / "run", 9)
+
+    def test_merge_refuses_a_missing_segment_until_the_shard_reruns(
+        self, suite, ctx, unsharded, tmp_path
+    ):
+        out, _ = unsharded
+        run_dir = tmp_path / "run"
+        for index in (1, 2):
+            run_scenario_shard(
+                suite, ShardSpec.parse(f"{index}/2"), run_dir, context=ctx
+            )
+        segment = (
+            run_dir / "shards" / "2-of-2"
+            / PARTIAL_DIRNAME / SHARD_SEGMENT_FILENAME
+        )
+        segment.unlink()
+        with pytest.raises(ValueError, match="shard 2/2 owns cells but has no"):
+            merge_run(run_dir)
+        assert not (run_dir / "summary.json").exists()
+        run_scenario_shard(suite, ShardSpec.parse("2/2"), run_dir, context=ctx)
+        merge_run(run_dir)
+        assert (
+            store_path(run_dir).read_bytes() == store_path(out).read_bytes()
+        )
 
 
 class TestColumnSchema:

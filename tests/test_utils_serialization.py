@@ -5,7 +5,11 @@ import pytest
 
 from repro import nn
 from repro.models import LeNet5
-from repro.utils.serialization import load_state_dict, save_state_dict
+from repro.utils.serialization import (
+    load_state_dict,
+    save_state_dict,
+    trim_torn_tail,
+)
 
 
 class TestStateDictRoundtrip:
@@ -63,3 +67,21 @@ class TestModelRoundtrip:
         state, _ = load_state_dict(path)
         with pytest.raises(KeyError):
             other.load_state_dict(state)
+
+
+class TestTrimTornTail:
+    @pytest.mark.parametrize(
+        "data, kept",
+        [
+            (b"a\nb\n", b"a\nb\n"),
+            (b"a\nb\nc", b"a\nb\n"),
+            (b"torn", b""),
+            (b"", b""),
+        ],
+        ids=["intact", "torn-tail", "no-complete-line", "empty"],
+    )
+    def test_keeps_complete_lines_on_disk(self, tmp_path, data, kept):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(data)
+        assert trim_torn_tail(path) == kept
+        assert path.read_bytes() == kept
