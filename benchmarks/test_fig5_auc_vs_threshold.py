@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
-from repro.core.campaign import CampaignConfig, FaultInjectionCampaign, run_campaign
+from repro.core.campaign import CampaignConfig, run_campaign
 from repro.core.swap import set_thresholds, swap_activations
 from repro.experiments import clone_model, default_harden_config
 from repro.hw.memory import WeightMemory
@@ -43,7 +43,6 @@ def test_fig5b_auc_vs_threshold_bell(
         clipped = clone_model(alexnet_bundle)
         swap_activations(clipped, act_max)
         memory = WeightMemory.from_model(clipped, layers=[LAYER])
-        campaign = FaultInjectionCampaign(clipped, memory, images, labels, config)
 
         sweep = {}
         thresholds = np.concatenate(
@@ -51,8 +50,9 @@ def test_fig5b_auc_vs_threshold_bell(
         ) * layer_act_max
         for threshold in thresholds:
             set_thresholds(clipped, {LAYER: float(threshold)})
-            campaign.invalidate_clean_accuracy()
-            sweep[float(threshold)] = campaign.run().auc()
+            sweep[float(threshold)] = run_campaign(
+                clipped, memory, images, labels, config
+            ).auc()
         return unbounded, sweep
 
     unbounded_auc, sweep = run_once(benchmark, experiment)

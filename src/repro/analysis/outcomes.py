@@ -232,7 +232,7 @@ def run_outcome_analysis(
     """Sweep fault rates and classify every inference's outcome.
 
     Uses the same ``rate/<i>/trial/<j>`` seed derivation as
-    :class:`~repro.core.campaign.FaultInjectionCampaign`, so outcome
+    :func:`~repro.core.campaign.run_campaign`, so outcome
     breakdowns pair exactly with accuracy curves from the same config.
     ``workers`` fans the grid across a process pool (``0`` = one per CPU
     core) with counts bit-identical to the serial sweep.

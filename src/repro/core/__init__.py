@@ -11,7 +11,6 @@ from repro.core.baselines import (
 )
 from repro.core.campaign import (
     CampaignConfig,
-    FaultInjectionCampaign,
     FaultSampler,
     default_fault_rates,
     random_bitflip_sampler,
@@ -70,7 +69,6 @@ __all__ = [
     "ClippedReLU",
     "FTClipAct",
     "FTClipActConfig",
-    "FaultInjectionCampaign",
     "FaultSampler",
     "FineTuneConfig",
     "FineTuneResult",

@@ -360,7 +360,16 @@ class AdaptiveCampaignTask:
     def build_result(
         self, rates: np.ndarray, values: np.ndarray
     ) -> "AdaptiveResult":
-        return AdaptiveResult.from_grid(self, rates, values)
+        return AdaptiveResult.assemble(
+            label=self.label,
+            rates=rates,
+            values=values,
+            max_trials=self.max_trials,
+            weighted=self.importance is not None,
+            n_images=int(self.base.labels.shape[0]),
+            tolerance=self.ci_halfwidth,
+            clean_accuracy=self.base.clean_accuracy(),
+        )
 
 
 class _AdaptiveFamilyRunner:
@@ -458,22 +467,6 @@ class AdaptiveResult:
     clean_accuracy: float
 
     @classmethod
-    def from_grid(
-        cls, task: AdaptiveCampaignTask, rates: np.ndarray, values: np.ndarray
-    ) -> "AdaptiveResult":
-        clean = getattr(task.base, "clean_accuracy", None)
-        return cls.assemble(
-            label=task.label,
-            rates=rates,
-            values=values,
-            max_trials=task.max_trials,
-            weighted=task.importance is not None,
-            n_images=int(task.base.labels.shape[0]),
-            tolerance=task.ci_halfwidth,
-            clean_accuracy=float(clean()) if callable(clean) else float("nan"),
-        )
-
-    @classmethod
     def assemble(
         cls,
         label: str,
@@ -483,16 +476,14 @@ class AdaptiveResult:
         weighted: bool,
         n_images: int,
         tolerance: float,
-        clean_accuracy: float = float("nan"),
+        clean_accuracy: float,
     ) -> "AdaptiveResult":
-        """Rebuild a result from raw cell vectors, without the task.
+        """Build a result from raw cell vectors, without the task.
 
-        The pure-data twin of :meth:`from_grid`: everything except the
-        clean accuracy is a function of the recorded grid and the spec
-        parameters, so shard merging reassembles results from per-shard
-        JSON — bit-identical to the unsharded ``build_result`` because
-        the half-width recomputation (:func:`family_interval`) sees the
-        exact same executed accuracies and weights.
+        Everything except the clean accuracy is a function of the
+        recorded grid and the spec parameters, so the half-widths are
+        recomputed (:func:`family_interval`) from the executed
+        accuracies and weights, wherever the grid came from.
         """
         total = int(max_trials)
         grid = np.asarray(values, dtype=np.float64).reshape(

@@ -8,12 +8,13 @@ seed share *common random numbers*: trial ``j`` at rate ``i`` draws the
 same fault locations in both — essential for the threshold fine-tuning
 sweep, where AUC differences between thresholds must not be noise.
 
-Execution is delegated to :class:`~repro.core.executor.CampaignExecutor`
-via :class:`~repro.core.executor.WeightFaultCellTask` — the same
-substrate that runs the quantized, activation-fault and cross-campaign
-sweeps — so ``workers=`` fans any campaign over a process pool with
-bit-identical results, and several campaigns (layerwise layers,
-mitigation variants) can share one pool through
+:func:`run_campaign` delegates execution to
+:class:`~repro.core.executor.CampaignExecutor` via
+:class:`~repro.core.executor.WeightFaultCellTask` — the same substrate
+that runs the quantized, activation-fault and cross-campaign sweeps — so
+``workers=`` fans any campaign over a process pool with bit-identical
+results, and several campaigns (layerwise layers, mitigation variants)
+can share one pool through
 :meth:`~repro.core.executor.CampaignExecutor.run_tasks`.
 """
 
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import nn
-from repro.core.metrics import ResilienceCurve, evaluate_accuracy_arrays
+from repro.core.metrics import ResilienceCurve
 from repro.hw.faultmodels import FaultSet, RandomBitFlip
 from repro.hw.memory import WeightMemory
 from repro.utils.validation import check_positive
@@ -35,7 +36,6 @@ __all__ = [
     "RandomBitFlipSampler",
     "random_bitflip_sampler",
     "CampaignConfig",
-    "FaultInjectionCampaign",
     "run_campaign",
     "default_fault_rates",
 ]
@@ -107,79 +107,6 @@ class CampaignConfig:
         object.__setattr__(self, "fault_rates", tuple(float(r) for r in rates))
 
 
-class FaultInjectionCampaign:
-    """Reusable campaign runner bound to one model and evaluation set."""
-
-    def __init__(
-        self,
-        model: nn.Module,
-        memory: WeightMemory,
-        images: np.ndarray,
-        labels: np.ndarray,
-        config: "CampaignConfig | None" = None,
-    ):
-        self.model = model
-        self.memory = memory
-        self.images = np.asarray(images, dtype=np.float32)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise ValueError("images and labels disagree on sample count")
-        self.config = config if config is not None else CampaignConfig()
-        self._clean_accuracy: "float | None" = None
-
-    @property
-    def clean_accuracy(self) -> float:
-        """Fault-free accuracy on the evaluation set (computed lazily)."""
-        if self._clean_accuracy is None:
-            self._clean_accuracy = evaluate_accuracy_arrays(
-                self.model, self.images, self.labels, self.config.batch_size
-            )
-        return self._clean_accuracy
-
-    def invalidate_clean_accuracy(self) -> None:
-        """Force re-evaluation (call after changing thresholds/weights)."""
-        self._clean_accuracy = None
-
-    def run(
-        self,
-        sampler: "FaultSampler | None" = None,
-        label: str = "",
-        workers: int = 1,
-        progress: "Callable | None" = None,
-        checkpoint: "str | None" = None,
-    ) -> ResilienceCurve:
-        """Execute the full (rates x trials) sweep.
-
-        The per-(rate, trial) seed depends only on the campaign seed and
-        the (rate index, trial index) pair — not on the sampler — so
-        different mitigation variants evaluated with the same config see
-        identical raw randomness (common random numbers).
-
-        ``workers`` fans the grid across a process pool (``0`` = one per
-        CPU core); the result is bit-identical to the serial run.
-        ``progress`` receives a :class:`~repro.core.executor.CellResult`
-        per completed cell and ``checkpoint`` names a JSONL journal enabling
-        resume of an interrupted sweep — see
-        :class:`~repro.core.executor.CampaignExecutor`.
-
-        The clean accuracy comes from the executor's own clean pass and
-        refills :attr:`clean_accuracy`'s cache, so a run costs no extra
-        fault-free forward over the evaluation set.
-        """
-        from repro.core.executor import CampaignExecutor, WeightFaultCellTask
-
-        task = WeightFaultCellTask(
-            self.model, self.memory, self.images, self.labels,
-            config=self.config, sampler=sampler, label=label,
-        )
-        executor = CampaignExecutor(
-            workers=workers, progress=progress, checkpoint=checkpoint
-        )
-        curve = executor.run_tasks([task])[0]
-        self._clean_accuracy = curve.clean_accuracy
-        return curve
-
-
 def run_campaign(
     model: nn.Module,
     memory: WeightMemory,
@@ -192,12 +119,32 @@ def run_campaign(
     progress: "Callable | None" = None,
     checkpoint: "str | None" = None,
 ) -> ResilienceCurve:
-    """Functional one-shot wrapper around :class:`FaultInjectionCampaign`."""
-    campaign = FaultInjectionCampaign(model, memory, images, labels, config)
-    return campaign.run(
-        sampler=sampler,
-        label=label,
-        workers=workers,
-        progress=progress,
-        checkpoint=checkpoint,
+    """Execute one weight-fault campaign's full (rates x trials) sweep.
+
+    The per-(rate, trial) seed depends only on the campaign seed and
+    the (rate index, trial index) pair — not on the sampler — so
+    different mitigation variants evaluated with the same config see
+    identical raw randomness (common random numbers).  ``sampler``
+    defaults to the paper's random bit flips.
+
+    ``workers`` fans the grid across a process pool (``0`` = one per
+    CPU core); the result is bit-identical to the serial run.
+    ``progress`` receives a :class:`~repro.core.executor.CellResult`
+    per completed cell and ``checkpoint`` names a JSONL journal enabling
+    resume of an interrupted sweep — see
+    :class:`~repro.core.executor.CampaignExecutor`.  The curve's clean
+    accuracy comes from the executor's own clean pass, so a run costs no
+    extra fault-free forward over the evaluation set.
+    """
+    from repro.core.executor import CampaignExecutor, WeightFaultCellTask
+
+    task = WeightFaultCellTask(
+        model, memory, images, labels,
+        config=config, sampler=sampler, label=label,
     )
+    if task.images.shape[0] != task.labels.shape[0]:
+        raise ValueError("images and labels disagree on sample count")
+    executor = CampaignExecutor(
+        workers=workers, progress=progress, checkpoint=checkpoint
+    )
+    return executor.run_tasks([task])[0]

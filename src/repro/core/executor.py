@@ -432,11 +432,11 @@ class InjectionCellRunner:
 class WeightFaultCellTask:
     """The paper's campaign: sample weight faults, inject, evaluate, restore.
 
-    Built either from a live :class:`~repro.core.campaign.FaultInjectionCampaign`
-    (serial path / pickling source) or directly from its parts.  The
-    ``label`` and lazily-cached clean accuracy are parent-side and excluded
-    from the pickled payload, so the payload bytes — and hence the
-    checkpoint CRC — depend only on the campaign's scientific content.
+    :func:`~repro.core.campaign.run_campaign` and the scenario compiler
+    build one from its parts.  The ``label`` and lazily-cached clean
+    accuracy are parent-side and excluded from the pickled payload, so
+    the payload bytes — and hence the checkpoint CRC — depend only on
+    the campaign's scientific content.
     """
 
     kind = "weight-fault"
@@ -851,8 +851,8 @@ def _absorb_clean_pass(
     """Export ``runner``'s clean pass and seed ``task``'s clean accuracy.
 
     The engine's clean logits double as the task's clean accuracy
-    (bit-identical argmax), sparing ``build_result`` a second full
-    forward over the evaluation set.  Returns the exported cache, or
+    (bit-identical argmax), sparing the result a second full forward
+    over the evaluation set.  Returns the exported cache, or
     ``None`` when the runner has no engine.
     """
     engine = getattr(runner, "engine", None)
@@ -891,6 +891,7 @@ class _Journal:
         # Scalars per cell, per task: a width-1 cell is a number, a
         # width-w cell a list of exactly w numbers.
         self._widths = [int(getattr(task, "cell_width", 1)) for task in tasks]
+        self._names = [task.label or task.kind for task in tasks]
         header: dict = {
             "version": _CHECKPOINT_VERSION,
             "campaigns": [
@@ -947,10 +948,11 @@ class _Journal:
                 "journals resume; delete it or use a fresh path"
             )
         if stored != header:
+            difference = _header_difference(stored, header, self._names)
             raise ValueError(
                 f"checkpoint {self.path} was written by a different campaign "
-                f"type or configuration; delete it or use a fresh path "
-                f"(stored {stored}, expected {header})"
+                f"type or configuration ({difference}); delete it or use a "
+                "fresh path"
             )
         campaigns = header["campaigns"]
         _, *lines = trim_torn_tail(self.path).splitlines() or [b""]
@@ -982,6 +984,30 @@ class _Journal:
 
     def close(self) -> None:
         self._file.close()
+
+
+def _header_difference(stored: dict, header: dict, names: Sequence[str]) -> str:
+    """Where a stored journal header first departs from this run's: a
+    top-level key (such as ``shard``), the campaign count, or the first
+    differing campaign (index, task label or kind) and field."""
+    for key in sorted(set(stored) | set(header)):
+        if key != "campaigns" and stored.get(key) != header.get(key):
+            return f"{key} {stored.get(key)!r}, this run's {header.get(key)!r}"
+    recorded, campaigns = stored.get("campaigns"), header["campaigns"]
+    if not isinstance(recorded, list) or len(recorded) != len(campaigns):
+        count = len(recorded) if isinstance(recorded, list) else 0
+        return f"{count} campaign(s), this run's {len(campaigns)}"
+    index = next(
+        index for index, pair in enumerate(zip(recorded, campaigns))
+        if pair[0] != pair[1]
+    )
+    old = recorded[index] if isinstance(recorded[index], dict) else {}
+    new = campaigns[index]
+    key = next(key for key in sorted({*old, *new}) if old.get(key) != new.get(key))
+    return (
+        f"campaign {index} ({names[index]!r}) has {key} {old.get(key)!r}, "
+        f"this run's {new.get(key)!r}"
+    )
 
 
 def _json_or_none(raw: bytes) -> Any:
@@ -1171,8 +1197,10 @@ class CampaignExecutor:
         """Execute (a subset of) each task's cells; return raw value grids.
 
         The engine behind :meth:`run_tasks`, for callers that assemble
-        results themselves — shard runs execute disjoint cell subsets on
-        independent hosts and merge the grids later.  Returns
+        results themselves — scenario runs build each result with
+        :func:`~repro.scenarios.compile.assemble_scenario_result`, and
+        shard runs execute disjoint cell subsets on independent hosts
+        and merge the grids later.  Returns
         ``(rates, grids)``, both parallel to ``tasks``; each grid is the
         task's ``(n_rates, n_trials[, cell_width])`` float64 array with
         executed cells filled in and everything else ``nan``.

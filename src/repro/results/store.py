@@ -32,24 +32,26 @@ Records flow through two representations:
   completion order and worker count — ``repro merge`` of an N-way
   sharded run reproduces the unsharded store byte for byte.
 
-:func:`store_from_results` derives the canonical store from assembled
-:class:`~repro.scenarios.compile.ScenarioResult` objects; the property
-tests assert it equals the store reassembled from the incrementally
-written segments, and that aggregates recomputed from the cells match
-the scenario JSON exactly.  See ``docs/RESULTS.md``.
+:func:`store_from_results` expands each assembled
+:class:`~repro.scenarios.compile.ScenarioResult`'s value grid through
+the same :func:`records_from_value` / :func:`records_from_failure` the
+segment recorder uses; the property tests assert it equals the store
+reassembled from the incrementally written segments, and that
+aggregates recomputed from the cells match the scenario JSON exactly.
+See ``docs/RESULTS.md``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.utils.serialization import trim_torn_tail
+from repro.utils.serialization import atomic_write, trim_torn_tail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import CellResult
@@ -413,12 +415,10 @@ class CellStore:
         )
 
     def write(self, path: "str | Path") -> Path:
-        """Atomically write the container (tmp + rename)."""
+        """Atomically write the container (:func:`atomic_write`)."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(self.to_bytes())
-        os.replace(tmp, path)
+        with atomic_write(path) as tmp:
+            tmp.write_bytes(self.to_bytes())
         return path
 
     @classmethod
@@ -481,9 +481,7 @@ def records_from_value(
                 fault_rate=rate,
                 trial=trial,
                 outcome="ok",
-                accuracy=float(
-                    value[0] if isinstance(value, (list, tuple)) else value
-                ),
+                accuracy=float(value),
                 weight=1.0,
                 **base,
             )
@@ -553,56 +551,26 @@ def records_from_failure(
 def store_from_results(results: "Sequence[ScenarioResult]") -> CellStore:
     """The canonical store as a pure function of assembled results.
 
-    The assembly-side twin of the live :class:`SegmentRecorder`: every
-    logical cell of every scenario becomes exactly one record, derived
-    from the result's curve/adaptive grids and its quarantined-cell
-    list.  Because merged results are bit-identical to unsharded ones,
-    so is the store this returns.
+    Every executor cell of each result's value grid expands through
+    :func:`records_from_value`, or through :func:`records_from_failure`
+    when the result lists it as quarantined — the same expansion the
+    live :class:`SegmentRecorder` applies, so every logical cell becomes
+    exactly one record.  Because merged results are bit-identical to
+    unsharded ones, so is the store this returns.
     """
     store = CellStore()
     for result in results:
-        spec = result.spec
         failed = {
             (int(cell["rate_index"]), int(cell["trial"])): cell
             for cell in result.failed
         }
-        if result.adaptive is not None:
-            adaptive = result.adaptive
-            for rate_index in range(len(spec.rates)):
-                failure = failed.get((rate_index, 0))
-                if failure is not None:
-                    store.extend(records_from_failure(spec, failure))
-                    continue
-                executed = int(adaptive.executed[rate_index])
-                vector = [float("nan")] * (
-                    2 + spec.trials * (2 if adaptive.weights is not None else 1)
-                )
-                vector[0] = float(adaptive.estimates[rate_index])
-                vector[1] = float(executed)
-                for t in range(executed):
-                    vector[2 + t] = float(adaptive.accuracies[rate_index, t])
-                    if adaptive.weights is not None:
-                        vector[2 + spec.trials + t] = float(
-                            adaptive.weights[rate_index, t]
-                        )
-                store.extend(
-                    records_from_value(spec, rate_index, 0, vector)
-                )
-        else:
-            for rate_index in range(len(spec.rates)):
-                for trial in range(spec.trials):
-                    failure = failed.get((rate_index, trial))
-                    if failure is not None:
-                        store.extend(records_from_failure(spec, failure))
-                    else:
-                        store.extend(
-                            records_from_value(
-                                spec,
-                                rate_index,
-                                trial,
-                                float(result.curve.accuracies[rate_index, trial]),
-                            )
-                        )
+        n_rates, n_cells = result.values.shape[:2]
+        for cell in itertools.product(range(n_rates), range(n_cells)):
+            store.extend(
+                records_from_failure(result.spec, failed[cell])
+                if cell in failed
+                else records_from_value(result.spec, *cell, result.values[cell])
+            )
     return store.canonical()
 
 

@@ -8,13 +8,16 @@ into the matching executor cell task
 :func:`run_scenarios` compiles a whole suite and submits **every**
 expanded scenario's (rate x trial) cells into **one**
 :class:`~repro.core.executor.CampaignExecutor` scheduling pass
-(``run_tasks``) — cross-scenario fan-out over a single worker pool, one
+(``run_grids``) — cross-scenario fan-out over a single worker pool, one
 shared tensor plane per generation, the published per-task suffix
-caches, and one resumable multi-campaign checkpoint file.  Results are
-bit-identical to running each scenario on its own (``run_campaign``,
-``run_quantized_campaign``, or a one-task ``run_tasks`` call for an
-activation campaign) back-to-back at any worker count, which
-``tests/test_scenarios.py`` asserts.
+caches, and one resumable multi-campaign checkpoint file.  Each
+scenario's value grid then becomes its result through
+:func:`assemble_scenario_result`, the one function ``merge_run`` also
+uses, so sharded and unsharded outputs agree by construction.  Results
+are bit-identical to running each scenario on its own
+(``run_campaign``, ``run_quantized_campaign``, or a one-task
+``run_tasks`` call for an activation campaign) back-to-back at any
+worker count, which ``tests/test_scenarios.py`` asserts.
 
 A :class:`ScenarioContext` owns the expensive shared artifacts: trained
 bundles are produced once per model and prepared mitigation clones once
@@ -262,7 +265,10 @@ def compile_spec(
 class ScenarioResult:
     """One scenario's spec together with its resilience curve.
 
-    Adaptive-mode scenarios additionally carry the raw
+    ``values`` is the value grid it was assembled from, in the executor's
+    shape (adaptive cells are ``(n_rates, 1, cell_width)`` family
+    vectors); the per-cell store is expanded from it.  Adaptive-mode
+    scenarios also carry the raw
     :class:`~repro.core.batched.AdaptiveResult` (interval widths, cells
     executed/skipped, importance weights); their ``curve`` fills the
     skipped trials with the family's interval estimate.
@@ -280,6 +286,7 @@ class ScenarioResult:
 
     spec: CampaignSpec
     curve: "ResilienceCurve"
+    values: Any
     adaptive: "Any | None" = None
     failed: "tuple[dict, ...]" = ()
 
@@ -372,39 +379,39 @@ def run_scenarios(
         )
     else:
         executor.reconfigure(progress=progress, checkpoint=checkpoint)
-    from repro.core.batched import AdaptiveResult
-
-    curves = executor.run_tasks(tasks)
-    failed_by_task: dict[int, list[dict]] = {}
-    for record in executor.quarantined:
-        failed_by_task.setdefault(int(record["task_index"]), []).append(
-            {
-                key: record[key]
-                for key in ("rate_index", "trial", "reason", "attempts", "error")
-            }
-        )
-    for cells in failed_by_task.values():
-        cells.sort(key=lambda cell: (cell["rate_index"], cell["trial"]))
+    _, grids = executor.run_grids(tasks)
+    failed = quarantined_by_task(executor.quarantined)
     results = [
-        ScenarioResult(
-            spec=spec,
-            curve=value.curve,
-            adaptive=value,
-            failed=tuple(failed_by_task.get(index, ())),
+        assemble_scenario_result(
+            spec, spec.rates, grid, task_clean_accuracy(task),
+            failed=failed.get(index, ()),
         )
-        if isinstance(value, AdaptiveResult)
-        else ScenarioResult(
-            spec=spec,
-            curve=value,
-            failed=tuple(failed_by_task.get(index, ())),
-        )
-        for index, (spec, value) in enumerate(zip(specs, curves))
+        for index, (spec, task, grid) in enumerate(zip(specs, tasks, grids))
     ]
     if out_dir is not None:
         write_results(results, out_dir, suite=suite_name)
     return results
 
 
+def quarantined_by_task(quarantined: "Sequence[dict]") -> "dict[int, list[dict]]":
+    """The executor's quarantined-cell records by task index, each in
+    ``(rate_index, trial)`` order and cut to the scenario-level fields."""
+    grouped: "dict[int, list[dict]]" = {}
+    for record in quarantined:
+        grouped.setdefault(int(record["task_index"]), []).append(
+            {
+                key: record[key]
+                for key in ("rate_index", "trial", "reason", "attempts", "error")
+            }
+        )
+    for cells in grouped.values():
+        cells.sort(key=lambda cell: (cell["rate_index"], cell["trial"]))
+    return grouped
+
+
+def task_clean_accuracy(task: Any) -> float:
+    """The fault-free accuracy of a compiled (or adaptive's base) task."""
+    return float(getattr(task, "base", task).clean_accuracy())
 
 
 def scenario_file_stems(names: Sequence[str]) -> list[str]:
@@ -437,16 +444,16 @@ def assemble_scenario_result(
     clean_accuracy: float,
     failed: "Sequence[dict]" = (),
 ) -> ScenarioResult:
-    """Rebuild one scenario's result from its raw value grid.
+    """Build one scenario's result from its raw value grid.
 
-    The merge-side twin of the executor's ``build_result`` path: given
-    the spec, the ``(n_rates, n_trials[, cell_width])`` grid and the
-    recorded clean accuracy, produce the same
+    The one way a grid becomes a result, for :func:`run_scenarios` and
+    ``merge_run`` alike: given the spec, the ``(n_rates, n_trials)``
+    grid (adaptive family vectors as ``(n_rates, cell_width)`` or
+    ``(n_rates, 1, cell_width)``) and the clean accuracy, it builds the
     :class:`~repro.core.metrics.ResilienceCurve` /
-    :class:`~repro.core.batched.AdaptiveResult` a live task would have
-    built — without models, bundles or training.  ``failed`` carries the
-    quarantined-cell records a sharded run collected (their grid entries
-    are NaN in ``values``).
+    :class:`~repro.core.batched.AdaptiveResult` without models, bundles
+    or training.  ``failed`` carries the quarantined-cell records (their
+    grid entries are NaN in ``values``).
     """
     import numpy as np
 
@@ -455,7 +462,9 @@ def assemble_scenario_result(
 
     rates = np.asarray(rates, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
+    failed = tuple(dict(cell) for cell in failed)
     if spec.mode == "adaptive":
+        values = values.reshape(len(rates), 1, -1)
         adaptive = AdaptiveResult.assemble(
             label=spec.name,
             rates=rates,
@@ -467,8 +476,8 @@ def assemble_scenario_result(
             clean_accuracy=clean_accuracy,
         )
         return ScenarioResult(
-            spec=spec, curve=adaptive.curve, adaptive=adaptive,
-            failed=tuple(dict(cell) for cell in failed),
+            spec=spec, curve=adaptive.curve, values=values,
+            adaptive=adaptive, failed=failed,
         )
     curve = ResilienceCurve(
         fault_rates=rates,
@@ -476,9 +485,7 @@ def assemble_scenario_result(
         clean_accuracy=float(clean_accuracy),
         label=spec.name,
     )
-    return ScenarioResult(
-        spec=spec, curve=curve, failed=tuple(dict(cell) for cell in failed)
-    )
+    return ScenarioResult(spec=spec, curve=curve, values=values, failed=failed)
 
 
 def write_results(

@@ -30,10 +30,11 @@ shard simply lands next to the existing ones.
 
 :func:`merge_run` validates the manifests (same suite hash, same shard
 count, all shards present), reassembles per-shard cells into each
-scenario's canonical value grid and writes the same per-scenario JSON +
-``summary.json`` an unsharded :func:`~repro.scenarios.compile.run_scenarios`
-run would have written — byte-identical for any N and any shard
-completion order.
+scenario's canonical value grid and hands it to the same
+:func:`~repro.scenarios.compile.assemble_scenario_result` an unsharded
+:func:`~repro.scenarios.compile.run_scenarios` run uses, so it writes
+the same per-scenario JSON + ``summary.json`` — byte-identical for any
+N and any shard completion order.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from repro.scenarios.compile import (
     ScenarioResult,
     assemble_scenario_result,
     compile_spec,
+    quarantined_by_task,
     scenario_file_stems,
+    task_clean_accuracy,
     write_json_atomic,
     write_results,
 )
@@ -281,21 +284,6 @@ class ShardPlan:
         return plan
 
 
-def _task_clean_accuracy(task: Any) -> float:
-    """The deterministic fault-free accuracy of a compiled cell task."""
-    base = getattr(task, "base", task)  # unwrap the adaptive family task
-    return float(base.clean_accuracy())
-
-
-def _cell_payload_value(value: Any) -> "float | list[float]":
-    """One grid cell as JSON: a float, or a list for vector cells."""
-    import numpy as np
-
-    if np.ndim(value) == 0:
-        return float(value)
-    return [float(v) for v in np.asarray(value).reshape(-1)]
-
-
 def run_scenario_shard(
     scenarios: "ScenarioSuite | Sequence[CampaignSpec]",
     shard: "ShardSpec | str",
@@ -390,18 +378,7 @@ def run_scenario_shard(
             _, grids = executor.run_grids(tasks, cells=task_cells)
         finally:
             recorder.close()
-        failed_by_task: "dict[int, list[dict]]" = {}
-        for record in executor.quarantined:
-            failed_by_task.setdefault(int(record["task_index"]), []).append(
-                {
-                    key: record[key]
-                    for key in (
-                        "rate_index", "trial", "reason", "attempts", "error"
-                    )
-                }
-            )
-        for records in failed_by_task.values():
-            records.sort(key=lambda cell: (cell["rate_index"], cell["trial"]))
+        failed_by_task = quarantined_by_task(executor.quarantined)
         for task_index, (spec_index, task, mine, grid) in enumerate(
             zip(owners, tasks, task_cells, grids)
         ):
@@ -412,11 +389,10 @@ def run_scenario_shard(
             payload = {
                 "format": SHARD_FORMAT_VERSION,
                 "name": plan.specs[spec_index].name,
-                "clean_accuracy": _task_clean_accuracy(task),
+                "clean_accuracy": task_clean_accuracy(task),
                 "cells": {
-                    f"{rate_index}/{trial}": _cell_payload_value(
-                        grid[rate_index, trial]
-                    )
+                    # A float, or a list for an adaptive family vector.
+                    f"{rate_index}/{trial}": grid[rate_index, trial].tolist()
                     for rate_index, trial in mine
                     if (rate_index, trial) not in failed_cells
                 },
@@ -460,9 +436,9 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
     cells on a partial's ``failed`` list count as covered and are
     surfaced on the merged results (``failed_cells``) instead of
     failing the check.  Then rebuilds each
-    scenario's value grid, assembles
-    :class:`~repro.core.metrics.ResilienceCurve` /
-    :class:`~repro.core.batched.AdaptiveResult` objects and writes
+    scenario's value grid, assembles its result through
+    :func:`~repro.scenarios.compile.assemble_scenario_result` (as an
+    unsharded run does) and writes
     per-scenario JSON, ``summary.json`` and the canonical per-cell
     columnar store (``store/cells.rcs``) into ``run_dir`` — all
     byte-identical to the unsharded run.  Returns the results in suite
@@ -587,7 +563,7 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
         records.sort(key=lambda cell: (cell["rate_index"], cell["trial"]))
     results = [
         assemble_scenario_result(
-            spec, list(spec.rates), grids[spec_index], clean[spec_index],
+            spec, spec.rates, grids[spec_index], clean[spec_index],
             failed=failed_by_spec.get(spec_index, ()),
         )
         for spec_index, spec in enumerate(plan.specs)

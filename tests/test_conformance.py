@@ -12,18 +12,21 @@ the run directory.  That holds across
   ``on_cell_error=retry``};
 * sharding {unsharded, three shards + ``merge_run``};
 
-for a serial run with numpy's BLAS pinned to one thread, and with
-``REPRO_NO_SUFFIX=1`` at workers 1 and 2; and when a run is killed from
-its progress callback mid-grid and then resumed from its checkpoint
-journal, at workers 1 and 2.  The reference runs at the process's own
-BLAS thread count, and the workers-2 runs at the pool's budget
-(``max(1, cpus // 2)`` threads per worker), so on hosts with more than
-one CPU the BLAS thread count is an axis of every pooled case too.
+and, unsharded and chaos-free, for
 
-With scipy blocked from import, at workers 1 and 2, the outputs must
-match the reference too: scipy is a dev extra, and the adaptive
-scenario's ``ci_halfwidths`` are where an install-dependent quantile
-would show.
+* a serial run with numpy's BLAS pinned to one thread;
+* ``REPRO_NO_SUFFIX=1`` at workers 1 and 2;
+* shared memory off at workers 2, so the tensor plane travels inline;
+* scipy blocked from import at workers 1 and 2: scipy is a dev extra,
+  and the adaptive scenario's ``ci_halfwidths`` are where an
+  install-dependent quantile would show;
+
+and when a run is killed from its progress callback mid-grid and then
+resumed from its checkpoint journal, at workers 1 and 2.  The reference
+runs at the process's own BLAS thread count, and the workers-2 runs at
+the pool's budget (``max(1, cpus // 2)`` threads per worker), so on
+hosts with more than one CPU the BLAS thread count is an axis of every
+pooled case too.
 
 Left out of the comparison: a sharded run's ``shards/`` tree (manifests,
 partials, per-shard checkpoints and segments), which records how the
@@ -137,11 +140,19 @@ def test_store_digest_is_invariant(
 
 @pytest.mark.parametrize(
     ("workers", "axis"),
-    [(1, "blas-threads-1"), (1, "no-suffix"), (2, "no-suffix")],
+    [
+        (1, "blas-threads-1"),
+        (1, "no-suffix"),
+        (2, "no-suffix"),
+        (2, "no-shm"),
+        (1, "no-scipy"),
+        (2, "no-scipy"),
+    ],
 )
 def test_store_digest_is_invariant_to_blas_and_suffix(
     ctx, reference, tmp_path, monkeypatch, workers, axis
 ):
+    import repro.utils.shm as shm
     from repro.scenarios import run_scenarios
     from repro.utils.blas import set_blas_threads
 
@@ -150,8 +161,13 @@ def test_store_digest_is_invariant_to_blas_and_suffix(
         restore = set_blas_threads(1)
         if restore is None:  # pragma: no cover - numpy without OpenBLAS
             pytest.skip("numpy's BLAS thread count is not controllable here")
-    else:
+    elif axis == "no-suffix":
         monkeypatch.setenv("REPRO_NO_SUFFIX", "1")
+    elif axis == "no-shm":
+        monkeypatch.setattr(shm, "_shared_memory", None)
+    else:
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
     out = tmp_path / "out"
     try:
         run_scenarios(_suite(), workers=workers, out_dir=out, context=ctx)
@@ -185,17 +201,4 @@ def test_killed_run_resumes_from_journal(ctx, reference, tmp_path, workers):
         _suite(), workers=workers, out_dir=out, context=ctx,
         checkpoint=journal,
     )
-    assert _output_digests(out) == reference
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_outputs_do_not_depend_on_scipy(
-    ctx, reference, tmp_path, monkeypatch, workers
-):
-    from repro.scenarios import run_scenarios
-
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    monkeypatch.setitem(sys.modules, "scipy.stats", None)
-    out = tmp_path / "out"
-    run_scenarios(_suite(), workers=workers, out_dir=out, context=ctx)
     assert _output_digests(out) == reference

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.campaign import (
     CampaignConfig,
-    FaultInjectionCampaign,
     default_fault_rates,
     run_campaign,
 )
@@ -93,17 +92,21 @@ class TestCampaignRun:
         """The per-(rate, trial) rng must not depend on the sampler, so two
         protection variants see the same raw randomness."""
         model, memory, images, labels, config = campaign_parts
-        campaign = FaultInjectionCampaign(model, memory, images, labels, config)
         seen = {}
 
         def recording_sampler(mem, rate, rng):
             seen.setdefault("draws", []).append(rng.random())
             return FaultSet.empty()
 
-        campaign.run(sampler=recording_sampler)
+        def run():
+            run_campaign(
+                model, memory, images, labels, config, sampler=recording_sampler
+            )
+
+        run()
         first = list(seen["draws"])
         seen.clear()
-        campaign.run(sampler=recording_sampler)
+        run()
         assert seen["draws"] == first
 
     def test_custom_fault_model_sampler(self, campaign_parts):
@@ -116,14 +119,6 @@ class TestCampaignRun:
         )
         assert curve.accuracies.shape == (1, 2)
 
-    def test_clean_accuracy_cached_and_invalidatable(self, campaign_parts):
-        model, memory, images, labels, config = campaign_parts
-        campaign = FaultInjectionCampaign(model, memory, images, labels, config)
-        first = campaign.clean_accuracy
-        assert campaign.clean_accuracy == first
-        campaign.invalidate_clean_accuracy()
-        assert campaign.clean_accuracy == first  # model unchanged
-
     def test_label_propagates(self, campaign_parts):
         model, memory, images, labels, config = campaign_parts
         curve = run_campaign(model, memory, images, labels, config, label="x")
@@ -131,8 +126,8 @@ class TestCampaignRun:
 
     def test_mismatched_eval_arrays_rejected(self, campaign_parts):
         model, memory, images, labels, config = campaign_parts
-        with pytest.raises(ValueError):
-            FaultInjectionCampaign(model, memory, images, labels[:-1], config)
+        with pytest.raises(ValueError, match="disagree on sample count"):
+            run_campaign(model, memory, images, labels[:-1], config)
 
 
 class TestAlternativeFaultModels:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.campaign import (
     CampaignConfig,
-    FaultInjectionCampaign,
     RandomBitFlipSampler,
     run_campaign,
 )
@@ -85,8 +84,7 @@ class TestParallelDeterminism:
         """Extreme chunking (one cell per task) must not change anything:
         12 cells over 3 workers make one-cell chunks."""
         model, memory, images, labels, config = campaign_parts
-        campaign = FaultInjectionCampaign(model, memory, images, labels, config)
-        serial = campaign.run()
+        serial = run_campaign(model, memory, images, labels, config)
         executor = CampaignExecutor(workers=3)
         task = WeightFaultCellTask(model, memory, images, labels, config=config)
         parallel = executor.run_tasks([task])[0]
@@ -556,6 +554,45 @@ class TestCrossCampaignScheduling:
         reordered = list(reversed(self._tasks(campaign_parts)))
         with pytest.raises(ValueError, match="different campaign"):
             CampaignExecutor(workers=1, checkpoint=str(path)).run_tasks(reordered)
+
+    def test_refusal_names_the_campaign_and_field_that_differ(
+        self, campaign_parts, tmp_path
+    ):
+        """A refused journal names the first differing campaign and
+        field, not every campaign's header."""
+        import dataclasses
+
+        from repro.core.baselines import ecc_sampler
+
+        model, memory, images, labels, config = campaign_parts
+
+        def tasks(middle_sampler=None):
+            return [
+                WeightFaultCellTask(
+                    model, memory, images, labels,
+                    config=dataclasses.replace(config, seed=seed),
+                    sampler=sampler, label=label,
+                )
+                for seed, label, sampler in (
+                    (1, "a", None), (2, "b", middle_sampler), (3, "c", None)
+                )
+            ]
+
+        path = tmp_path / "multi.jsonl"
+        CampaignExecutor(workers=1, checkpoint=str(path)).run_tasks(tasks())
+        stored = json.loads(path.read_text().splitlines()[0])["campaigns"]
+        assert len({campaign["campaign_crc"] for campaign in stored}) == 3
+        with pytest.raises(ValueError, match="different campaign") as refused:
+            CampaignExecutor(workers=1, checkpoint=str(path)).run_tasks(
+                tasks(middle_sampler=ecc_sampler())
+            )
+        message = str(refused.value)
+        assert "campaign 1 ('b')" in message
+        assert "campaign_crc" in message
+        assert stored[1]["campaign_crc"] in message
+        for other in (stored[0], stored[2]):
+            assert other["campaign_crc"] not in message
+        assert "fault_rates" not in message
 
     def test_empty_task_list(self):
         assert CampaignExecutor(workers=2).run_tasks([]) == []
@@ -1461,9 +1498,7 @@ class TestCleanAccuracyFromCleanPass:
             return collect(module, x, *args, **kwargs)
 
         monkeypatch.setattr(nn.Sequential, "forward_collect", counting)
-        campaign = FaultInjectionCampaign(model, memory, images, labels, config)
-        curve = campaign.run()
-        assert campaign.clean_accuracy == curve.clean_accuracy
+        curve = run_campaign(model, memory, images, labels, config)
         assert (forwards, collected) == ([], [32, 32])
         assert curve.clean_accuracy == evaluate_accuracy_arrays(
             model, images, labels, config.batch_size

@@ -377,6 +377,26 @@ class TestContainerValidation:
         assert read_store(tmp_path) == store.canonical()
         assert store_path(tmp_path).is_file()
 
+    def test_torn_write_keeps_the_previous_store(self, tmp_path, monkeypatch):
+        """A write that dies part-way raises, leaves the published store
+        byte for byte as it was, and leaves no temporary file behind."""
+        from pathlib import Path
+
+        write_store(CellStore([_record()]), tmp_path)
+        before = store_path(tmp_path).read_bytes()
+        write_bytes = Path.write_bytes
+
+        def torn(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", torn)
+        with pytest.raises(OSError, match="no space"):
+            write_store(CellStore([_record(), _record(trial=1)]), tmp_path)
+        monkeypatch.undo()
+        assert store_path(tmp_path).read_bytes() == before
+        assert list(store_path(tmp_path).parent.glob("*.tmp*")) == []
+
 
 class TestSelection:
     def test_select_column_and_counts(self):

@@ -29,6 +29,7 @@ from repro.scenarios import (
     ScenarioSuite,
     ShardPlan,
     ShardSpec,
+    assemble_scenario_result,
     merge_run,
     run_scenario_shard,
     run_scenarios,
@@ -360,17 +361,8 @@ class TestExecutorCellSubsets:
 
 
 def _fake_result(name: str) -> ScenarioResult:
-    from repro.core.metrics import ResilienceCurve
-
-    return ScenarioResult(
-        spec=CampaignSpec(name=name, rates=(1e-5,), trials=1),
-        curve=ResilienceCurve(
-            fault_rates=np.array([1e-5]),
-            accuracies=np.array([[0.5]]),
-            clean_accuracy=0.75,
-            label=name,
-        ),
-    )
+    spec = CampaignSpec(name=name, rates=(1e-5,), trials=1)
+    return assemble_scenario_result(spec, spec.rates, [[0.5]], 0.75)
 
 
 class TestResultWritingFixes:
@@ -421,6 +413,7 @@ class TestResultWritingFixes:
         bad = ExplodingResult(
             spec=CampaignSpec(name="bad", rates=(1e-5,), trials=1),
             curve=good.curve,
+            values=good.values,
         )
         with pytest.raises(RuntimeError, match="killed"):
             write_results([good, bad], tmp_path)
