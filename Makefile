@@ -1,6 +1,6 @@
 # Test-suite entry points (see pytest.ini for the slow-marker tiering).
 #
-#   make fast   - the inner loop (1,217 tests, 54-66 s on a
+#   make fast   - the inner loop (1,216 tests, 58-64 s on a
 #                 2-CPU host): unit + property tests only,
 #                 including the suffix-engine timing smoke (a perf
 #                 regression in the hot path fails here, not in CI-hours)
@@ -16,20 +16,18 @@
 #   make scenarios-smoke - run every bundled scenario spec end-to-end
 #                 on tiny synthetic data (part of the fast tier)
 #   make shard-smoke - split a bundled smoke suite 3 ways, run each
-#                 shard in a separate process, merge, and assert the
-#                 merged summary.json is byte-identical to the
+#                 shard in a separate process, merge and render the
+#                 report through the real CLI, and assert the store,
+#                 every JSON and the report are byte-identical to the
 #                 unsharded run (part of the fast tier; see
-#                 docs/SCENARIOS.md "Sharded & segmented runs")
-#   make chaos-smoke - run a bundled smoke suite under aggressive
-#                 chaos injection (worker kills, exceptions, timeouts;
-#                 see docs/FAULT_TOLERANCE.md) and assert the output
-#                 is byte-identical to the chaos-free run (part of the
-#                 fast tier)
-#   make report-smoke - shard a bundled smoke suite 2 ways through the
-#                 real CLI, merge, build the HTML report, and assert
-#                 the per-cell store byte-matches the unsharded run
-#                 and the report matches its golden rendering (part of
-#                 the fast tier; see docs/RESULTS.md)
+#                 docs/SCENARIOS.md "Sharded & segmented runs" and
+#                 docs/RESULTS.md)
+#   make chaos-smoke - the conformance matrix's chaos cases: a bundled
+#                 smoke suite under seeded worker kills and injected
+#                 exceptions (see docs/FAULT_TOLERANCE.md), unsharded,
+#                 sharded and through the daemon, must write the
+#                 chaos-free bytes; plus the guard that the chaos spec
+#                 disturbs the suite (part of the fast tier)
 #   make serve-smoke - start the `repro serve` daemon as a real
 #                 subprocess, submit a bundled smoke suite twice via
 #                 `repro submit`, and assert the hit/miss counters, the
@@ -50,7 +48,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: fast test bench docs-check scenarios-smoke shard-smoke chaos-smoke report-smoke serve-smoke stats
+.PHONY: fast test bench docs-check scenarios-smoke shard-smoke chaos-smoke serve-smoke stats
 
 fast: docs-check
 	$(PYTEST) -q -m "not slow"
@@ -71,10 +69,7 @@ shard-smoke:
 	$(PYTEST) -q tests/test_shard_smoke.py
 
 chaos-smoke:
-	$(PYTEST) -q tests/test_chaos_smoke.py
-
-report-smoke:
-	$(PYTEST) -q tests/test_report_smoke.py
+	$(PYTEST) -q tests/test_conformance.py -m chaos
 
 serve-smoke:
 	$(PYTEST) -q tests/test_serve_smoke.py

@@ -125,7 +125,6 @@ __all__ = [
     "CellResult",
     "CellTimeoutError",
     "ProgressCallback",
-    "CellRecorder",
     "CellRunner",
     "CampaignCellTask",
     "InjectionCellRunner",
@@ -142,8 +141,10 @@ __all__ = [
 
 # v4: the checkpoint became an append-only JSONL journal (header line +
 # one line per cell); v3 and earlier were whole-file JSON documents
-# and cannot resume.
-_CHECKPOINT_VERSION = 4
+# and cannot resume.  v5: modules stopped pickling a hook-id counter,
+# so every task's campaign_crc changed once; a v4 journal is refused
+# for its version rather than as a different campaign.
+_CHECKPOINT_VERSION = 5
 
 
 def cell_seed_path(rate_index: int, trial: int) -> str:
@@ -283,25 +284,6 @@ class CellResult:
 
 
 ProgressCallback = Callable[[CellResult], None]
-
-
-class CellRecorder(Protocol):
-    """A sink for per-cell records (the result-store hook).
-
-    Unlike a progress callback (presentation), a recorder is part of
-    the result path: it sees every completed cell — including
-    checkpoint-replayed ones — via :meth:`cell`, and every quarantined
-    cell's full :data:`FAILED_CELL_FIELDS` record via :meth:`failure`
-    (the matching ``failed=True`` :class:`CellResult` still flows
-    through :meth:`cell`, so implementations that only want executed
-    cells should skip results with ``failed`` set).
-    :class:`repro.results.SegmentRecorder` streams these into the
-    append-only per-cell store (see ``docs/RESULTS.md``).
-    """
-
-    def cell(self, result: CellResult) -> None: ...
-
-    def failure(self, record: dict) -> None: ...
 
 
 # --------------------------------------------------------------------- #
@@ -1087,11 +1069,6 @@ class CampaignExecutor:
         The :class:`SupervisionPolicy` (retries, timeouts and the
         cell-error policy); ``None`` means the defaults: 2 retries, no
         timeout, abort.
-    recorder:
-        Optional :class:`CellRecorder` receiving every completed cell
-        (``cell``) and every quarantined cell's failure record
-        (``failure``) — the hook behind the append-only per-cell
-        result store (``repro.results``, ``docs/RESULTS.md``).
 
     After each :meth:`run_grids` pass, :attr:`quarantined` holds one
     record per cell that exhausted its retries (schema:
@@ -1108,10 +1085,8 @@ class CampaignExecutor:
         persistent: bool = False,
         checkpoint_extra: "dict | None" = None,
         supervision: "SupervisionPolicy | None" = None,
-        recorder: "CellRecorder | None" = None,
     ):
         self.workers = resolve_workers(workers)
-        self.recorder = recorder
         self.progress = progress
         self.checkpoint_path = checkpoint
         self.checkpoint_extra = dict(checkpoint_extra) if checkpoint_extra else None
@@ -1407,7 +1382,7 @@ class CampaignExecutor:
         from_checkpoint: bool = False,
         failed: bool = False,
     ) -> None:
-        if self.progress is None and self.recorder is None:
+        if self.progress is None:
             return
         scalars = np.atleast_1d(np.asarray(value, dtype=np.float64))
         result = CellResult(
@@ -1425,10 +1400,7 @@ class CampaignExecutor:
             ),
             failed=failed,
         )
-        if self.recorder is not None:
-            self.recorder.cell(result)
-        if self.progress is not None:
-            self.progress(result)
+        self.progress(result)
 
     def _quarantine(
         self,
@@ -1461,8 +1433,6 @@ class CampaignExecutor:
                 "error": "" if error is None else f"{type(error).__name__}: {error}",
             }
         )
-        if self.recorder is not None:
-            self.recorder.failure(self.quarantined[-1])
         self._emit(
             task, task_index, rate_index, trial, rates,
             float("nan"), completed, total, failed=True,

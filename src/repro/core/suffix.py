@@ -50,10 +50,9 @@ The engine is an execution detail, not science: results are bit-identical
 with it on or off.  Tests check three axes: suffix on/off and workers 1/2
 (``TestDeterminismMatrix`` in ``tests/test_core_suffix.py`` and the
 conformance matrix in ``tests/test_conformance.py``), and shared memory
-missing, so the plane travels inline
-(``test_parallel_campaign_bit_identical_without_shared_memory`` in
-``tests/test_utils_shm.py``).  Disable the engine with
-``REPRO_NO_SUFFIX=1``, which worker processes inherit.
+missing, so the plane travels inline (the matrix's ``no-shm`` case).
+Disable the engine with ``REPRO_NO_SUFFIX=1``, which worker processes
+inherit.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro import nn
-from repro.hw.bits import WORD_BITS, flip_bits_in_words
+from repro.hw.bits import WORD_BITS, draw_unique_bits, flip_bits_in_words
 from repro.models.registry import computational_layers
 from repro.utils.rng import SeedTree, as_generator
 from repro.utils.validation import check_probability
@@ -59,23 +59,16 @@ def flip_activation_bits(
     Returns the number of flipped bits.  The tensor must be contiguous
     float32 (which all layer outputs in this framework are).
     """
-    check_probability("fault_rate", fault_rate)
     if values.dtype != np.float32:
         raise ValueError(f"activations must be float32, got {values.dtype}")
     if not values.flags["C_CONTIGUOUS"]:
         # reshape(-1) would silently copy and the faults would be lost.
         raise ValueError("activations must be C-contiguous for in-place faults")
     flat = values.reshape(-1)
-    total_bits = flat.size * WORD_BITS
-    count = int(rng.binomial(total_bits, fault_rate))
-    if count == 0:
-        return 0
-    if count >= total_bits:
-        bits = np.arange(total_bits, dtype=np.int64)
-    else:
-        bits = rng.choice(total_bits, size=count, replace=False).astype(np.int64)
-    flip_bits_in_words(flat, bits // WORD_BITS, bits % WORD_BITS)
-    return count
+    bits = draw_unique_bits(flat.size * WORD_BITS, fault_rate, rng)
+    if bits.size:
+        flip_bits_in_words(flat, bits // WORD_BITS, bits % WORD_BITS)
+    return int(bits.size)
 
 
 class ActivationFaultInjector:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_probability
+
 __all__ = [
     "WORD_BITS",
     "SIGN_BIT",
@@ -22,6 +24,7 @@ __all__ = [
     "flip_bits_in_words",
     "set_bits_in_words",
     "bit_field",
+    "draw_unique_bits",
 ]
 
 WORD_BITS = 32
@@ -39,6 +42,23 @@ def bit_field(position: int) -> str:
     if position in EXPONENT_BITS:
         return "exponent"
     return "mantissa"
+
+
+def draw_unique_bits(
+    total_bits: int, fault_rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A binomial count of distinct bit indices in ``[0, total_bits)``.
+
+    int64, in draw order.  ECC, TMR, DMR, int8 and activation faults all
+    draw here, so changing these generator calls moves every fault set.
+    """
+    check_probability("fault_rate", fault_rate)
+    count = int(rng.binomial(total_bits, fault_rate))
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if count >= total_bits:
+        return np.arange(total_bits, dtype=np.int64)
+    return rng.choice(total_bits, size=count, replace=False).astype(np.int64)
 
 
 def _masks_by_word(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hw.bits import WORD_BITS
+from repro.hw.bits import WORD_BITS, draw_unique_bits
 from repro.hw.faultmodels import OP_FLIP, OP_STUCK0, FaultSet
 from repro.hw.memory import WeightMemory
 from repro.utils.validation import check_in_choices
@@ -101,12 +101,5 @@ class ECCFilter:
         self, memory: WeightMemory, fault_rate: float, rng: np.random.Generator
     ) -> FaultSet:
         """Sample raw faults over codeword space and return the survivors."""
-        total = self.codeword_bits(memory)
-        count = int(rng.binomial(total, fault_rate))
-        if count == 0:
-            return FaultSet.empty()
-        if count >= total:
-            raw = np.arange(total, dtype=np.int64)
-        else:
-            raw = rng.choice(total, size=count, replace=False).astype(np.int64)
+        raw = draw_unique_bits(self.codeword_bits(memory), fault_rate, rng)
         return self.filter(memory, raw)

@@ -32,9 +32,9 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.hw.bits import draw_unique_bits
 from repro.hw.memory import MemoryRegion, WeightMemory, materialize_region
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_probability
 
 __all__ = [
     "INT8_BITS",
@@ -154,15 +154,8 @@ class QuantizedWeightMemory:
         self, fault_rate: float, rng: "int | np.random.Generator"
     ) -> np.ndarray:
         """Unique int8-code bit indices at the given per-bit fault rate."""
-        check_probability("fault_rate", fault_rate)
-        generator = as_generator(rng)
-        count = int(generator.binomial(self.total_bits, fault_rate))
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        if count >= self.total_bits:
-            return np.arange(self.total_bits, dtype=np.int64)
         return np.sort(
-            generator.choice(self.total_bits, size=count, replace=False).astype(np.int64)
+            draw_unique_bits(self.total_bits, fault_rate, as_generator(rng))
         )
 
     @staticmethod

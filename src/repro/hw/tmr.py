@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hw.bits import draw_unique_bits
 from repro.hw.faultmodels import FaultSet
 from repro.hw.memory import WeightMemory
-from repro.utils.validation import check_probability
 
 __all__ = ["TMRFilter", "DMRFilter"]
 
@@ -48,15 +48,7 @@ class TMRFilter:
         self, memory: WeightMemory, fault_rate: float, rng: np.random.Generator
     ) -> FaultSet:
         """Sample faults over the replica space, return the voted-through set."""
-        check_probability("fault_rate", fault_rate)
-        total = self.protected_bits(memory)
-        count = int(rng.binomial(total, fault_rate))
-        if count == 0:
-            return FaultSet.empty()
-        if count >= total:
-            raw = np.arange(total, dtype=np.int64)
-        else:
-            raw = rng.choice(total, size=count, replace=False).astype(np.int64)
+        raw = draw_unique_bits(self.protected_bits(memory), fault_rate, rng)
         return self.filter(memory, raw)
 
 
@@ -100,13 +92,5 @@ class DMRFilter:
         self, memory: WeightMemory, fault_rate: float, rng: np.random.Generator
     ) -> FaultSet:
         """Sample faults over the replica space, return the effective set."""
-        check_probability("fault_rate", fault_rate)
-        total = self.protected_bits(memory)
-        count = int(rng.binomial(total, fault_rate))
-        if count == 0:
-            return FaultSet.empty()
-        if count >= total:
-            raw = np.arange(total, dtype=np.int64)
-        else:
-            raw = rng.choice(total, size=count, replace=False).astype(np.int64)
+        raw = draw_unique_bits(self.protected_bits(memory), fault_rate, rng)
         return self.filter(memory, raw)

@@ -18,11 +18,16 @@ words, so parameters must be stored exactly as such.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 __all__ = ["Parameter", "Module", "HookHandle"]
+
+# Hook ids are process-wide, not module state: adding and removing a hook
+# leaves a module's pickle, and so every checkpoint CRC, unchanged.
+_HOOK_IDS = itertools.count()
 
 
 class Parameter:
@@ -92,7 +97,6 @@ class Module:
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "_forward_hooks", {})
-        object.__setattr__(self, "_next_hook_id", 0)
         object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------ #
@@ -145,8 +149,7 @@ class Module:
         self, hook: Callable[["Module", np.ndarray, np.ndarray], None]
     ) -> HookHandle:
         """Call ``hook(module, input, output)`` after every forward pass."""
-        hook_id = self._next_hook_id
-        object.__setattr__(self, "_next_hook_id", hook_id + 1)
+        hook_id = next(_HOOK_IDS)
         self._forward_hooks[hook_id] = hook
         return HookHandle(self._forward_hooks, hook_id)
 

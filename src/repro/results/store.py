@@ -575,20 +575,21 @@ def store_from_results(results: "Sequence[ScenarioResult]") -> CellStore:
 
 
 # --------------------------------------------------------------------- #
-# the live segment recorder (executor hook)
+# the live segment recorder (a shard's progress sink)
 # --------------------------------------------------------------------- #
 
 
 class SegmentRecorder:
-    """Executor recorder streaming one JSONL line per logical cell.
+    """A shard's sink streaming one JSONL line per logical cell.
 
-    Plugged into :class:`~repro.core.executor.CampaignExecutor` via its
-    ``recorder`` parameter: :meth:`cell` fires for every completed (or
-    checkpoint-replayed) executor cell, :meth:`failure` for every
-    quarantined one.  ``specs`` is parallel to the executor's task
-    indices, so the recorder can expand adaptive family vectors and
-    stamp spec provenance without side channels.  Lines are flushed per
-    record — a killed run keeps every completed cell on disk.
+    :func:`~repro.scenarios.run_scenario_shard` feeds :meth:`cell` from
+    its executor's progress callback, for every completed (or
+    checkpoint-replayed) executor cell, and :meth:`failure` once per
+    quarantined cell after the pass.  ``specs`` is parallel to the
+    executor's task indices, so the recorder can expand adaptive family
+    vectors and stamp spec provenance without side channels.  Lines are
+    flushed per record — a killed run keeps every completed cell on
+    disk.
     """
 
     def __init__(

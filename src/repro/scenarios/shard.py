@@ -60,7 +60,7 @@ from repro.scenarios.compile import (
 from repro.scenarios.spec import CampaignSpec, ScenarioSuite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executor import SupervisionPolicy
+    from repro.core.executor import CellResult, SupervisionPolicy
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -213,13 +213,6 @@ class ShardPlan:
             count=count,
         )
 
-    def grid_shape(self, spec: CampaignSpec) -> "tuple[int, int]":
-        """The executor cell grid of one scenario: (n_rates, n_cells_per_rate)."""
-        return (len(spec.rates), 1 if spec.mode == "adaptive" else spec.trials)
-
-    def shard(self, index: int) -> ShardSpec:
-        return ShardSpec(index, self.count)
-
     def cells_for(
         self, shard: "ShardSpec | str"
     ) -> "list[list[tuple[int, int]]]":
@@ -232,7 +225,7 @@ class ShardPlan:
         assigned: "list[list[tuple[int, int]]]" = []
         cursor = 0
         for spec in self.specs:
-            n_rates, n_trials = self.grid_shape(spec)
+            n_rates, n_trials = spec.grid_shape
             mine: "list[tuple[int, int]]" = []
             for rate_index in range(n_rates):
                 for trial in range(n_trials):
@@ -253,8 +246,8 @@ class ShardPlan:
             "shard": {"index": shard.index, "count": shard.count},
             "grid": {
                 spec.name: {
-                    "rates": self.grid_shape(spec)[0],
-                    "trials": self.grid_shape(spec)[1],
+                    "rates": spec.grid_shape[0],
+                    "trials": spec.grid_shape[1],
                     "cells": len(mine),
                 }
                 for spec, mine in zip(self.specs, cells)
@@ -327,7 +320,7 @@ def run_scenario_shard(
     manifest = plan.manifest(shard)
     manifest_path = shard_dir / MANIFEST_NAME
     if manifest_path.exists():
-        existing = json.loads(manifest_path.read_text())
+        existing = _read_shard_json(manifest_path)
         if existing != manifest:
             raise ValueError(
                 f"shard directory {shard_dir} belongs to a different "
@@ -360,9 +353,15 @@ def run_scenario_shard(
             partial_dir / SHARD_SEGMENT_FILENAME,
             [plan.specs[index] for index in owners],
         )
+
+        def record(cell: "CellResult") -> None:
+            recorder.cell(cell)
+            if progress is not None:
+                progress(cell)
+
         executor = CampaignExecutor(
             workers=workers,
-            progress=progress,
+            progress=record,
             checkpoint=shard_dir / CHECKPOINT_NAME,
             checkpoint_extra={
                 "shard": {
@@ -372,10 +371,14 @@ def run_scenario_shard(
                 }
             },
             supervision=supervision,
-            recorder=recorder,
         )
         try:
             _, grids = executor.run_grids(tasks, cells=task_cells)
+            # Quarantined cells are not journaled (a resume retries
+            # them) and merge canonicalizes the segment, so their
+            # records can follow the pass.
+            for failure in executor.quarantined:
+                recorder.failure(failure)
         finally:
             recorder.close()
         failed_by_task = quarantined_by_task(executor.quarantined)
@@ -408,6 +411,31 @@ def run_scenario_shard(
     return shard_dir
 
 
+# What merge_run reads from each shard file (dotted keys are nested).
+_MANIFEST_KEYS = ("suite", "suite_hash", "shard.index", "shard.count", "specs")
+_PARTIAL_KEYS = ("clean_accuracy", "cells")
+
+
+def _read_shard_json(path: Path, keys: "Sequence[str]" = ()) -> Any:
+    """A shard file's JSON.  Shard files come from other hosts, so one
+    that is not JSON or lacks one of ``keys`` raises a ValueError naming
+    the file and the key."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as error:
+        raise ValueError(f"{path} is not valid JSON ({error})") from None
+    for key in keys:
+        node = payload
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ValueError(
+                    f"{path} has no {key!r} entry; the shard file is "
+                    "truncated or was edited"
+                )
+            node = node[part]
+    return payload
+
+
 def _load_manifests(run_dir: Path) -> "list[tuple[Path, dict]]":
     """Every ``(shard_dir, manifest)`` under ``run_dir/shards/``."""
     shards_root = run_dir / SHARDS_DIRNAME
@@ -420,7 +448,9 @@ def _load_manifests(run_dir: Path) -> "list[tuple[Path, dict]]":
     for entry in sorted(shards_root.iterdir()):
         manifest_path = entry / MANIFEST_NAME
         if entry.is_dir() and manifest_path.exists():
-            manifests.append((entry, json.loads(manifest_path.read_text())))
+            manifests.append(
+                (entry, _read_shard_json(manifest_path, _MANIFEST_KEYS))
+            )
     if not manifests:
         raise ValueError(f"no shard manifests found under {shards_root}")
     return manifests
@@ -492,7 +522,7 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
     stems = scenario_file_stems([spec.name for spec in plan.specs])
     grids: "list[np.ndarray]" = []
     for spec in plan.specs:
-        n_rates, n_trials = plan.grid_shape(spec)
+        n_rates, n_trials = spec.grid_shape
         if spec.mode == "adaptive":
             width = adaptive_cell_width(
                 spec.trials, weighted=spec.importance is not None
@@ -523,7 +553,7 @@ def merge_run(run_dir: "str | Path") -> "list[ScenarioResult]":
                     "shard run is incomplete — re-run it to resume from "
                     "its checkpoint"
                 )
-            payload = json.loads(partial_path.read_text())
+            payload = _read_shard_json(partial_path, _PARTIAL_KEYS)
             recorded = payload["cells"]
             shard_failed = list(payload.get("failed", []))
             failed_keys = {

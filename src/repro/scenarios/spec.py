@@ -272,6 +272,12 @@ class CampaignSpec:
                     "'random_bitflip' fault model"
                 )
 
+    @property
+    def grid_shape(self) -> "tuple[int, int]":
+        """The executor cell grid, (rates, cells per rate): an adaptive
+        scenario runs its whole trial family as one cell per rate."""
+        return (len(self.rates), 1 if self.mode == "adaptive" else self.trials)
+
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #

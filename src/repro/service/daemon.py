@@ -24,6 +24,7 @@ enforced both directions by ``tests/test_docs_consistency.py``.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import shutil
 import threading
@@ -277,7 +278,7 @@ class CampaignService:
             entry = RunEntry(
                 id=run_id,
                 suite=suite.name,
-                total=sum(len(spec.rates) * spec.trials for spec in suite.specs),
+                total=sum(math.prod(spec.grid_shape) for spec in suite.specs),
             )
             try:
                 self._queue.put_nowait((entry, suite))
@@ -399,7 +400,6 @@ class CampaignService:
         def progress(cell: "Any") -> None:
             with self._lock:
                 entry.completed = cell.completed
-                entry.total = cell.total
                 label = cell.campaign_label or entry.suite
                 entry.by_scenario[label] = entry.by_scenario.get(label, 0) + 1
 

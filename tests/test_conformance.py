@@ -1,11 +1,12 @@
 """One conformance matrix: how a suite runs never changes an output byte.
 
 The bit-identity contract in one place.  A bundled smoke suite, extended
-with an adaptive variant and an ECC variant of its first spec, must
-write every output with the same sha256 as the plain single-process
-run: ``store/cells.rcs``, ``summary.json``, every scenario JSON and the
-``report.html`` that :func:`repro.results.write_report` renders from
-the run directory.  That holds across
+with an adaptive, an ECC and an activation-fault variant of its first
+spec, must write every output with the same sha256 as the plain
+single-process run: ``store/cells.rcs``, ``summary.json``, every
+scenario JSON and the ``report.html`` that
+:func:`repro.results.write_report` renders from the run directory.  That
+holds across
 
 * workers {1, 2};
 * chaos {off, ``kill=0.25,raise=0.25,seed=7,attempts=1`` under
@@ -21,16 +22,22 @@ and, unsharded and chaos-free, for
   and the adaptive scenario's ``ci_halfwidths`` are where an
   install-dependent quantile would show;
 
-and when a run is killed from its progress callback mid-grid and then
-resumed from its checkpoint journal, at workers 1 and 2.  The reference
+when a run is killed from its progress callback mid-grid and then
+resumed from its checkpoint journal, at workers 1 and 2; and when the
+suite is submitted to an in-process ``CampaignService`` daemon at
+workers 1, at workers 2, and at workers 2 under chaos, digesting the
+report the daemon rendered itself.  Every chaos case carries the
+``chaos`` marker (``make chaos-smoke``), with a guard that the chaos
+spec really disturbs this suite's grid.  The reference
 runs at the process's own BLAS thread count, and the workers-2 runs at
 the pool's budget (``max(1, cpus // 2)`` threads per worker), so on
 hosts with more than one CPU the BLAS thread count is an axis of every
 pooled case too.
 
 Left out of the comparison: a sharded run's ``shards/`` tree (manifests,
-partials, per-shard checkpoints and segments), which records how the
-run was split rather than what it computed.
+partials, per-shard checkpoints and segments) and a daemon run's
+``service.json`` marker, which record how the run was split or served
+rather than what it computed.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import dataclasses
 import hashlib
 import sys
 
+import numpy as np
 import pytest
 
 from tests.conftest import journal_cells
@@ -71,19 +79,37 @@ def _suite():
         variant="ecc",
         fault_model=FaultModelSpec(),
     )
+    # The third campaign kind: activation faults fire in forward hooks
+    # on the same unprotected clone, and borrow its float clean logits.
+    activation = dataclasses.replace(
+        specs[0],
+        name=f"{specs[0].name}-activation",
+        campaign="activation",
+        fault_model=FaultModelSpec(),
+    )
     return ScenarioSuite(
-        name=f"{SUITE}-conformance", specs=specs + (adaptive, ecc)
+        name=f"{SUITE}-conformance",
+        specs=specs + (adaptive, ecc, activation),
     )
 
 
-def _output_digests(run_dir) -> "dict[str, str]":
-    """sha256 of the store, every JSON and the rendered ``report.html``."""
+def _output_digests(run_dir, daemon: bool = False) -> "dict[str, str]":
+    """sha256 of the store, every JSON and ``report.html``.
+
+    A daemon's run directory already holds the report the daemon
+    rendered, which re-rendering would overwrite, and its
+    ``service.json`` marker, which is not a run output.
+    """
     from repro.results import write_report
+    from repro.service import MARKER_FILENAME
 
     paths = [
         run_dir / STORE,
-        *sorted(run_dir.glob("*.json")),
-        write_report(run_dir),
+        *sorted(
+            path for path in run_dir.glob("*.json")
+            if not (daemon and path.name == MARKER_FILENAME)
+        ),
+        run_dir / "report.html" if daemon else write_report(run_dir),
     ]
     return {
         path.relative_to(run_dir).as_posix():
@@ -105,12 +131,31 @@ def reference(ctx, tmp_path_factory) -> "dict[str, str]":
     from repro.scenarios import run_scenarios
 
     out = tmp_path_factory.mktemp("reference")
-    run_scenarios(_suite(), workers=1, out_dir=out, context=ctx)
+    results = run_scenarios(_suite(), workers=1, out_dir=out, context=ctx)
+    assert all(not result.failed for result in results)
     return _output_digests(out)
 
 
+@pytest.mark.chaos
+def test_chaos_spec_disturbs_this_suite():
+    """Guard against vacuous chaos cases: the seeded spec schedules both
+    a kill and a raise on ``_suite()``'s executor grid, where an adaptive
+    spec is one cell (trial 0) per rate."""
+    from repro.core.chaos import ChaosPolicy
+
+    policy = ChaosPolicy.parse(CHAOS)
+    decisions = {
+        policy.decide(task_index, rate_index, trial, 0)
+        for task_index, spec in enumerate(_suite().specs)
+        for rate_index, trial in np.ndindex(*spec.grid_shape)
+    }
+    assert {"kill", "raise"} <= decisions
+
+
 @pytest.mark.parametrize("shards", [1, SHARDS])
-@pytest.mark.parametrize("chaos", [False, True])
+@pytest.mark.parametrize(
+    "chaos", [False, pytest.param(True, marks=pytest.mark.chaos)]
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_store_digest_is_invariant(
     ctx, reference, tmp_path, monkeypatch, workers, chaos, shards
@@ -202,3 +247,35 @@ def test_killed_run_resumes_from_journal(ctx, reference, tmp_path, workers):
         checkpoint=journal,
     )
     assert _output_digests(out) == reference
+
+
+@pytest.mark.parametrize(
+    ("workers", "chaos"),
+    [
+        pytest.param(1, False, id="workers1"),
+        pytest.param(2, False, id="workers2"),
+        pytest.param(2, True, id="workers2-chaos", marks=pytest.mark.chaos),
+    ],
+)
+def test_daemon_writes_the_reference_bytes(
+    ctx, reference, tmp_path, monkeypatch, workers, chaos
+):
+    """The service is one more way to run a suite, not another result."""
+    from repro.core.executor import SupervisionPolicy
+    from repro.service import CampaignService
+
+    if chaos:
+        monkeypatch.setenv("REPRO_CHAOS", CHAOS)
+    suite = _suite()
+    payload = {"name": suite.name, "scenarios": [s.to_dict() for s in suite.specs]}
+    with CampaignService(
+        tmp_path / "svc", context=ctx, workers=workers,
+        supervision=SupervisionPolicy(on_cell_error="retry") if chaos else None,
+    ) as service:
+        run_id = service.submit(payload)["id"]
+        entry = service.entry(run_id)
+        assert entry.done.wait(300), f"campaign still {entry.state}"
+        assert entry.state == "complete", entry.error
+        digests = _output_digests(service.run_dir(run_id), daemon=True)
+    assert entry.completed == entry.total
+    assert digests == reference

@@ -174,7 +174,7 @@ class TestCheckpointResume:
             model, memory, images, labels, config, checkpoint=str(path)
         )
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["version"] == 4
+        assert header["version"] == 5
         assert header["campaigns"][0]["seed"] == config.seed
         cells = journal_cells(path)
         assert len(cells) == len(RATES) * config.trials
@@ -763,34 +763,16 @@ class TestSegmentCleanup:
 
 
 class TestZeroCopyFallbackMatrix:
-    """Shared memory unavailable and the suffix budget exceeded must both
-    be bit-identical to the mapped path."""
-
-    def _parallel(self, campaign_parts):
-        model, memory, images, labels, config = campaign_parts
-        return run_campaign(model, memory, images, labels, config, workers=2)
-
-    @pytest.fixture
-    def baseline(self, campaign_parts):
-        model, memory, images, labels, config = campaign_parts
-        return run_campaign(model, memory, images, labels, config)
-
-    def test_zero_copy_views_bit_identical(self, campaign_parts, baseline):
-        curve = self._parallel(campaign_parts)
-        np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
-
-    def test_shm_unavailable_bit_identical(self, campaign_parts, baseline, monkeypatch):
-        import repro.utils.shm as shm_module
-
-        monkeypatch.setattr(shm_module, "_shared_memory", None)
-        curve = self._parallel(campaign_parts)
-        np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
+    """An exceeded suffix budget is bit-identical to the cached path (the
+    mapped and shared-memory-off paths are tests/test_conformance.py cases)."""
 
     def test_suffix_budget_exhausted_bit_identical(
-        self, campaign_parts, baseline, monkeypatch
+        self, campaign_parts, monkeypatch
     ):
+        model, memory, images, labels, config = campaign_parts
+        baseline = run_campaign(model, memory, images, labels, config)
         monkeypatch.setenv("REPRO_SUFFIX_BUDGET_MB", "0")
-        curve = self._parallel(campaign_parts)
+        curve = run_campaign(model, memory, images, labels, config, workers=2)
         np.testing.assert_array_equal(curve.accuracies, baseline.accuracies)
 
 

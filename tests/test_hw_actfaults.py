@@ -98,6 +98,24 @@ class TestActivationFaultInjector:
             same = evaluate_accuracy_arrays(trained_mlp, images, labels)
         assert same == clean
 
+    def test_removed_injector_leaves_the_task_crc(self, mlp_eval_arrays):
+        """Hooks that come and go leave the model's pickle as it was: a
+        checkpoint header written before an injector existed still resumes."""
+        from repro.core.executor import WeightFaultCellTask
+        from repro.hw.memory import WeightMemory
+        from repro.utils.shm import pack_object
+
+        images, labels = mlp_eval_arrays
+        model = MLP(3 * 8 * 8, 10, hidden=(16,), seed=0)
+        model.eval()
+        task = WeightFaultCellTask(
+            model, WeightMemory.from_model(model), images, labels,
+            config=CampaignConfig(fault_rates=(1e-3,), trials=1),
+        )
+        before = pack_object(task).crc32()
+        ActivationFaultInjector(model).remove()
+        assert pack_object(task).crc32() == before
+
     def test_clipping_mitigates_activation_faults(self, trained_mlp, mlp_eval_arrays):
         """Clipped activations bound activation-memory corruption too:
         the faults land on layer outputs *before* the activation function."""

@@ -22,10 +22,6 @@ SRC = ROOT / "src" / "repro"
 USERS = ("benchmarks", "examples", "perfbench")
 
 ALLOWED = frozenset({
-    # The executor's ``recorder=`` protocol.  It goes when the checkpoint
-    # journal and the store segment become one per-cell log (ROADMAP
-    # item 3).
-    "CellRecorder",
     # ``http.server`` calls these hooks by name.
     "_ServiceHandler.do_GET",
     "_ServiceHandler.do_POST",

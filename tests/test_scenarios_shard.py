@@ -96,6 +96,14 @@ def _run_all_shards(suite, count, run_dir, ctx, order, workers=1):
         )
 
 
+@pytest.fixture(scope="module")
+def two_shard_run(suite, ctx, tmp_path_factory):
+    """A pristine 2-shard run directory; tests copy it before editing."""
+    run_dir = tmp_path_factory.mktemp("two-shard") / "run"
+    _run_all_shards(suite, 2, run_dir, ctx, "forward")
+    return run_dir
+
+
 def _assert_merged_matches(run_dir, unsharded):
     merged = {path.name: path.read_bytes() for path in run_dir.glob("*.json")}
     assert merged == unsharded
@@ -109,7 +117,7 @@ def _assert_merged_matches(run_dir, unsharded):
 
 def _total_cells(plan: ShardPlan) -> int:
     """Executor cells across the whole suite."""
-    return sum(rates * trials for rates, trials in map(plan.grid_shape, plan.specs))
+    return sum(rates * trials for rates, trials in (s.grid_shape for s in plan.specs))
 
 class TestShardPlan:
     def test_partition_is_disjoint_and_complete(self, suite):
@@ -135,13 +143,14 @@ class TestShardPlan:
         assert max(loads) - min(loads) <= 1
 
     def test_adaptive_families_shard_as_whole_units(self, suite):
-        plan = ShardPlan.split(suite, 2)
+        grid = ShardPlan.split(suite, 2).manifest("1/2")["grid"]
         for spec in suite.specs:
-            n_rates, n_trials = plan.grid_shape(spec)
-            assert n_rates == len(spec.rates)
+            assert grid[spec.name]["rates"] == len(spec.rates)
             # One executor cell per rate: the whole trial family moves
             # together, so stopping decisions cannot straddle shards.
-            assert n_trials == (1 if spec.mode == "adaptive" else spec.trials)
+            assert grid[spec.name]["trials"] == (
+                1 if spec.mode == "adaptive" else spec.trials
+            )
 
     def test_parse_rejects_bad_shard_strings(self):
         for bad in ("0/3", "4/3", "1/0", "a/b", "1-3", "", "1/"):
@@ -294,6 +303,36 @@ class TestShardLifecycle:
         removed.unlink()
         with pytest.raises(ValueError, match="no partial result"):
             merge_run(run_dir)
+
+    @pytest.mark.parametrize(("target", "key"), [
+        ("partial", "clean_accuracy"), ("partial", "cells"),
+        ("manifest", "suite_hash"), ("manifest", "shard"),
+        ("partial", None),  # not JSON at all
+    ])
+    def test_cli_merge_refuses_a_malformed_shard_file(
+        self, two_shard_run, tmp_path, capsys, target, key
+    ):
+        """Shard files come from other hosts: a broken one is an
+        ``error:`` naming the file (and key), exit 2, not a traceback."""
+        from repro.cli import main
+
+        run_dir = tmp_path / "run"
+        shutil.copytree(two_shard_run, run_dir)
+        shard_dir = run_dir / "shards" / "1-of-2"
+        path = (
+            shard_dir / "manifest.json" if target == "manifest"
+            else sorted((shard_dir / "partial").glob("*.json"))[0]
+        )
+        if key is None:
+            path.write_text("{not json")
+        else:
+            payload = json.loads(path.read_text())
+            del payload[key]
+            path.write_text(json.dumps(payload))
+        assert main(["merge", str(run_dir)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and str(path) in error
+        assert key is None or f"'{key}" in error
 
     def test_merge_without_shards_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="shards"):

@@ -1,20 +1,30 @@
-"""`make shard-smoke`: real multi-process sharding of a bundled suite.
+"""`make shard-smoke`: a bundled suite sharded across processes, merged and
+reported through the real CLI.
 
 The closest thing to the fleet deployment that fits in the fast tier: a
 bundled scenario suite (shrunk to smoke size) is split three ways, each
-shard executed by a **separate Python process** (`repro scenarios
---shard i/N` would do the same; the driver below calls
-:func:`run_scenario_shard` directly so failures surface as tracebacks),
-the segmented run directory is merged in-process, and every merged JSON
-file must be byte-identical to the unsharded single-process run.
+shard executed by a **separate Python process**, in reverse order (any
+completion order must do).  The driver below calls
+:func:`run_scenario_shard` directly, as ``repro scenarios --shard i/N``
+would, so failures surface as tracebacks.  ``python -m repro merge``
+reassembles the run and ``python -m repro report`` renders it.  Asserted:
+
+* the run directory holds exactly the documented ``RUN_LAYOUT``;
+* the merged ``store/cells.rcs``, every JSON and ``report.html`` match
+  the unsharded single-process run's bytes;
+* ``repro report`` is idempotent: a second run rewrites identical bytes.
 
 The shard processes share the parent's ``REPRO_CACHE_DIR``, so the tiny
 smoke bundle trains once and every process loads the same artifact —
 exactly how independent hosts would share a training artifact store.
+The conformance matrix (``tests/test_conformance.py``) proves the same
+identity in process, across workers, chaos and the daemon; this smoke
+covers the process boundary and the CLI wiring.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -62,53 +72,57 @@ def _smoke_suite():
     )
 
 
+def _python(args, env) -> None:
+    proc = subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    shown = " ".join(arg for arg in args if arg != _DRIVER)
+    assert proc.returncode == 0, (
+        f"python {shown} failed:\n{proc.stdout}\n{proc.stderr}"
+    )
+
+
+def _digests(run_dir: Path) -> "dict[str, str]":
+    """sha256 of the store, every JSON and ``report.html``."""
+    paths = [
+        run_dir / "store" / "cells.rcs",
+        *sorted(run_dir.glob("*.json")),
+        run_dir / "report.html",
+    ]
+    return {
+        path.relative_to(run_dir).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+    }
+
+
 def test_three_process_shard_run_merges_byte_identical(tmp_path):
-    from repro.scenarios import merge_run, run_scenarios, smoke_context
+    from repro.results import write_report
+    from repro.scenarios import run_scenarios, smoke_context
     from repro.scenarios.shard import RUN_LAYOUT
 
     # The unsharded single-process reference (training lands in the
     # shared cache, so the shard processes below just load it).
     unsharded = tmp_path / "unsharded"
-    results = run_scenarios(
+    run_scenarios(
         _smoke_suite(), workers=1, out_dir=unsharded, context=smoke_context()
     )
-    assert results
+    write_report(unsharded)
 
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        f"{src}{os.pathsep}{src.parent}{os.pathsep}{env['PYTHONPATH']}"
-        if env.get("PYTHONPATH")
-        else f"{src}{os.pathsep}{src.parent}"
-    )
+    paths = [str(src), str(src.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
     run_dir = tmp_path / "run"
     for index in reversed(range(1, SHARDS + 1)):  # any completion order
-        proc = subprocess.run(
-            [
-                sys.executable, "-c", _DRIVER,
-                SUITE, f"{index}/{SHARDS}", str(run_dir),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
-        assert proc.returncode == 0, (
-            f"shard {index}/{SHARDS} failed:\n{proc.stdout}\n{proc.stderr}"
-        )
+        _python(["-c", _DRIVER, SUITE, f"{index}/{SHARDS}", str(run_dir)], env)
         assert (run_dir / "shards" / f"{index}-of-{SHARDS}").is_dir()
-
-    merged = merge_run(run_dir)
-    assert [r.name for r in merged] == [r.name for r in results]
-
-    reference = {p.name: p.read_bytes() for p in unsharded.glob("*.json")}
-    assert "summary.json" in reference
-    produced = {p.name: p.read_bytes() for p in run_dir.glob("*.json")}
-    assert produced == reference
+    _python(["-m", "repro", "merge", str(run_dir)], env)
 
     # The documented layout is what a run writes: every file matches a
-    # RUN_LAYOUT pattern, and every pattern is written.
+    # RUN_LAYOUT pattern, and every pattern is written.  RUN_LAYOUT has
+    # no report, so this runs before `repro report` writes one.
     written = [
         p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()
     ]
@@ -117,3 +131,12 @@ def test_three_process_shard_run_merges_byte_identical(tmp_path):
         [path for path in written if not any(r.fullmatch(path) for r in layout.values())],
         [pattern for pattern, r in layout.items() if not any(map(r.fullmatch, written))],
     ) == ([], [])
+
+    report = run_dir / "report.html"
+    _python(["-m", "repro", "report", str(run_dir), "--out", str(report)], env)
+    assert _digests(run_dir) == _digests(unsharded)
+
+    # repro report is idempotent: a second run rewrites identical bytes.
+    first = report.read_bytes()
+    _python(["-m", "repro", "report", str(run_dir), "--out", str(report)], env)
+    assert report.read_bytes() == first

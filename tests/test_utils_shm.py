@@ -127,27 +127,6 @@ class TestInlineFallback:
             assert shipment.ref.size == 0
             assert bytes(shipment.ref.inline) == b""
 
-    def test_parallel_campaign_bit_identical_without_shared_memory(
-        self, monkeypatch
-    ):
-        """The executor's fallback path: same curves, inline transport."""
-        import repro.utils.shm as shm_module
-        from repro.core.campaign import CampaignConfig, run_campaign
-        from repro.hw.memory import WeightMemory
-        from repro.models import MLP
-
-        monkeypatch.setattr(shm_module, "_shared_memory", None)
-        rng = np.random.default_rng(0)
-        model = MLP(3 * 8 * 8, 10, hidden=(16,), seed=1)
-        model.eval()
-        images = rng.standard_normal((32, 3, 8, 8)).astype(np.float32)
-        labels = rng.integers(0, 10, 32)
-        memory = WeightMemory.from_model(model)
-        config = CampaignConfig(fault_rates=(1e-4, 1e-3), trials=2, seed=9)
-        serial = run_campaign(model, memory, images, labels, config)
-        parallel = run_campaign(model, memory, images, labels, config, workers=2)
-        np.testing.assert_array_equal(serial.accuracies, parallel.accuracies)
-
 
 class TestShippedBytesContract:
     """The plane's address, carrying its bytes inline."""
