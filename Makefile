@@ -19,15 +19,17 @@
 #                 shard in a separate process, merge and render the
 #                 report through the real CLI, and assert the store,
 #                 every JSON and the report are byte-identical to the
-#                 unsharded run (part of the fast tier; see
-#                 docs/SCENARIOS.md "Sharded & segmented runs" and
-#                 docs/RESULTS.md)
+#                 unsharded run (tests/test_shard_smoke.py and its
+#                 report half, tests/test_report_smoke.py; part of the
+#                 fast tier; see docs/SCENARIOS.md "Sharded & segmented
+#                 runs" and docs/RESULTS.md)
 #   make chaos-smoke - the conformance matrix's chaos cases: a bundled
 #                 smoke suite under seeded worker kills and injected
 #                 exceptions (see docs/FAULT_TOLERANCE.md), unsharded,
 #                 sharded and through the daemon, must write the
-#                 chaos-free bytes; plus the guard that the chaos spec
-#                 disturbs the suite (part of the fast tier)
+#                 chaos-free bytes; plus the guards that the chaos spec
+#                 disturbs the suite and the cells a daemon queues for
+#                 it (part of the fast tier)
 #   make serve-smoke - start the `repro serve` daemon as a real
 #                 subprocess, submit a bundled smoke suite twice via
 #                 `repro submit`, and assert the hit/miss counters, the
@@ -66,10 +68,10 @@ scenarios-smoke:
 	$(PYTEST) -q tests/test_scenarios_smoke.py
 
 shard-smoke:
-	$(PYTEST) -q tests/test_shard_smoke.py
+	$(PYTEST) -q tests/test_shard_smoke.py tests/test_report_smoke.py
 
 chaos-smoke:
-	$(PYTEST) -q tests/test_conformance.py -m chaos
+	$(PYTEST) -q tests/test_chaos_smoke.py tests/test_service.py tests/test_conformance.py -m chaos
 
 serve-smoke:
 	$(PYTEST) -q tests/test_serve_smoke.py

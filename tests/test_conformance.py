@@ -27,12 +27,13 @@ resumed from its checkpoint journal, at workers 1 and 2; and when the
 suite is submitted to an in-process ``CampaignService`` daemon at
 workers 1, at workers 2, and at workers 2 under chaos, digesting the
 report the daemon rendered itself.  Every chaos case carries the
-``chaos`` marker (``make chaos-smoke``), with a guard that the chaos
-spec really disturbs this suite's grid.  The reference
-runs at the process's own BLAS thread count, and the workers-2 runs at
-the pool's budget (``max(1, cpus // 2)`` threads per worker), so on
-hosts with more than one CPU the BLAS thread count is an axis of every
-pooled case too.
+``chaos`` marker (``make chaos-smoke``); ``tests/test_chaos_smoke.py``
+guards that the chaos spec really disturbs this suite's grid, and
+``tests/test_service.py::TestChaos`` that it disturbs the cells a daemon
+queues for it.  The reference runs at the process's own BLAS thread
+count, and the workers-2 runs at the pool's budget (``max(1, cpus //
+2)`` threads per worker), so on hosts with more than one CPU the BLAS
+thread count is an axis of every pooled case too.
 
 Left out of the comparison: a sharded run's ``shards/`` tree (manifests,
 partials, per-shard checkpoints and segments) and a daemon run's
@@ -46,7 +47,6 @@ import dataclasses
 import hashlib
 import sys
 
-import numpy as np
 import pytest
 
 from tests.conftest import journal_cells
@@ -134,22 +134,6 @@ def reference(ctx, tmp_path_factory) -> "dict[str, str]":
     results = run_scenarios(_suite(), workers=1, out_dir=out, context=ctx)
     assert all(not result.failed for result in results)
     return _output_digests(out)
-
-
-@pytest.mark.chaos
-def test_chaos_spec_disturbs_this_suite():
-    """Guard against vacuous chaos cases: the seeded spec schedules both
-    a kill and a raise on ``_suite()``'s executor grid, where an adaptive
-    spec is one cell (trial 0) per rate."""
-    from repro.core.chaos import ChaosPolicy
-
-    policy = ChaosPolicy.parse(CHAOS)
-    decisions = {
-        policy.decide(task_index, rate_index, trial, 0)
-        for task_index, spec in enumerate(_suite().specs)
-        for rate_index, trial in np.ndindex(*spec.grid_shape)
-    }
-    assert {"kill", "raise"} <= decisions
 
 
 @pytest.mark.parametrize("shards", [1, SHARDS])

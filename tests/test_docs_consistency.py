@@ -271,8 +271,9 @@ class TestShardDocs:
     def test_shard_smoke_target_documented_and_wired(self):
         makefile = (ROOT / "Makefile").read_text()
         assert "shard-smoke:" in makefile
-        assert "tests/test_shard_smoke.py" in makefile
+        assert "tests/test_shard_smoke.py tests/test_report_smoke.py" in makefile
         assert (ROOT / "tests" / "test_shard_smoke.py").exists()
+        assert (ROOT / "tests" / "test_report_smoke.py").exists()
         assert "shard-smoke" in self._section() or "shard-smoke" in makefile
 
 
@@ -372,9 +373,11 @@ class TestFaultToleranceDocs:
             assert not missing, f"repro {command} lacks {sorted(missing)}"
 
     def test_chaos_smoke_target_documented_and_wired(self):
-        """`make chaos-smoke` runs the conformance matrix's chaos cases."""
+        """`make chaos-smoke` runs the conformance matrix's chaos cases
+        and their guards."""
         makefile = (ROOT / "Makefile").read_text()
         assert "chaos-smoke:" in makefile
+        assert "tests/test_chaos_smoke.py tests/test_service.py" in makefile
         assert "tests/test_conformance.py -m chaos" in makefile
         assert "pytest.mark.chaos" in (ROOT / "tests" / "test_conformance.py").read_text()
         assert "chaos:" in (ROOT / "pytest.ini").read_text()

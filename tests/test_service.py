@@ -9,7 +9,9 @@ The acceptance tests for ``repro serve`` (docs/SERVICE.md):
 * **memoization** — a second submission after a daemon restart is a
   disk cache hit serving the same bytes without re-executing, and the
   run id is content-addressed;
-* **progress** — a queued run's cell total is the one it completes.
+* **progress** — a queued run's cell total is the one it completes;
+* **chaos** — the seeded chaos spec disturbs the cells a daemon queues
+  for the conformance matrix's suite.
 
 That the daemon's bytes equal a direct run's, at one and two workers
 and under chaos, is a case of the conformance matrix
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from tests.helpers import shrunk
@@ -160,6 +163,33 @@ class TestProgress:
         finally:
             service.close()
         assert queued == entry.total == entry.completed
+
+
+class TestChaos:
+    @pytest.mark.chaos
+    def test_chaos_spec_disturbs_this_suite(self, ctx, tmp_path):
+        """Non-vacuity guard for the matrix's daemon chaos case: the seeded
+        spec schedules a kill and a raise among the cells a daemon queues
+        for the matrix suite, read from the suite as the daemon parses it
+        off the wire, and as many cells as the daemon counts."""
+        from repro.core.chaos import ChaosPolicy
+        from tests.test_conformance import CHAOS, _suite
+
+        payload = _payload(_suite())
+        service = _service(tmp_path / "svc", ctx)
+        try:
+            queued = service.parse_submission(payload)
+            total = service.entry(service.submit(payload)["id"]).total
+        finally:
+            service.close()
+        policy = ChaosPolicy.parse(CHAOS)
+        decisions = [
+            policy.decide(task_index, rate_index, trial, 0)
+            for task_index, spec in enumerate(queued.specs)
+            for rate_index, trial in np.ndindex(*spec.grid_shape)
+        ]
+        assert len(decisions) == total
+        assert {"kill", "raise"} <= set(decisions)
 
 
 class TestErrors:

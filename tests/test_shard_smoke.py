@@ -1,5 +1,5 @@
-"""`make shard-smoke`: a bundled suite sharded across processes, merged and
-reported through the real CLI.
+"""`make shard-smoke`: a bundled suite sharded across processes and merged
+through the real CLI.
 
 The closest thing to the fleet deployment that fits in the fast tier: a
 bundled scenario suite (shrunk to smoke size) is split three ways, each
@@ -7,19 +7,20 @@ shard executed by a **separate Python process**, in reverse order (any
 completion order must do).  The driver below calls
 :func:`run_scenario_shard` directly, as ``repro scenarios --shard i/N``
 would, so failures surface as tracebacks.  ``python -m repro merge``
-reassembles the run and ``python -m repro report`` renders it.  Asserted:
+reassembles the run.  Asserted:
 
 * the run directory holds exactly the documented ``RUN_LAYOUT``;
-* the merged ``store/cells.rcs``, every JSON and ``report.html`` match
-  the unsharded single-process run's bytes;
-* ``repro report`` is idempotent: a second run rewrites identical bytes.
+* the merged ``store/cells.rcs`` and every JSON match the unsharded
+  single-process run's bytes.
 
-The shard processes share the parent's ``REPRO_CACHE_DIR``, so the tiny
-smoke bundle trains once and every process loads the same artifact —
-exactly how independent hosts would share a training artifact store.
-The conformance matrix (``tests/test_conformance.py``) proves the same
-identity in process, across workers, chaos and the daemon; this smoke
-covers the process boundary and the CLI wiring.
+``tests/test_report_smoke.py`` renders the same kind of merged run
+through ``python -m repro report``.  The shard processes share the
+parent's ``REPRO_CACHE_DIR``, so the tiny smoke bundle trains once and
+every process loads the same artifact — exactly how independent hosts
+would share a training artifact store.  The conformance matrix
+(``tests/test_conformance.py``) proves the same identity in process,
+across workers, chaos and the daemon; this smoke covers the process
+boundary and the CLI wiring.
 """
 
 from __future__ import annotations
@@ -84,12 +85,8 @@ def _python(args, env) -> None:
 
 
 def _digests(run_dir: Path) -> "dict[str, str]":
-    """sha256 of the store, every JSON and ``report.html``."""
-    paths = [
-        run_dir / "store" / "cells.rcs",
-        *sorted(run_dir.glob("*.json")),
-        run_dir / "report.html",
-    ]
+    """sha256 of the store and every JSON."""
+    paths = [run_dir / "store" / "cells.rcs", *sorted(run_dir.glob("*.json"))]
     return {
         path.relative_to(run_dir).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
@@ -97,10 +94,14 @@ def _digests(run_dir: Path) -> "dict[str, str]":
     }
 
 
-def test_three_process_shard_run_merges_byte_identical(tmp_path):
-    from repro.results import write_report
+def _three_process_run(tmp_path: Path) -> "tuple[Path, Path, dict]":
+    """Run the smoke suite unsharded in process, then as three shard
+    processes in reverse order merged by ``repro merge``.
+
+    Returns the unsharded run directory, the merged one and the
+    environment the CLI runs in.
+    """
     from repro.scenarios import run_scenarios, smoke_context
-    from repro.scenarios.shard import RUN_LAYOUT
 
     # The unsharded single-process reference (training lands in the
     # shared cache, so the shard processes below just load it).
@@ -108,7 +109,6 @@ def test_three_process_shard_run_merges_byte_identical(tmp_path):
     run_scenarios(
         _smoke_suite(), workers=1, out_dir=unsharded, context=smoke_context()
     )
-    write_report(unsharded)
 
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), str(src.parent), os.environ.get("PYTHONPATH")]
@@ -119,10 +119,16 @@ def test_three_process_shard_run_merges_byte_identical(tmp_path):
         _python(["-c", _DRIVER, SUITE, f"{index}/{SHARDS}", str(run_dir)], env)
         assert (run_dir / "shards" / f"{index}-of-{SHARDS}").is_dir()
     _python(["-m", "repro", "merge", str(run_dir)], env)
+    return unsharded, run_dir, env
+
+
+def test_three_process_shard_run_merges_byte_identical(tmp_path):
+    from repro.scenarios.shard import RUN_LAYOUT
+
+    unsharded, run_dir, _ = _three_process_run(tmp_path)
 
     # The documented layout is what a run writes: every file matches a
-    # RUN_LAYOUT pattern, and every pattern is written.  RUN_LAYOUT has
-    # no report, so this runs before `repro report` writes one.
+    # RUN_LAYOUT pattern, and every pattern is written.
     written = [
         p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()
     ]
@@ -132,11 +138,4 @@ def test_three_process_shard_run_merges_byte_identical(tmp_path):
         [pattern for pattern, r in layout.items() if not any(map(r.fullmatch, written))],
     ) == ([], [])
 
-    report = run_dir / "report.html"
-    _python(["-m", "repro", "report", str(run_dir), "--out", str(report)], env)
     assert _digests(run_dir) == _digests(unsharded)
-
-    # repro report is idempotent: a second run rewrites identical bytes.
-    first = report.read_bytes()
-    _python(["-m", "repro", "report", str(run_dir), "--out", str(report)], env)
-    assert report.read_bytes() == first
