@@ -1,6 +1,6 @@
 # Test-suite entry points (see pytest.ini for the slow-marker tiering).
 #
-#   make fast   - the inner loop (1,216 tests, 58-64 s on a
+#   make fast   - the inner loop (1,218 tests, 58-69 s on a
 #                 2-CPU host): unit + property tests only,
 #                 including the suffix-engine timing smoke (a perf
 #                 regression in the hot path fails here, not in CI-hours)
